@@ -288,9 +288,12 @@ class FiniteGroup:
 
     The element order is the canonical closure order produced by
     ``generate_group`` and every downstream ordering (conjugacy classes,
-    cosets, graph vertices) derives from it.  Multiplication rows, inverses,
-    and the class partition are cached on first use; caches are write-once,
-    so sharing an instance across threads is safe.
+    cosets, graph vertices) derives from it.  ``generators`` must generate
+    the whole group: conjugation orbits are closed under the generators only.
+    ``generate_group`` guarantees this.  Multiplication rows, inverses, one
+    conjugation map per generator, and the class partition are cached on
+    first use; caches are write-once, so sharing an instance across threads
+    is safe.
     """
 
     def __init__(self, elements: Sequence[Element], generators: Sequence[int]):
@@ -307,6 +310,7 @@ class FiniteGroup:
         self.identity: int = self._index[ident]
         self._mul_rows: dict[int, list[int]] = {}
         self._inverses: tuple[int, ...] | None = None
+        self._conjugation_maps: dict[int, tuple[int, ...]] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
         self._class_of: tuple[int, ...] | None = None
 
@@ -358,21 +362,51 @@ class FiniteGroup:
         """Index of g x g^-1."""
         return self.mul(self.mul(g, x), self.inv(g))
 
+    def _conjugation_map(self, g: int) -> tuple[int, ...]:
+        """The index map x -> g^-1 x g, built from ``compose``/``inverse``."""
+        row = self._conjugation_maps.get(g)
+        if row is None:
+            e = self.elements[g]
+            e_inv = inverse(e)
+            try:
+                row = tuple(self._index[compose(compose(e_inv, x), e)] for x in self.elements)
+            except KeyError:
+                raise UsageError("element enumeration is not closed under the product") from None
+            self._conjugation_maps[g] = row
+        return row
+
+    def conjugation_orbit(self, sets: Sequence[Iterable[int]]) -> list[tuple[frozenset[int], ...]]:
+        """Orbit of a tuple of element-index sets under simultaneous conjugation.
+
+        A breadth-first search over the generators, so its cost is the orbit
+        length times the number of generators.  The orbit comes back in
+        discovery order, starting with ``sets`` itself.
+        """
+        maps = [self._conjugation_map(g) for g in self.generators]
+        start = tuple(frozenset(s) for s in sets)
+        seen = {start}
+        orbit = [start]
+        for item in orbit:
+            for row in maps:
+                image = tuple(frozenset(row[x] for x in s) for s in item)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        return orbit
+
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Partition into conjugacy classes, ordered by least member index,
         members ascending.  Computed once and cached."""
         if self._classes is None:
-            n = self.order
-            class_of = [-1] * n
+            class_of = [-1] * self.order
             classes: list[tuple[int, ...]] = []
-            for i in range(n):
-                if class_of[i] >= 0:
+            for i, cid in enumerate(class_of):
+                if cid >= 0:
                     continue
-                cid = len(classes)
-                orbit = sorted({self.conjugate(g, i) for g in range(n)})
-                for x in orbit:
-                    class_of[x] = cid
-                classes.append(tuple(orbit))
+                members = sorted(x for (s,) in self.conjugation_orbit([(i,)]) for x in s)
+                for x in members:
+                    class_of[x] = len(classes)
+                classes.append(tuple(members))
             self._class_of = tuple(class_of)
             self._classes = tuple(classes)
         return self._classes

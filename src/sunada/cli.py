@@ -24,14 +24,14 @@ import sys
 
 from .algebra import CycleParseError, ResourceError, UsageError
 from .catalog import CatalogError, catalog_entry, catalog_names
-from .covering import PolygonSpec, covering_report, covering_report_json
+from .covering import covering_report, covering_report_json
 from .gassmann import is_sunada_triple
 from .schreier import graph_json_dict, schreier_graph, to_dot
 from .search import SearchConfig, find_sunada_pairs
 from .spectra import (NumericError, adjacency_matrix, eigenvalues_symmetric,
                       spectrum_report_json)
 from .specfile import (LoadedSpec, SpecError, document_from_catalog, load_text,
-                       render_element)
+                       parse_polygon, render_element)
 
 __all__ = ["run", "main"]
 
@@ -123,28 +123,15 @@ def _cmd_verify(args) -> int:
     return 0 if report.is_sunada_triple else 1
 
 
-def _parse_polygon_file(spec: LoadedSpec, path: str) -> PolygonSpec:
-    try:
-        body = json.loads(_read_file(path))
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"invalid polygon JSON: {exc}") from exc
-    if not isinstance(body, dict) or "edge_pairs" not in body or "cycles" not in body:
-        raise SpecError("polygon file needs 'edge_pairs' and 'cycles'")
-    from .specfile import _evaluate_word  # shared word grammar
-
-    cycles = []
-    for cyc in body["cycles"]:
-        label = str(cyc["label"])
-        cycles.append((label, _evaluate_word(spec.group, spec.named_elements,
-                                             str(cyc["word"]), f"polygon cycle {label!r}")))
-    return PolygonSpec(int(body["edge_pairs"]), tuple(cycles))
-
-
 def _cmd_report(args) -> int:
     spec = _load_spec(args.file)
     sub = _subgroup(spec, args.U)
     if args.polygon is not None:
-        polygon = _parse_polygon_file(spec, args.polygon)
+        try:
+            body = json.loads(_read_file(args.polygon))
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"invalid polygon JSON: {exc}") from exc
+        polygon = parse_polygon(body, spec.group, spec.named_elements)
     elif spec.polygon is not None:
         polygon = spec.polygon
     else:

@@ -66,24 +66,30 @@ def check_parent(group: FiniteGroup, sub: Subgroup) -> None:
         raise UsageError("subgroup belongs to a different group instance")
 
 
-def subgroup_generate(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
-    """Subgroup generated by the given element indices (empty list gives the
-    trivial subgroup)."""
+def _closure(group: FiniteGroup, generators: Iterable[int],
+             cap: int | None = None) -> frozenset[int] | None:
+    """Members of the subgroup generated by ``generators``, or None as soon as
+    it would have more than ``cap`` members."""
     gens = sorted(set(generators))
-    _check_indices(group, gens)
-    members = {group.identity}
-    members.update(gens)
+    members = {group.identity, *gens}
     work = sorted(members)
-    head = 0
-    while head < len(work):
-        x = work[head]
-        head += 1
+    for x in work:
         for g in gens:
             p = group.mul(x, g)
             if p not in members:
+                if cap is not None and len(members) >= cap:
+                    return None
                 members.add(p)
                 work.append(p)
-    return Subgroup(group, tuple(sorted(members)))
+    return frozenset(members)
+
+
+def subgroup_generate(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
+    """Subgroup generated by the given element indices (empty list gives the
+    trivial subgroup)."""
+    gens = list(generators)
+    _check_indices(group, gens)
+    return Subgroup(group, tuple(sorted(_closure(group, gens))))
 
 
 def subgroup_from_members(group: FiniteGroup, members: Iterable[int]) -> Subgroup:
@@ -129,23 +135,21 @@ def are_gassmann(group: FiniteGroup, u: Subgroup, v: Subgroup) -> bool:
 def are_conjugate_subgroups(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int | None:
     """Index of the first g (in element key order) with g U g^-1 = V, or None.
 
-    Equal subgroups short-circuit to the identity.  Candidates are scanned in
-    the canonical element order, so the witness does not depend on which
-    generators happened to build the group.  The scan is exhaustive, so
-    absence of a conjugator is a proof for the enumerated group.
+    Equal subgroups short-circuit to the identity.  V is conjugate to U iff it
+    lies in U's conjugation orbit, which is computed exactly, so None is a
+    proof for the enumerated group.  Only when it does lie there are the
+    candidates scanned in the canonical element order, so the witness does
+    not depend on which generators happened to build the group.
     """
     check_parent(group, u)
     check_parent(group, v)
     if u.members == v.members:
         return group.identity
-    if len(u.members) != len(v.members):
-        return None
     target = v.member_set
-    for g in sorted(range(group.order), key=lambda i: element_key(group.element(i))):
-        ginv = group.inv(g)
-        if all(group.mul(group.mul(g, x), ginv) in target for x in u.members):
-            return g
-    return None
+    if len(u.members) != len(v.members) or (target,) not in group.conjugation_orbit([u.members]):
+        return None
+    return next(g for g in sorted(range(group.order), key=lambda i: element_key(group.element(i)))
+                if conjugate_members(group, u.members, g) == target)
 
 
 @dataclass(frozen=True)

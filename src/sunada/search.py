@@ -10,11 +10,10 @@ grows past the target order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .algebra import FiniteGroup, ResourceError, element_order
 from .covering import PolygonSpec, smoothness
-from .gassmann import (SunadaReport, Subgroup, class_intersection_profile,
+from .gassmann import (SunadaReport, Subgroup, _closure, class_intersection_profile,
                        conjugate_members, is_sunada_triple)
 
 __all__ = [
@@ -37,27 +36,6 @@ class SearchConfig:
     require_smooth: PolygonSpec | None = None
     max_subgroups: int = DEFAULT_SUBGROUP_CAP
     dedupe: bool = True
-
-
-def _closure_capped(group: FiniteGroup, seed: frozenset[int], extra: int,
-                    cap: int) -> frozenset[int] | None:
-    """Closure of seed + {extra} under the product, or None once it passes cap."""
-    members = set(seed)
-    members.add(extra)
-    gens = sorted(members)
-    work = list(gens)
-    head = 0
-    while head < len(work):
-        x = work[head]
-        head += 1
-        for g in gens:
-            p = group.mul(x, g)
-            if p not in members:
-                if len(members) >= cap:
-                    return None
-                members.add(p)
-                work.append(p)
-    return frozenset(members)
 
 
 def enumerate_subgroups(group: FiniteGroup, order: int,
@@ -112,7 +90,7 @@ def enumerate_subgroups(group: FiniteGroup, order: int,
         for e in usable:
             if e in base:
                 continue
-            grown = _closure_capped(group, base, e, order)
+            grown = _closure(group, base | {e}, cap=order)
             if grown is not None and admissible(len(grown)):
                 record(grown)
 
@@ -120,21 +98,20 @@ def enumerate_subgroups(group: FiniteGroup, order: int,
                     if len(members) == order))
     subgroups = [Subgroup(group, members) for members in found]
     if up_to_conjugacy:
-        subgroups = _conjugacy_representatives(group, subgroups)
+        classes = _class_ids(group, subgroups)
+        subgroups = [sub for pos, sub in enumerate(subgroups) if classes[pos] == pos]
     return subgroups
 
 
-def _conjugacy_representatives(group: FiniteGroup, subgroups: list[Subgroup]) -> list[Subgroup]:
-    by_members = {sub.member_set: sub for sub in subgroups}
-    remaining = set(by_members)
-    reps: list[Subgroup] = []
-    for sub in subgroups:
-        if sub.member_set not in remaining:
-            continue
-        reps.append(sub)
-        for g in range(group.order):
-            remaining.discard(conjugate_members(group, sub.members, g))
-    return reps
+def _class_ids(group: FiniteGroup, subgroups: list[Subgroup]) -> list[int]:
+    """For each subgroup, the position of the first listed subgroup conjugate
+    to it; each new class marks its whole conjugation orbit as covered."""
+    first: dict[frozenset[int], int] = {}
+    for pos, sub in enumerate(subgroups):
+        if sub.member_set not in first:
+            for (conjugate,) in group.conjugation_orbit([sub.members]):
+                first[conjugate] = pos
+    return [first[sub.member_set] for sub in subgroups]
 
 
 def simultaneous_conjugator(group: FiniteGroup, pair1: tuple[Subgroup, Subgroup],
@@ -168,20 +145,23 @@ def find_sunada_pairs(group: FiniteGroup,
         subgroups = [sub for sub in subgroups
                      if all(smoothness(group, sub, config.require_smooth))]
     profiles = [class_intersection_profile(group, sub) for sub in subgroups]
+    classes = _class_ids(group, subgroups)
     results: list[tuple[Subgroup, Subgroup, SunadaReport]] = []
-    kept: list[tuple[Subgroup, Subgroup]] = []
+    covered: set[tuple[frozenset[int], ...]] = set()
     for i in range(len(subgroups)):
         for j in range(i + 1, len(subgroups)):
-            if profiles[i] != profiles[j]:
+            # Subgroups of one class are conjugate, so never a Sunada pair.
+            if profiles[i] != profiles[j] or classes[i] == classes[j]:
+                continue
+            pair = (subgroups[i].member_set, subgroups[j].member_set)
+            if pair in covered:
                 continue
             report = is_sunada_triple(group, subgroups[i], subgroups[j])
             if not report.is_sunada_triple:
                 continue
-            pair = (subgroups[i], subgroups[j])
-            if config.dedupe and any(
-                    simultaneous_conjugator(group, pair, seen) is not None
-                    for seen in kept):
-                continue
-            kept.append(pair)
+            if config.dedupe:
+                # Pairs count as unordered, so cover both orders of each image.
+                for image in group.conjugation_orbit(pair):
+                    covered.update((image, image[::-1]))
             results.append((subgroups[i], subgroups[j], report))
     return results

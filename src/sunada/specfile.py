@@ -40,6 +40,7 @@ __all__ = [
     "SpecError",
     "LoadedSpec",
     "parse_document",
+    "parse_polygon",
     "load_text",
     "render_element",
     "document_from_catalog",
@@ -115,6 +116,24 @@ def _evaluate_word(group: FiniteGroup, named: dict[str, int], word: str, where: 
     return acc
 
 
+def parse_polygon(body: Any, group: FiniteGroup, named: dict[str, int]) -> PolygonSpec:
+    """A polygon object, its cycle words evaluated over the named generators."""
+    if (not isinstance(body, dict) or "edge_pairs" not in body
+            or not isinstance(body.get("cycles"), list)):
+        raise SpecError("'polygon' needs 'edge_pairs' and a list of 'cycles'")
+    cycles = []
+    for cyc in body["cycles"]:
+        if not isinstance(cyc, dict) or "label" not in cyc or "word" not in cyc:
+            raise SpecError("each polygon cycle needs 'label' and 'word'")
+        label = str(cyc["label"])
+        cycles.append((label, _evaluate_word(group, named, str(cyc["word"]),
+                                             f"polygon cycle {label!r}")))
+    try:
+        return PolygonSpec(int(body["edge_pairs"]), tuple(cycles))
+    except (UsageError, TypeError, ValueError) as exc:
+        raise SpecError(f"polygon: {exc}") from exc
+
+
 def parse_document(doc: Any) -> LoadedSpec:
     """Build the group, named subgroups, and polygon described by a document."""
     if not isinstance(doc, dict):
@@ -143,11 +162,17 @@ def parse_document(doc: Any) -> LoadedSpec:
     named = {name: group.index_of(e) for name, e in parsed.items()}
 
     subgroups: dict[str, Subgroup] = {}
-    for name, body in (doc.get("subgroups") or {}).items():
+    bodies = doc.get("subgroups") or {}
+    if not isinstance(bodies, dict):
+        raise SpecError("'subgroups' must be an object of name -> subgroup")
+    for name, body in bodies.items():
         where = f"subgroup {name!r}"
         if not isinstance(body, dict) or len(body.keys() & {"elements", "generators"}) != 1:
             raise SpecError(f"{where}: give exactly one of 'elements' or 'generators'")
-        if "elements" in body:
+        source = "elements" if "elements" in body else "generators"
+        if not isinstance(body[source], list):
+            raise SpecError(f"{where}: {source!r} must be a list")
+        if source == "elements":
             indices = []
             for raw in body["elements"]:
                 e = _parse_element(kind, parameter, raw, where)
@@ -160,28 +185,10 @@ def parse_document(doc: Any) -> LoadedSpec:
             except UsageError as exc:
                 raise SpecError(f"{where}: {exc}") from exc
         else:
-            words = body["generators"]
-            if not isinstance(words, list):
-                raise SpecError(f"{where}: 'generators' must be a list of words")
-            indices = [_evaluate_word(group, named, str(w), where) for w in words]
+            indices = [_evaluate_word(group, named, str(w), where) for w in body["generators"]]
             subgroups[str(name)] = subgroup_generate(group, indices)
 
-    polygon: PolygonSpec | None = None
-    if doc.get("polygon") is not None:
-        body = doc["polygon"]
-        if not isinstance(body, dict) or "edge_pairs" not in body or "cycles" not in body:
-            raise SpecError("'polygon' needs 'edge_pairs' and 'cycles'")
-        cycles = []
-        for cyc in body["cycles"]:
-            if not isinstance(cyc, dict) or "label" not in cyc or "word" not in cyc:
-                raise SpecError("each polygon cycle needs 'label' and 'word'")
-            label = str(cyc["label"])
-            cycles.append((label, _evaluate_word(group, named, str(cyc["word"]),
-                                                 f"polygon cycle {label!r}")))
-        try:
-            polygon = PolygonSpec(int(body["edge_pairs"]), tuple(cycles))
-        except (UsageError, TypeError, ValueError) as exc:
-            raise SpecError(f"polygon: {exc}") from exc
+    polygon = None if doc.get("polygon") is None else parse_polygon(doc["polygon"], group, named)
 
     return LoadedSpec(
         kind=kind,

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import sys
+from pathlib import Path
 
 import pytest
 
 from sunada import Perm, catalog_entry, generate_group
+
+# Subprocesses started by the tests (``python -m sunada``) import the same
+# package as the tests do, also from a checkout that is not installed.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 
 @pytest.fixture(scope="session")

@@ -324,6 +324,72 @@ def test_conjugacy_classes_partition_group(s4):
             assert {s4.conjugate(g, x) for x in members} == members
 
 
+def test_conjugation_orbit_matches_conjugating_by_every_element(s4):
+    sets = ({1, 2}, {s4.identity, 5})
+    orbit = s4.conjugation_orbit(sets)
+    assert orbit[0] == tuple(frozenset(x) for x in sets)
+    assert len(set(orbit)) == len(orbit)
+    assert set(orbit) == {
+        tuple(frozenset(s4.conjugate(g, x) for x in members) for members in sets)
+        for g in range(s4.order)
+    }
+
+
+def test_conjugacy_classes_are_in_canonical_order(genus2):
+    classes = genus2.group.conjugacy_classes()
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    assert all(list(c) == sorted(c) for c in classes)
+
+
+# Generators of the benchmark's PSL groups: PSL(3,2) on the 7 points of the
+# Fano plane and PSL(2,11) on 11 points, with class sizes from the ATLAS.
+PSL_GENERATORS = {
+    "PSL(3,2)": (7, ["(1,5)(2,6)", "(0,3,1)(2,4,5)"], [1, 21, 24, 24, 42, 56]),
+    "PSL(2,11)": (11, ["(1,9)(2,3)(4,8)(5,6)", "(0,1,10)(2,4,9)(5,7,8)"],
+                  [1, 55, 60, 60, 110, 110, 132, 132]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PSL_GENERATORS))
+def test_conjugacy_classes_match_sympy(name):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    degree, cycles, sizes = PSL_GENERATORS[name]
+    perms = [parse_cycles(text, degree) for text in cycles]
+    group = generate_group(perms)
+    oracle = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(p.images)) for p in perms])
+    assert group.order == oracle.order()
+    got = sorted(len(c) for c in group.conjugacy_classes())
+    assert got == sorted(len(c) for c in oracle.conjugacy_classes()) == sizes
+
+
+def _projective_plane_action(matrix, p):
+    """The permutation a 3x3 matrix over F_p induces on the points of P^2(F_p),
+    each point normalised so its first nonzero coordinate is 1."""
+    def normalise(v):
+        lead = next(c for c in v if c)
+        scale = pow(lead, -1, p)
+        return tuple(c * scale % p for c in v)
+
+    points = sorted({normalise(v) for v in itertools.product(range(p), repeat=3) if any(v)})
+    index = {pt: i for i, pt in enumerate(points)}
+    return Perm(tuple(
+        index[normalise(tuple(sum(row[c] * pt[c] for c in range(3)) % p for row in matrix))]
+        for pt in points))
+
+
+def test_psl33_conjugacy_classes():
+    transvection = _projective_plane_action([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3)
+    cycle = _projective_plane_action([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 3)
+    assert transvection.degree == 13
+    group = generate_group([transvection, cycle])
+    assert group.order == 5616
+    classes = group.conjugacy_classes()
+    assert len(classes) == 12
+    assert sorted(len(c) for c in classes) == [
+        1, 104, 117, 432, 432, 432, 432, 624, 702, 702, 702, 936]
+
+
 def test_index_of_and_contains(s3):
     t = Perm((1, 0, 2))
     assert s3.element(s3.index_of(t)) == t

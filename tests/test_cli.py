@@ -121,6 +121,13 @@ def test_report_with_polygon_override(genus2_doc, tmp_path, capsys):
     assert [c["order"] for c in report["cycles"]] == [3, 3, 1]
 
 
+def test_report_polygon_file_cycle_without_label_exits_two(genus2_doc, tmp_path, capsys):
+    override = tmp_path / "polygon.json"
+    override.write_text(json.dumps({"edge_pairs": 2, "cycles": [{"word": "a"}]}))
+    assert run(["report", str(genus2_doc), "--U", "U", "--polygon", str(override)]) == 2
+    assert "'label'" in capsys.readouterr().err
+
+
 def test_report_without_any_polygon_exits_two(tmp_path, capsys):
     doc = {
         "kind": "permutation",

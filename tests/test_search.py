@@ -170,3 +170,14 @@ def test_search_smooth_filter(genus2):
 def test_search_pair_order_is_canonical(orbifold_h):
     for u, v, _ in find_sunada_pairs(orbifold_h.group, SearchConfig(order=4, dedupe=False)):
         assert u.members < v.members
+
+
+@pytest.mark.parametrize("name, order", [("orbifold-h", 4), ("genus3", 8)])
+def test_dedupe_keeps_a_representative_of_every_pair(name, order, request):
+    g = request.getfixturevalue(name.replace("-", "_")).group
+    raw = find_sunada_pairs(g, SearchConfig(order=order, dedupe=False))
+    kept = find_sunada_pairs(g, SearchConfig(order=order))
+    assert kept == [entry for entry in raw if entry in kept]
+    for u, v, _ in raw:
+        assert any(simultaneous_conjugator(g, (u, v), (ku, kv)) is not None
+                   for ku, kv, _ in kept)

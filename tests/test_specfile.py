@@ -80,6 +80,9 @@ def test_load_text_rejects_invalid_json():
         lambda d: d.update(degree="twelve"),
         lambda d: d.pop("generators"),
         lambda d: d.update(generators={}),
+        lambda d: d.update(polygon={"edge_pairs": 1, "cycles": 5}),
+        lambda d: d.update(subgroups=[1]),
+        lambda d: d.update(subgroups={"U": {"elements": 5}}),
     ],
 )
 def test_structural_errors(mutate):
