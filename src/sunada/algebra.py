@@ -290,10 +290,11 @@ class FiniteGroup:
     ``generate_group`` and every downstream ordering (conjugacy classes,
     cosets, graph vertices) derives from it.  ``generators`` must generate
     the whole group: conjugation orbits are closed under the generators only.
-    ``generate_group`` guarantees this.  Multiplication rows, inverses, one
-    conjugation map per generator, and the class partition are cached on
-    first use; caches are write-once, so sharing an instance across threads
-    is safe.
+    ``generate_group`` guarantees this.  Products are never cached: ``mul``
+    composes the two elements and looks the result up in the element index.
+    Inverses, one conjugation map per generator, and the class partition are
+    cached on first use; caches are write-once, so sharing an instance across
+    threads is safe.
     """
 
     def __init__(self, elements: Sequence[Element], generators: Sequence[int]):
@@ -308,7 +309,6 @@ class FiniteGroup:
         if ident not in self._index:
             raise UsageError("identity missing from enumeration")
         self.identity: int = self._index[ident]
-        self._mul_rows: dict[int, list[int]] = {}
         self._inverses: tuple[int, ...] | None = None
         self._conjugation_maps: dict[int, tuple[int, ...]] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
@@ -335,28 +335,15 @@ class FiniteGroup:
 
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j]."""
-        row = self._mul_rows.get(i)
-        if row is None:
-            ei = self.elements[i]
-            try:
-                row = [self._index[compose(ei, e)] for e in self.elements]
-            except KeyError:
-                raise UsageError("element enumeration is not closed under the product") from None
-            self._mul_rows[i] = row
-        return row[j]
+        try:
+            return self._index[compose(self.elements[i], self.elements[j])]
+        except KeyError:
+            raise UsageError("element enumeration is not closed under the product") from None
 
     def inv(self, i: int) -> int:
         if self._inverses is None:
             self._inverses = tuple(self.index_of(inverse(e)) for e in self.elements)
         return self._inverses[i]
-
-    def power(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(i), -k)
-        acc = self.identity
-        for _ in range(k):
-            acc = self.mul(acc, i)
-        return acc
 
     def conjugate(self, g: int, x: int) -> int:
         """Index of g x g^-1."""

@@ -116,8 +116,7 @@ def trivial_subgroup(group: FiniteGroup) -> Subgroup:
 
 def conjugate_members(group: FiniteGroup, members: Iterable[int], g: int) -> frozenset[int]:
     """The set {g x g^-1 : x in members}."""
-    ginv = group.inv(g)
-    return frozenset(group.mul(group.mul(g, x), ginv) for x in members)
+    return frozenset(group.conjugate(g, x) for x in members)
 
 
 def class_intersection_profile(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:

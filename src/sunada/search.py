@@ -1,17 +1,23 @@
 """Exhaustive subgroup enumeration and Sunada pair search for small groups.
 
-Subgroups of a target order are found by growing cyclic subgroups: every
-subgroup is reachable by repeatedly adjoining one element and closing, and
-every intermediate stage is itself a subgroup of the target, so the lattice
-walk below is complete.  Sizes are kept small by abandoning any closure that
-grows past the target order.
+The walk works one conjugacy class of subgroups at a time.  It keeps, for
+each class of subgroups whose order divides the target, the generators of a
+representative and the class's whole conjugation orbit.  It starts from the
+cyclic subgroups of one element per conjugacy class of elements and grows
+each representative by adjoining one element and closing.  Every subgroup is
+reached from the trivial one by adjoining one element at a time, and every
+stage is a subgroup of it; conjugating such a chain moves its first stage
+onto a seed and each later stage onto a growth of the representative of the
+stage before, so every class is found.  Closures that grow past the target
+order are abandoned, and conjugation invariants (class intersection
+profiles, smoothness) are computed once per class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FiniteGroup, ResourceError, element_order
+from .algebra import FiniteGroup, ResourceError
 from .covering import PolygonSpec, smoothness
 from .gassmann import (SunadaReport, Subgroup, _closure, class_intersection_profile,
                        conjugate_members, is_sunada_triple)
@@ -38,6 +44,53 @@ class SearchConfig:
     dedupe: bool = True
 
 
+def _subgroup_classes(group: FiniteGroup, order: int,
+                      max_subgroups: int) -> list[list[frozenset[int]]]:
+    """The conjugation orbit of each conjugacy class of subgroups whose order
+    divides ``order``, with the class representative first.
+
+    Raises ResourceError as soon as the orbits hold more than
+    ``max_subgroups`` distinct subgroups.
+    """
+    if order < 1 or group.order % order != 0:
+        return []
+    if order == 1:
+        return [[frozenset({group.identity})]]
+    # (generators of the representative, orbit) per class
+    classes: list[tuple[tuple[int, ...], list[frozenset[int]]]] = []
+    seen: set[frozenset[int]] = set()
+
+    def grow(gens: tuple[int, ...]) -> bool:
+        """Record the class of <gens> unless it is too big or already known;
+        False when its order does not divide ``order``."""
+        members = _closure(group, gens, cap=order)
+        if members is None or order % len(members) != 0:
+            return False
+        if members not in seen:
+            orbit = [conjugate for (conjugate,) in group.conjugation_orbit([members])]
+            if len(seen) + len(orbit) > max_subgroups:
+                raise ResourceError(
+                    f"subgroup enumeration exceeded max_subgroups = {max_subgroups}")
+            seen.update(orbit)
+            classes.append((gens, orbit))
+        return True
+
+    # Element order is a class invariant, so each element class either seeds
+    # one cyclic class or holds no element of any subgroup of this order.
+    usable: list[int] = []
+    for cls in group.conjugacy_classes():
+        if grow(cls[:1]):
+            usable.extend(cls)
+    usable.sort()
+    # The trivial subgroup is not grown: its one-element growths are the seeds.
+    for gens, orbit in classes:
+        if 1 < len(orbit[0]) < order:
+            for e in usable:
+                if e not in orbit[0]:
+                    grow(gens + (e,))
+    return [orbit for _, orbit in classes]
+
+
 def enumerate_subgroups(group: FiniteGroup, order: int,
                         max_subgroups: int = DEFAULT_SUBGROUP_CAP,
                         up_to_conjugacy: bool = False) -> list[Subgroup]:
@@ -47,71 +100,14 @@ def enumerate_subgroups(group: FiniteGroup, order: int,
     representative per conjugacy orbit (the least member tuple).  Raises
     ResourceError when the walk exceeds ``max_subgroups`` distinct subgroups.
     """
-    if order < 1:
-        return []
-    if group.order % order != 0:
-        return []
-    identity = group.identity
-    if order == 1:
-        return [Subgroup(group, (identity,))]
-
-    def admissible(size: int) -> bool:
-        return order % size == 0
-
-    seen: set[frozenset[int]] = set()
-    frontier: list[frozenset[int]] = []
-
-    def record(members: frozenset[int]) -> None:
-        if members in seen:
-            return
-        if len(seen) >= max_subgroups:
-            raise ResourceError(
-                f"subgroup enumeration exceeded max_subgroups = {max_subgroups}")
-        seen.add(members)
-        if len(members) < order:
-            frontier.append(members)
-
-    # Elements of non-dividing order cannot lie in a subgroup of this order.
-    usable = [e for e in range(group.order)
-              if admissible(element_order(group.element(e)))]
-    for e in usable:
-        cyclic = {identity}
-        x = e
-        while x != identity:
-            cyclic.add(x)
-            x = group.mul(x, e)
-        if admissible(len(cyclic)):
-            record(frozenset(cyclic))
-
-    head = 0
-    while head < len(frontier):
-        base = frontier[head]
-        head += 1
-        for e in usable:
-            if e in base:
-                continue
-            grown = _closure(group, base | {e}, cap=order)
-            if grown is not None and admissible(len(grown)):
-                record(grown)
-
-    found = sorted((tuple(sorted(members)) for members in seen
-                    if len(members) == order))
-    subgroups = [Subgroup(group, members) for members in found]
+    orbits = [[tuple(sorted(members)) for members in orbit]
+              for orbit in _subgroup_classes(group, order, max_subgroups)
+              if len(orbit[0]) == order]
     if up_to_conjugacy:
-        classes = _class_ids(group, subgroups)
-        subgroups = [sub for pos, sub in enumerate(subgroups) if classes[pos] == pos]
-    return subgroups
-
-
-def _class_ids(group: FiniteGroup, subgroups: list[Subgroup]) -> list[int]:
-    """For each subgroup, the position of the first listed subgroup conjugate
-    to it; each new class marks its whole conjugation orbit as covered."""
-    first: dict[frozenset[int], int] = {}
-    for pos, sub in enumerate(subgroups):
-        if sub.member_set not in first:
-            for (conjugate,) in group.conjugation_orbit([sub.members]):
-                first[conjugate] = pos
-    return [first[sub.member_set] for sub in subgroups]
+        found = sorted(min(orbit) for orbit in orbits)
+    else:
+        found = sorted(members for orbit in orbits for members in orbit)
+    return [Subgroup(group, members) for members in found]
 
 
 def simultaneous_conjugator(group: FiniteGroup, pair1: tuple[Subgroup, Subgroup],
@@ -140,12 +136,21 @@ def find_sunada_pairs(group: FiniteGroup,
     to simultaneous conjugacy when ``config.dedupe`` is set.  Every returned
     report re-verifies the pair as a Sunada triple.
     """
-    subgroups = enumerate_subgroups(group, config.order, config.max_subgroups)
-    if config.require_smooth is not None:
-        subgroups = [sub for sub in subgroups
-                     if all(smoothness(group, sub, config.require_smooth))]
-    profiles = [class_intersection_profile(group, sub) for sub in subgroups]
-    classes = _class_ids(group, subgroups)
+    # Profiles and smoothness are conjugation invariants: one test per class.
+    entries = []
+    for cid, orbit in enumerate(_subgroup_classes(group, config.order, config.max_subgroups)):
+        if len(orbit[0]) != config.order:
+            continue
+        rep = Subgroup(group, tuple(sorted(orbit[0])))
+        if config.require_smooth is not None and not all(
+                smoothness(group, rep, config.require_smooth)):
+            continue
+        profile = class_intersection_profile(group, rep)
+        entries.extend((tuple(sorted(members)), cid, profile) for members in orbit)
+    entries.sort()
+    subgroups = [Subgroup(group, members) for members, _, _ in entries]
+    classes = [cid for _, cid, _ in entries]
+    profiles = [profile for _, _, profile in entries]
     results: list[tuple[Subgroup, Subgroup, SunadaReport]] = []
     covered: set[tuple[frozenset[int], ...]] = set()
     for i in range(len(subgroups)):

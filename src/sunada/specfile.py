@@ -29,9 +29,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .algebra import (CycleParseError, Element, FiniteGroup, Mat2, Perm,
-                      SemiPair, UsageError, cycle_string, generate_group,
-                      parse_cycles)
+from .algebra import (DEFAULT_ELEMENT_CAP, CycleParseError, Element, FiniteGroup,
+                      Mat2, Perm, SemiPair, UsageError, cycle_string,
+                      generate_group, parse_cycles)
 from .catalog import CatalogEntry
 from .covering import PolygonSpec
 from .gassmann import Subgroup, subgroup_from_members, subgroup_generate
@@ -148,6 +148,8 @@ def parse_document(doc: Any) -> LoadedSpec:
         parameter = int(doc[param_key])
     except (TypeError, ValueError):
         raise SpecError(f"{param_key!r} must be an integer") from None
+    if kind == "permutation" and parameter > DEFAULT_ELEMENT_CAP:
+        raise SpecError(f"'degree' {parameter} exceeds the bound of {DEFAULT_ELEMENT_CAP}")
 
     generators = doc.get("generators")
     if not isinstance(generators, dict) or not generators:

@@ -93,10 +93,12 @@ def test_criterion_03_sunada_verdicts(genus2, genus3, orbifold_h):
             g = entry.group
             report = is_sunada_triple(g, entry.subgroup_u, entry.subgroup_v)
             for _, idx in entry.generator_labels:
-                for r in range(1, element_order(g.element(idx))):
-                    cls = g.class_index(g.power(idx, r))
+                power = idx
+                for _ in range(1, element_order(g.element(idx))):
+                    cls = g.class_index(power)
                     assert report.profile_u[cls] == 0
                     assert report.profile_v[cls] == 0
+                    power = g.mul(power, idx)
 
 
 def test_criterion_04_euler_characteristics(genus2, genus3):

@@ -13,12 +13,15 @@ from sunada import (
     Mat2,
     Perm,
     ResourceError,
+    SearchConfig,
     SemiPair,
     UsageError,
     compose,
     conjugacy_classes,
     cycle_string,
     element_order,
+    enumerate_subgroups,
+    find_sunada_pairs,
     generate_group,
     identity_like,
     inverse,
@@ -294,9 +297,6 @@ def test_group_table_matches_element_arithmetic(orbifold_h):
 def test_group_inverse_power_conjugate(s4):
     for i in range(s4.order):
         assert s4.mul(i, s4.inv(i)) == s4.identity
-        assert s4.power(i, 0) == s4.identity
-        assert s4.power(i, 3) == s4.mul(i, s4.mul(i, i))
-        assert s4.power(i, -1) == s4.inv(i)
     g, x = 5, 7
     assert s4.element(s4.conjugate(g, x)) == compose(
         compose(s4.element(g), s4.element(x)), inverse(s4.element(g))
@@ -361,6 +361,24 @@ def test_conjugacy_classes_match_sympy(name):
     assert group.order == oracle.order()
     got = sorted(len(c) for c in group.conjugacy_classes())
     assert got == sorted(len(c) for c in oracle.conjugacy_classes()) == sizes
+
+
+# Subgroups of PSL(3,2) per order: (all subgroups, conjugacy classes).  Order
+# 4 is C4 and two classes of V4; orders 12 and 24 are two classes each of A4
+# and S4, the stabilisers of a point and of a line of the Fano plane.
+PSL32_SUBGROUPS = {1: (1, 1), 2: (21, 1), 3: (28, 1), 4: (35, 3), 6: (28, 1), 7: (8, 1),
+                   8: (21, 1), 12: (14, 2), 14: (0, 0), 21: (8, 1), 24: (14, 2)}
+
+
+def test_psl32_subgroup_lattice():
+    degree, cycles, _ = PSL_GENERATORS["PSL(3,2)"]
+    group = generate_group([parse_cycles(text, degree) for text in cycles])
+    for order, (count, classes) in PSL32_SUBGROUPS.items():
+        subgroups = enumerate_subgroups(group, order)
+        assert len(subgroups) == count, order
+        assert all(sub.order == order for sub in subgroups)
+        assert len(enumerate_subgroups(group, order, up_to_conjugacy=True)) == classes, order
+    assert len(find_sunada_pairs(group, SearchConfig(order=24))) == 2
 
 
 def _projective_plane_action(matrix, p):

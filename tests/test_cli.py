@@ -257,6 +257,14 @@ def test_invalid_json_exits_two(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_huge_degree_exits_two_before_allocating(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "permutation", "degree": 10**12,
+                                "generators": {"a": "(0,1)"}}))
+    assert run(["search", str(path), "--order", "2"]) == 2
+    assert "exceeds the bound" in capsys.readouterr().err
+
+
 def test_no_arguments_exits_two(capsys):
     assert run([]) == 2
 
