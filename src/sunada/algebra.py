@@ -5,6 +5,13 @@ Three element families are supported: permutations of {0, ..., n-1}, invertible
 Elements are immutable and compare structurally.  Products read left to right:
 ``compose(x, y)`` applies x first for permutations, is the matrix product
 ``x y`` for matrices, and is ``(u, v)(u', v') = (u u', v + u v')`` for pairs.
+
+The element constructors validate their input; a product does not need to.
+``compose`` checks that its factors share one family and degree or modulus,
+then hands them to ``_product``, the one place a product is computed, which
+builds the result without re-validating it: the product of two valid elements
+of one family is always valid.  ``FiniteGroup`` checks the family of its whole
+enumeration once, at construction, so its products skip the per-call check.
 """
 
 from __future__ import annotations
@@ -141,18 +148,37 @@ def _require_same_family(e1: Element, e2: Element) -> None:
 def compose(e1: Element, e2: Element) -> Element:
     """Group product of two elements of the same family; e1 acts first for perms."""
     _require_same_family(e1, e2)
+    return _product(e1, e2)
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _product(e1: Element, e2: Element) -> Element:
+    """``compose`` for factors already known to share one family and degree or
+    modulus.  The result is built without ``__post_init__``: it is valid
+    because both factors are."""
     if isinstance(e1, Perm):
-        img2 = e2.images
-        return Perm(tuple(img2[i] for i in e1.images))
+        p = _new(Perm)
+        _set(p, "images", tuple(map(e2.images.__getitem__, e1.images)))
+        return p
     if isinstance(e1, Mat2):
         m = e1.modulus
         (a, b), (c, d) = e1.entries
-        (p, q), (r, s) = e2.entries
-        return Mat2(m, (((a * p + b * r) % m, (a * q + b * s) % m),
-                        ((c * p + d * r) % m, (c * q + d * s) % m)))
+        (q, r), (s, t) = e2.entries
+        p = _new(Mat2)
+        _set(p, "modulus", m)
+        _set(p, "entries", (((a * q + b * s) % m, (a * r + b * t) % m),
+                            ((c * q + d * s) % m, (c * r + d * t) % m)))
+        return p
     if isinstance(e1, SemiPair):
         m = e1.modulus
-        return SemiPair(m, (e1.u * e2.u) % m, (e1.v + e1.u * e2.v) % m)
+        p = _new(SemiPair)
+        _set(p, "modulus", m)
+        _set(p, "u", (e1.u * e2.u) % m)
+        _set(p, "v", (e1.v + e1.u * e2.v) % m)
+        return p
     raise UsageError(f"unsupported element type {type(e1).__name__}")
 
 
@@ -193,7 +219,7 @@ def element_order(e: Element) -> int:
     k = 1
     x = e
     while x != ident:
-        x = compose(x, e)
+        x = _product(x, e)
         k += 1
     return k
 
@@ -290,8 +316,10 @@ class FiniteGroup:
     ``generate_group`` and every downstream ordering (conjugacy classes,
     cosets, graph vertices) derives from it.  ``generators`` must generate
     the whole group: conjugation orbits are closed under the generators only.
-    ``generate_group`` guarantees this.  Products are never cached: ``mul``
-    composes the two elements and looks the result up in the element index.
+    ``generate_group`` guarantees this.  The constructor checks once that
+    all elements share one family and degree or modulus, so ``mul`` takes the
+    trusted product of the two elements, without a family check, and looks
+    the result up in the element index; products are never cached.
     Inverses, one conjugation map per generator, and the class partition are
     cached on first use; caches are write-once, so sharing an instance across
     threads is safe.
@@ -301,11 +329,14 @@ class FiniteGroup:
         self.elements: tuple[Element, ...] = tuple(elements)
         if not self.elements:
             raise UsageError("a group needs at least one element")
+        first = self.elements[0]
+        ident = identity_like(first)
+        for e in self.elements:
+            _require_same_family(first, e)
         self._index: dict[Element, int] = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise UsageError("duplicate elements in enumeration")
         self.generators: tuple[int, ...] = tuple(generators)
-        ident = identity_like(self.elements[0])
         if ident not in self._index:
             raise UsageError("identity missing from enumeration")
         self.identity: int = self._index[ident]
@@ -336,7 +367,7 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j]."""
         try:
-            return self._index[compose(self.elements[i], self.elements[j])]
+            return self._index[_product(self.elements[i], self.elements[j])]
         except KeyError:
             raise UsageError("element enumeration is not closed under the product") from None
 
@@ -350,13 +381,13 @@ class FiniteGroup:
         return self.mul(self.mul(g, x), self.inv(g))
 
     def _conjugation_map(self, g: int) -> tuple[int, ...]:
-        """The index map x -> g^-1 x g, built from ``compose``/``inverse``."""
+        """The index map x -> g^-1 x g, built from ``_product``/``inverse``."""
         row = self._conjugation_maps.get(g)
         if row is None:
             e = self.elements[g]
             e_inv = inverse(e)
             try:
-                row = tuple(self._index[compose(compose(e_inv, x), e)] for x in self.elements)
+                row = tuple(self._index[_product(_product(e_inv, x), e)] for x in self.elements)
             except KeyError:
                 raise UsageError("element enumeration is not closed under the product") from None
             self._conjugation_maps[g] = row
@@ -424,7 +455,7 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
         x = elements[head]
         head += 1
         for g in seeds:
-            p = compose(x, g)
+            p = _product(x, g)
             if p not in index:
                 if len(elements) >= max_elements:
                     raise ResourceError(f"group closure exceeded the element cap of {max_elements}")

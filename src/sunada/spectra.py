@@ -1,11 +1,13 @@
-"""Symmetrized adjacency matrices of labeled digraphs and their spectra."""
+"""Symmetrized adjacency matrices of labeled digraphs and their spectra.
+
+numpy is imported inside the functions that build or diagonalize a matrix, so
+importing the package, and every command that computes no spectrum, skips it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence, Union
-
-import numpy as np
 
 from .algebra import UsageError
 from .schreier import SchreierGraph
@@ -37,6 +39,8 @@ class DenseSymMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
+        import numpy as np
+
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise UsageError(f"expected a square matrix, got shape {a.shape}")
@@ -62,6 +66,8 @@ def adjacency_matrix(graph: SchreierGraph) -> DenseSymMatrix:
     A loop arc contributes 2 to its diagonal entry, so every label adds
     exactly 2 to each row sum.
     """
+    import numpy as np
+
     n = graph.vertex_count
     a = np.zeros((n, n), dtype=np.int64)
     for src, dst, _ in graph.arcs:
@@ -81,6 +87,8 @@ def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> S
         raise UsageError("spectrum of an empty matrix is undefined")
     if not tol > 0:
         raise UsageError(f"tolerance must be positive, got {tol}")
+    import numpy as np
+
     try:
         values, vectors = np.linalg.eigh(matrix.entries)
     except np.linalg.LinAlgError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from sunada import (
     inverse,
     parse_cycles,
 )
+from sunada.algebra import FiniteGroup, _product
 
 A12_A = "(0,7,11)(1,5,6)(2,9,10)(3,4,8)"
 A12_B = "(0,4,2)(1,5,9)(3,7,11)(6,10,8)"
@@ -255,6 +257,64 @@ def test_compose_rejects_mixed_families():
         compose(SemiPair(8, 3, 0), SemiPair(4, 3, 0))
     with pytest.raises(UsageError):
         compose(Perm((1, 0)), Perm((1, 2, 0)))
+
+
+@st.composite
+def same_family_pairs(draw):
+    family = draw(st.sampled_from((Perm, Mat2, SemiPair)))
+    if family is Perm:
+        imgs = st.permutations(tuple(range(draw(st.integers(1, 9)))))
+        return Perm(tuple(draw(imgs))), Perm(tuple(draw(imgs)))
+    m = draw(st.integers(2, 12))
+    residue = st.integers(0, m - 1)
+    if family is SemiPair:
+        unit = residue.filter(lambda u: math.gcd(u, m) == 1)
+        return SemiPair(m, draw(unit), draw(residue)), SemiPair(m, draw(unit), draw(residue))
+    entries = st.tuples(st.tuples(residue, residue), st.tuples(residue, residue)).filter(
+        lambda e: math.gcd(e[0][0] * e[1][1] - e[0][1] * e[1][0], m) == 1)
+    return Mat2(m, draw(entries)), Mat2(m, draw(entries))
+
+
+def _revalidated(e):
+    if isinstance(e, Perm):
+        return Perm(e.images)
+    if isinstance(e, Mat2):
+        return Mat2(e.modulus, e.entries)
+    return SemiPair(e.modulus, e.u, e.v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_family_pairs())
+def test_trusted_product_matches_validated_compose(pair):
+    x, y = pair
+    p, checked = _product(x, y), compose(x, y)
+    assert type(p) is type(x)
+    assert p == checked and hash(p) == hash(checked)
+    rebuilt = _revalidated(p)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+def test_trusted_product_stays_in_the_enumeration(genus2):
+    group = genus2.group
+    for x in group.elements:
+        for y in group.elements:
+            assert _product(x, y) in group._index
+
+
+@pytest.mark.parametrize("elements", [
+    [Perm((0, 1)), Mat2(4, ((1, 0), (0, 1)))],
+    [Perm((0, 1, 2)), Perm((0, 1, 2, 3))],
+    [SemiPair(8, 1, 0), SemiPair(4, 1, 0)],
+])
+def test_finite_group_rejects_mixed_families(elements):
+    with pytest.raises(UsageError):
+        FiniteGroup(elements, [0])
+
+
+def test_mul_rejects_enumeration_not_closed_under_the_product():
+    group = FiniteGroup([Perm((0, 1, 2)), Perm((1, 2, 0))], [1])
+    with pytest.raises(UsageError, match="not closed"):
+        group.mul(1, 1)
 
 
 # ------------------------------------------------------------- group closure

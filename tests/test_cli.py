@@ -307,3 +307,19 @@ def test_console_pipeline_subprocess():
     proc = subprocess.run(pipeline, shell=True, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["is_sunada_triple"] is True
+
+
+def test_commands_without_spectra_leave_numpy_unloaded(tmp_path):
+    doc, verdict = tmp_path / "genus2.json", tmp_path / "verdict.json"
+    script = (
+        "import sys\n"
+        "import sunada\n"
+        "assert 'numpy' not in sys.modules, 'import sunada loaded numpy'\n"
+        "from sunada.cli import run\n"
+        f"assert run(['catalog', 'genus2', '--out', {str(doc)!r}]) == 0\n"
+        f"assert run(['verify', {str(doc)!r}, '--U', 'U', '--V', 'V', '--out', {str(verdict)!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'verify loaded numpy'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(verdict.read_text())["is_sunada_triple"] is True
