@@ -19,6 +19,7 @@ error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -27,13 +28,23 @@ from .catalog import CatalogError, catalog_entry, catalog_names
 from .covering import covering_report, covering_report_json
 from .gassmann import is_sunada_triple
 from .schreier import graph_json_dict, schreier_graph, to_dot
-from .search import SearchConfig, find_sunada_pairs
+from .search import SearchConfig, _sunada_pairs
 from .spectra import (NumericError, adjacency_matrix, eigenvalues_symmetric,
                       spectrum_report_json)
 from .specfile import (LoadedSpec, SpecError, document_from_catalog, load_text,
                        parse_polygon, render_element)
 
 __all__ = ["run", "main"]
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,10 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search Sunada pairs of a given subgroup order")
     add_common(p, with_subgroup=False)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_positive_int, required=True)
     p.add_argument("--smooth", action="store_true",
                    help="keep only pairs whose quotients are smooth under the document polygon")
-    p.add_argument("--max-subgroups", type=int, default=None)
+    p.add_argument("--max-subgroups", type=_positive_int, default=None)
     p.add_argument("--no-dedupe", action="store_true",
                    help="report all pairs instead of one per simultaneous conjugacy orbit")
 
@@ -172,14 +183,17 @@ def _cmd_search(args) -> int:
         **({} if args.max_subgroups is None else {"max_subgroups": args.max_subgroups}),
         dedupe=not args.no_dedupe,
     )
-    lines = []
-    for u, v, report in find_sunada_pairs(spec.group, config):
-        lines.append(json.dumps({
-            "u": [render_element(spec.kind, spec.group.element(i)) for i in u.members],
-            "v": [render_element(spec.kind, spec.group.element(i)) for i in v.members],
-            "report": report.to_json_dict(),
-        }, separators=(",", ":")))
-    _emit("".join(line + "\n" for line in lines), args.out)
+    # Each line is written and flushed as soon as its pair is verified, so the
+    # lines already found survive a cap or a kill.
+    with (open(args.out, "w", encoding="utf-8") if args.out is not None
+          else contextlib.nullcontext(sys.stdout)) as out:
+        for u, v, report in _sunada_pairs(spec.group, config):
+            out.write(json.dumps({
+                "u": [render_element(spec.kind, spec.group.element(i)) for i in u.members],
+                "v": [render_element(spec.kind, spec.group.element(i)) for i in v.members],
+                "report": report.to_json_dict(),
+            }, separators=(",", ":")) + "\n")
+            out.flush()
     return 0
 
 

@@ -66,21 +66,33 @@ def check_parent(group: FiniteGroup, sub: Subgroup) -> None:
         raise UsageError("subgroup belongs to a different group instance")
 
 
-def _closure(group: FiniteGroup, generators: Iterable[int],
-             cap: int | None = None) -> frozenset[int] | None:
+def _closure(group: FiniteGroup, generators: Iterable[int], cap: int | None = None,
+             base: frozenset[int] | None = None) -> frozenset[int] | None:
     """Members of the subgroup generated by ``generators``, or None as soon as
-    it would have more than ``cap`` members."""
+    it would have more than ``cap`` members.
+
+    The closure grows by whole right cosets of ``base`` (Dimino's coset
+    extension), the member set of a subgroup of the result such as the one
+    generated by every generator but the last; by default the trivial
+    subgroup.  The base is closed, so only coset representatives are
+    multiplied by the generators, and each new coset costs one product per
+    base member.
+    """
     gens = sorted(set(generators))
-    members = {group.identity, *gens}
-    work = sorted(members)
-    for x in work:
+    members = {group.identity} if base is None else set(base)
+    size = len(members)
+    others = [b for b in members if b != group.identity]
+    reps = [group.identity]
+    for y in reps:
         for g in gens:
-            p = group.mul(x, g)
-            if p not in members:
-                if cap is not None and len(members) >= cap:
+            z = group.mul(y, g)
+            if z not in members:
+                # Right cosets of the base are disjoint: all of B z is new.
+                if cap is not None and len(members) + size > cap:
                     return None
-                members.add(p)
-                work.append(p)
+                members.add(z)
+                members.update([group.mul(b, z) for b in others])
+                reps.append(z)
     return frozenset(members)
 
 

@@ -4,18 +4,33 @@ The walk works one conjugacy class of subgroups at a time.  It keeps, for
 each class of subgroups whose order divides the target, the generators of a
 representative and the class's whole conjugation orbit.  It starts from the
 cyclic subgroups of one element per conjugacy class of elements and grows
-each representative by adjoining one element and closing.  Every subgroup is
-reached from the trivial one by adjoining one element at a time, and every
-stage is a subgroup of it; conjugating such a chain moves its first stage
-onto a seed and each later stage onto a growth of the representative of the
-stage before, so every class is found.  Closures that grow past the target
-order are abandoned, and conjugation invariants (class intersection
-profiles, smoothness) are computed once per class.
+each representative R by adjoining one element e and closing.  Every
+subgroup is reached from the trivial one by adjoining one element at a time,
+and every stage is a subgroup of it; conjugating such a chain moves its first
+stage onto a seed and each later stage onto a growth of the representative
+of the stage before, so every class is found.
+
+Two things keep the growth step cheap without losing a class:
+
+* For r, r' in R, <R, r e r'> = <R, e>.  So R is grown by e only when e lies
+  in no double coset R f R of an element f already tried; every skipped
+  growth equals one already tried.  The elements are tried in index order,
+  and the first element of each double coset is never skipped, so each class
+  is first reached by the same growth, in the same order, as by trying every
+  element, and the ``max_subgroups`` cap trips at the same point.
+* The closure of <R, e> starts from R's members and adds whole right cosets
+  of R (``gassmann._closure`` with R as its base).  The seeds are the
+  growths of the trivial subgroup, its default base.
+
+Closures that grow past the target order are abandoned, and conjugation
+invariants (class intersection profiles, smoothness) are computed once per
+class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .algebra import FiniteGroup, ResourceError
 from .covering import PolygonSpec, smoothness
@@ -50,7 +65,8 @@ def _subgroup_classes(group: FiniteGroup, order: int,
     divides ``order``, with the class representative first.
 
     Raises ResourceError as soon as the orbits hold more than
-    ``max_subgroups`` distinct subgroups.
+    ``max_subgroups`` distinct subgroups; its message gives the classes and
+    subgroups recorded until then.
     """
     if order < 1 or group.order % order != 0:
         return []
@@ -60,17 +76,21 @@ def _subgroup_classes(group: FiniteGroup, order: int,
     classes: list[tuple[tuple[int, ...], list[frozenset[int]]]] = []
     seen: set[frozenset[int]] = set()
 
-    def grow(gens: tuple[int, ...]) -> bool:
+    def grow(gens: tuple[int, ...], base: frozenset[int] | None = None) -> bool:
         """Record the class of <gens> unless it is too big or already known;
-        False when its order does not divide ``order``."""
-        members = _closure(group, gens, cap=order)
+        False when its order does not divide ``order``.  ``base`` is the
+        subgroup generated by every generator but the last (trivial for a
+        seed)."""
+        members = _closure(group, gens, cap=order, base=base)
         if members is None or order % len(members) != 0:
             return False
         if members not in seen:
             orbit = [conjugate for (conjugate,) in group.conjugation_orbit([members])]
             if len(seen) + len(orbit) > max_subgroups:
                 raise ResourceError(
-                    f"subgroup enumeration exceeded max_subgroups = {max_subgroups}")
+                    f"subgroup enumeration for order {order} exceeded max_subgroups = "
+                    f"{max_subgroups} (so far: {len(classes)} subgroup classes, "
+                    f"{len(seen)} distinct subgroups)")
             seen.update(orbit)
             classes.append((gens, orbit))
         return True
@@ -84,10 +104,16 @@ def _subgroup_classes(group: FiniteGroup, order: int,
     usable.sort()
     # The trivial subgroup is not grown: its one-element growths are the seeds.
     for gens, orbit in classes:
-        if 1 < len(orbit[0]) < order:
-            for e in usable:
-                if e not in orbit[0]:
-                    grow(gens + (e,))
+        rep = orbit[0]
+        if not 1 < len(rep) < order:
+            continue
+        # <R, r e r'> = <R, e> for r, r' in R: one growth per double coset R e R.
+        tried = set(rep)
+        for e in usable:
+            if e not in tried:
+                grow(gens + (e,), rep)
+                left = [group.mul(r, e) for r in rep]
+                tried.update([group.mul(x, r) for r in rep for x in left])
     return [orbit for _, orbit in classes]
 
 
@@ -136,6 +162,12 @@ def find_sunada_pairs(group: FiniteGroup,
     to simultaneous conjugacy when ``config.dedupe`` is set.  Every returned
     report re-verifies the pair as a Sunada triple.
     """
+    return list(_sunada_pairs(group, config))
+
+
+def _sunada_pairs(group: FiniteGroup,
+                  config: SearchConfig) -> Iterator[tuple[Subgroup, Subgroup, SunadaReport]]:
+    """The pairs of ``find_sunada_pairs``, yielded as each one is verified."""
     # Profiles and smoothness are conjugation invariants: one test per class.
     entries = []
     for cid, orbit in enumerate(_subgroup_classes(group, config.order, config.max_subgroups)):
@@ -151,7 +183,6 @@ def find_sunada_pairs(group: FiniteGroup,
     subgroups = [Subgroup(group, members) for members, _, _ in entries]
     classes = [cid for _, cid, _ in entries]
     profiles = [profile for _, _, profile in entries]
-    results: list[tuple[Subgroup, Subgroup, SunadaReport]] = []
     covered: set[tuple[frozenset[int], ...]] = set()
     for i in range(len(subgroups)):
         for j in range(i + 1, len(subgroups)):
@@ -168,5 +199,4 @@ def find_sunada_pairs(group: FiniteGroup,
                 # Pairs count as unordered, so cover both orders of each image.
                 for image in group.conjugation_orbit(pair):
                     covered.update((image, image[::-1]))
-            results.append((subgroups[i], subgroups[j], report))
-    return results
+            yield subgroups[i], subgroups[j], report

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sunada import Perm, catalog_entry, generate_group
+from sunada import Perm, catalog_entry, generate_group, parse_cycles
 
 # Subprocesses started by the tests (``python -m sunada``) import the same
 # package as the tests do, also from a checkout that is not installed.
@@ -40,6 +40,19 @@ def s3():
 @pytest.fixture(scope="session")
 def s4():
     return generate_group([Perm((1, 0, 2, 3)), Perm((1, 2, 3, 0))])
+
+
+@pytest.fixture(scope="session")
+def psl32():
+    """PSL(3,2), order 168, on the 7 points of the Fano plane."""
+    return generate_group([parse_cycles("(1,5)(2,6)", 7), parse_cycles("(0,3,1)(2,4,5)", 7)])
+
+
+@pytest.fixture(scope="session")
+def psl211():
+    """PSL(2,11), order 660, on 11 points."""
+    return generate_group([parse_cycles("(1,9)(2,3)(4,8)(5,6)", 11),
+                           parse_cycles("(0,1,10)(2,4,9)(5,7,8)", 11)])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from sunada import ResourceError, is_sunada_triple, trivial_subgroup
 from sunada.cli import run
 
 
@@ -233,6 +234,42 @@ def test_search_empty_result_is_success(tmp_path, capsys):
 def test_search_subgroup_cap_exits_two(orbifold_doc, capsys):
     assert run(["search", str(orbifold_doc), "--order", "4", "--max-subgroups", "1"]) == 2
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--order", "0"), ("--order", "-4"), ("--max-subgroups", "0"), ("--max-subgroups", "-1")])
+def test_search_rejects_nonpositive_arguments(orbifold_doc, capsys, flag, value):
+    argv = ["search", str(orbifold_doc), "--order", "4", flag, value]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert f"argument {flag}: must be at least 1, got {value}" in captured.err
+
+
+def test_search_writes_each_pair_before_the_next_is_found(orbifold_doc, tmp_path,
+                                                          monkeypatch, capsys):
+    def first_pair_then_cap(group, config):
+        u = v = trivial_subgroup(group)
+        yield u, v, is_sunada_triple(group, u, v)
+        raise ResourceError("subgroup enumeration exceeded max_subgroups")
+
+    monkeypatch.setattr("sunada.cli._sunada_pairs", first_pair_then_cap)
+    target = tmp_path / "pairs.jsonl"
+    assert run(["search", str(orbifold_doc), "--order", "4", "--out", str(target)]) == 2
+    lines = target.read_text().splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"u", "v", "report"}
+    assert "max_subgroups" in capsys.readouterr().err
+
+
+def test_search_out_file_matches_stdout(orbifold_doc, tmp_path, capsys):
+    assert run(["search", str(orbifold_doc), "--order", "4"]) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "pairs.jsonl"
+    assert run(["search", str(orbifold_doc), "--order", "4", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == printed
 
 
 # ----------------------------------------------------------- files and errors

@@ -16,6 +16,7 @@ from sunada import (
     subgroup_from_members,
     subgroup_generate,
 )
+from sunada.gassmann import _closure
 
 
 def _closure_oracle(group, seed_indices):
@@ -83,6 +84,59 @@ def test_enumerate_subgroups_results_are_verified_subgroups(s4):
 def test_enumerate_subgroups_cap(s4):
     with pytest.raises(ResourceError):
         enumerate_subgroups(s4, 4, max_subgroups=2)
+
+
+@pytest.mark.parametrize("cap, classes, subgroups", [(2, 0, 0), (10, 3, 10)])
+def test_cap_error_says_how_far_the_walk_got(s4, cap, classes, subgroups):
+    with pytest.raises(ResourceError) as info:
+        enumerate_subgroups(s4, 4, max_subgroups=cap)
+    message = str(info.value)
+    assert f"for order 4 exceeded max_subgroups = {cap}" in message
+    assert f"{classes} subgroup classes, {subgroups} distinct subgroups" in message
+
+
+# The least cap that passes is the number of subgroups whose order divides
+# the target: the walk trips at the same point however it grows its classes.
+@pytest.mark.parametrize("name, order, cap", [
+    ("psl32", 4, 57), ("psl32", 12, 127), ("psl32", 24, 162), ("psl211", 12, 441)])
+def test_least_passing_subgroup_cap(name, order, cap, request):
+    group = request.getfixturevalue(name)
+    assert enumerate_subgroups(group, order, max_subgroups=cap)
+    with pytest.raises(ResourceError):
+        enumerate_subgroups(group, order, max_subgroups=cap - 1)
+
+
+# (all subgroups, up to conjugacy) per divisor order up to 16
+SUBGROUP_COUNTS = {
+    "genus2": {1: (1, 1), 2: (7, 3), 3: (16, 1), 4: (19, 5), 6: (16, 1), 8: (19, 5),
+               12: (4, 1), 16: (3, 1)},
+    "genus3": {1: (1, 1), 2: (27, 6), 3: (4, 1), 4: (71, 16), 6: (20, 3), 8: (63, 15),
+               12: (13, 4), 16: (19, 7)},
+    "orbifold-h": {1: (1, 1), 2: (15, 5), 4: (19, 9), 8: (15, 11), 16: (7, 7)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBGROUP_COUNTS))
+def test_subgroup_counts_per_order(name, request):
+    group = request.getfixturevalue(name.replace("-", "_")).group
+    divisors = [k for k in range(1, 17) if group.order % k == 0]
+    assert sorted(SUBGROUP_COUNTS[name]) == divisors
+    for order, counts in SUBGROUP_COUNTS[name].items():
+        assert (len(enumerate_subgroups(group, order)),
+                len(enumerate_subgroups(group, order, up_to_conjugacy=True))) == counts
+
+
+def test_closure_from_a_base_matches_the_closure_oracle(genus3):
+    group = genus3.group
+    for base_gens in [(), (5,), (3, 17)]:
+        base = _closure(group, base_gens)
+        assert base == _closure_oracle(group, base_gens)
+        for e in range(0, group.order, 7):
+            full = _closure_oracle(group, base_gens + (e,))
+            assert _closure(group, base_gens + (e,), base=base) == full
+            for cap in (len(full) - 1, len(full)):
+                capped = _closure(group, base_gens + (e,), cap=cap, base=base)
+                assert capped == (full if cap >= len(full) else None)
 
 
 def test_enumerate_subgroups_ordering_is_deterministic(s4):
