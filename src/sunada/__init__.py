@@ -13,17 +13,15 @@ from .algebra import (CycleParseError, Element, FiniteGroup, Mat2, Perm,
                       ResourceError, SemiPair, UsageError, compose,
                       conjugacy_classes, cycle_string, element_order,
                       generate_group, identity_like, inverse, parse_cycles)
-from .catalog import (CatalogEntry, CatalogError, Expectations, build_genus2,
-                      build_genus3, build_orbifold_h, catalog_entry,
+from .catalog import (CatalogEntry, CatalogError, Expectations, catalog_entry,
                       catalog_names)
-from .covering import (ConePoint, CoveringReport, PolygonSpec,
-                       PolygonValidation, cone_points, covering_report,
-                       covering_report_json, orbifold_euler, smoothness,
-                       validate_polygon)
+from .covering import (ConePoint, CoveringReport, PolygonSpec, cone_points,
+                       covering_report, covering_report_json, orbifold_euler,
+                       smoothness)
 from .gassmann import (Subgroup, SunadaReport, are_conjugate_subgroups,
                        are_gassmann, class_intersection_profile,
-                       full_subgroup, is_sunada_triple, subgroup_from_members,
-                       subgroup_generate, trivial_subgroup)
+                       is_sunada_triple, subgroup_from_members,
+                       subgroup_generate)
 from .schreier import (CosetTable, SchreierGraph, coset_action, coset_table,
                        graph_isomorphic, graph_json_dict, schreier_graph,
                        to_dot)
@@ -42,14 +40,13 @@ __all__ = [
     "ResourceError", "SemiPair", "UsageError", "compose", "conjugacy_classes",
     "cycle_string", "element_order", "generate_group", "identity_like",
     "inverse", "parse_cycles",
-    "CatalogEntry", "CatalogError", "Expectations", "build_genus2",
-    "build_genus3", "build_orbifold_h", "catalog_entry", "catalog_names",
-    "ConePoint", "CoveringReport", "PolygonSpec", "PolygonValidation",
-    "cone_points", "covering_report", "covering_report_json",
-    "orbifold_euler", "smoothness", "validate_polygon",
+    "CatalogEntry", "CatalogError", "Expectations", "catalog_entry",
+    "catalog_names",
+    "ConePoint", "CoveringReport", "PolygonSpec", "cone_points",
+    "covering_report", "covering_report_json", "orbifold_euler", "smoothness",
     "Subgroup", "SunadaReport", "are_conjugate_subgroups", "are_gassmann",
-    "class_intersection_profile", "full_subgroup", "is_sunada_triple",
-    "subgroup_from_members", "subgroup_generate", "trivial_subgroup",
+    "class_intersection_profile", "is_sunada_triple",
+    "subgroup_from_members", "subgroup_generate",
     "CosetTable", "SchreierGraph", "coset_action", "coset_table",
     "graph_isomorphic", "graph_json_dict", "schreier_graph", "to_dot",
     "SearchConfig", "enumerate_subgroups", "find_sunada_pairs",

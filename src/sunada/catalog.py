@@ -1,4 +1,4 @@
-"""Bundled example constructions, stored as printed data and self-verified.
+"""Bundled example constructions, stored as their group documents.
 
 Three classical Sunada triples ship with the package:
 
@@ -9,32 +9,25 @@ Three classical Sunada triples ship with the package:
 * ``orbifold-h``: the order-32 semidirect product of the units mod 8 acting on
   Z/8, whose quotients are orbifolds with cone points of order 2.
 
-Builders embed the raw generator and subgroup data literally and cross-check
-derived facts (group order, closures, products, element orders) at build
-time, so a transcription slip fails fast as a CatalogError.
+Each entry is stored as the literal document that ``sunada catalog NAME``
+prints.  ``catalog_entry`` builds the entry with ``specfile.parse_document``
+and cross-checks derived facts (group order, subgroup orders, cycle orders and
+the entry's own relations), so a transcription slip fails fast as a
+CatalogError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Any
 
-from .algebra import (FiniteGroup, Mat2, SemiPair, compose, element_order,
-                      generate_group, inverse, parse_cycles)
+from .algebra import FiniteGroup, Mat2, element_order
 from .covering import PolygonSpec, smoothness
-from .gassmann import Subgroup, are_gassmann, subgroup_from_members, subgroup_generate
+from .gassmann import Subgroup, are_gassmann
+from .specfile import LoadedSpec, SpecError, parse_document
 
-__all__ = [
-    "CatalogError",
-    "Expectations",
-    "CatalogEntry",
-    "build_genus2",
-    "build_genus3",
-    "build_orbifold_h",
-    "catalog_names",
-    "catalog_entry",
-    "GENUS3_TRANSVERSAL_GENS",
-]
+__all__ = ["CatalogError", "Expectations", "CatalogEntry", "catalog_names", "catalog_entry"]
 
 
 class CatalogError(RuntimeError):
@@ -66,6 +59,8 @@ class CatalogEntry:
     polygon: PolygonSpec
     polygon_words: tuple[tuple[str, str], ...]
     expected: Expectations
+    # The stored document itself: read it, or copy it with document_from_catalog.
+    document: dict[str, Any] = field(repr=False, compare=False)
 
     @property
     def subgroups(self) -> dict[str, Subgroup]:
@@ -77,192 +72,119 @@ def _require(condition: bool, message: str) -> None:
         raise CatalogError(message)
 
 
-GENUS2_DEGREE = 12
-GENUS2_A = "(0,7,11)(1,5,6)(2,9,10)(3,4,8)"
-GENUS2_B = "(0,4,2)(1,5,9)(3,7,11)(6,10,8)"
-GENUS2_C = "(0,10,5,6,4,11)(1,2,3,7,8,9)"
-GENUS2_U = (
-    "",
-    "(1,7)(4,10)",
-    "(2,8)(5,11)",
-    "(1,7)(2,8)(4,10)(5,11)",
-    "(0,9)(2,11,8,5)(3,6)(4,10)",
-    "(0,9)(1,7)(2,11,8,5)(3,6)",
-    "(0,9)(2,5,8,11)(3,6)(4,10)",
-    "(0,9)(1,7)(2,5,8,11)(3,6)",
-)
-GENUS2_V = (
-    "",
-    "(1,7)(4,10)",
-    "(0,6)(3,9)",
-    "(0,6)(1,7)(3,9)(4,10)",
-    "(0,3,6,9)(1,10)(2,8)(4,7)",
-    "(0,3,6,9)(1,4)(2,8)(7,10)",
-    "(0,9,6,3)(1,10)(2,8)(4,7)",
-    "(0,9,6,3)(1,4)(2,8)(7,10)",
-)
+GENUS2_DOCUMENT = {
+    "kind": "permutation",
+    "degree": 12,
+    "generators": {"a": "(0,7,11)(1,5,6)(2,9,10)(3,4,8)", "b": "(0,4,2)(1,5,9)(3,7,11)(6,10,8)",
+                   "c": "(0,10,5,6,4,11)(1,2,3,7,8,9)"},
+    "subgroups": {
+        "U": {"elements": [
+            "", "(0,9)(1,7)(2,5,8,11)(3,6)", "(1,7)(4,10)", "(0,9)(2,11,8,5)(3,6)(4,10)",
+            "(2,8)(5,11)", "(0,9)(2,5,8,11)(3,6)(4,10)", "(0,9)(1,7)(2,11,8,5)(3,6)",
+            "(1,7)(2,8)(4,10)(5,11)"]},
+        "V": {"elements": [
+            "", "(0,9,6,3)(1,10)(2,8)(4,7)", "(0,3,6,9)(1,10)(2,8)(4,7)", "(0,6)(3,9)",
+            "(1,7)(4,10)", "(0,9,6,3)(1,4)(2,8)(7,10)", "(0,3,6,9)(1,4)(2,8)(7,10)",
+            "(0,6)(1,7)(3,9)(4,10)"]},
+    },
+    "polygon": {"edge_pairs": 2, "cycles": [
+        {"label": "a", "word": "a"}, {"label": "b", "word": "b"}, {"label": "c", "word": "c"}]},
+}
+GENUS2_EXPECTED = Expectations(96, 8, 12, (3, 3, 6), Fraction(-2), smooth=True, genus=2)
 
 
-def build_genus2() -> CatalogEntry:
-    a = parse_cycles(GENUS2_A, GENUS2_DEGREE)
-    b = parse_cycles(GENUS2_B, GENUS2_DEGREE)
-    c = parse_cycles(GENUS2_C, GENUS2_DEGREE)
-    group = generate_group([a, b])
-    _require(group.order == 96, f"genus2 group has order {group.order}, expected 96")
-    _require(inverse(compose(a, b)) == c, "genus2 third generator is not (a b)^-1")
-    u = subgroup_from_members(group, [group.index_of(parse_cycles(t, GENUS2_DEGREE))
-                                      for t in GENUS2_U])
-    v = subgroup_from_members(group, [group.index_of(parse_cycles(t, GENUS2_DEGREE))
-                                      for t in GENUS2_V])
-    _require(u.order == 8 and v.order == 8, "genus2 subgroups must have order 8")
-    ia, ib, ic = group.index_of(a), group.index_of(b), group.index_of(c)
-    orders = (element_order(a), element_order(b), element_order(c))
-    _require(orders == (3, 3, 6), f"genus2 cycle orders {orders}, expected (3, 3, 6)")
-    polygon = PolygonSpec(2, (("a", ia), ("b", ib), ("c", ic)))
-    return CatalogEntry(
-        name="genus2",
-        group=group,
-        u_name="U",
-        v_name="V",
-        subgroup_u=u,
-        subgroup_v=v,
-        generator_labels=(("a", ia), ("b", ib), ("c", ic)),
-        polygon=polygon,
-        polygon_words=(("a", "a"), ("b", "b"), ("c", "c")),
-        expected=Expectations(
-            group_order=96,
-            subgroup_order=8,
-            index=12,
-            cycle_orders=(3, 3, 6),
-            chi_orb=Fraction(-2),
-            smooth=True,
-            genus=2,
-        ),
-    )
+def _check_genus2(spec: LoadedSpec) -> None:
+    group = spec.group
+    a, b, c = (spec.named_elements[n] for n in "abc")
+    _require(group.inv(group.mul(a, b)) == c, "genus2 third generator is not (a b)^-1")
 
 
-GENUS3_MODULUS = 4
-GENUS3_A = ((3, 2), (3, 3))
-GENUS3_B = ((1, 3), (2, 3))
-GENUS3_C = ((3, 3), (1, 2))
-GENUS3_U1_GENS = (((1, 2), (0, 3)), ((1, 1), (0, 3)))
-GENUS3_U2_GENS = (((1, 0), (2, 3)), ((1, 0), (1, 3)))
-# Coset transversal generators: the first equals the c generator, the second
-# is the central scaling by 3.
-GENUS3_TRANSVERSAL_GENS = (((3, 3), (1, 2)), ((3, 0), (0, 3)))
+GENUS3_DOCUMENT = {
+    "kind": "matrix2",
+    "modulus": 4,
+    "generators": {"a": [[3, 2], [3, 3]], "b": [[1, 3], [2, 3]], "c": [[3, 3], [1, 2]]},
+    "subgroups": {
+        "U1": {"elements": [
+            [[1, 1], [0, 1]], [[1, 0], [0, 1]], [[1, 3], [0, 1]], [[1, 1], [0, 3]],
+            [[1, 2], [0, 1]], [[1, 0], [0, 3]], [[1, 2], [0, 3]], [[1, 3], [0, 3]]]},
+        "U2": {"elements": [
+            [[1, 0], [0, 1]], [[1, 0], [2, 1]], [[1, 0], [3, 3]], [[1, 0], [1, 1]],
+            [[1, 0], [1, 3]], [[1, 0], [3, 1]], [[1, 0], [0, 3]], [[1, 0], [2, 3]]]},
+    },
+    "polygon": {"edge_pairs": 2, "cycles": [
+        {"label": "a", "word": "a"}, {"label": "b", "word": "b"}, {"label": "c", "word": "c"}]},
+}
+GENUS3_EXPECTED = Expectations(96, 8, 12, (4, 4, 6), Fraction(-4), smooth=True, genus=3)
 
 
-def _transpose(m: Mat2) -> Mat2:
-    (a, b), (c, d) = m.entries
-    return Mat2(m.modulus, ((a, c), (b, d)))
-
-
-def build_genus3() -> CatalogEntry:
-    a = Mat2(GENUS3_MODULUS, GENUS3_A)
-    b = Mat2(GENUS3_MODULUS, GENUS3_B)
-    c = Mat2(GENUS3_MODULUS, GENUS3_C)
-    group = generate_group([a, b])
-    _require(group.order == 96, f"genus3 group has order {group.order}, expected 96")
-    _require(compose(a, b) == c, "genus3 third generator is not a b")
-    u1 = subgroup_generate(group, [group.index_of(Mat2(GENUS3_MODULUS, e))
-                                   for e in GENUS3_U1_GENS])
-    u2 = subgroup_generate(group, [group.index_of(Mat2(GENUS3_MODULUS, e))
-                                   for e in GENUS3_U2_GENS])
-    _require(u1.order == 8 and u2.order == 8, "genus3 subgroups must have order 8")
-    transposed = {group.index_of(_transpose(group.element(i))) for i in u1.members}
+def _check_genus3(spec: LoadedSpec) -> None:
+    group = spec.group
+    a, b, c = (spec.named_elements[n] for n in "abc")
+    u1, u2 = spec.subgroups["U1"], spec.subgroups["U2"]
+    _require(group.mul(a, b) == c, "genus3 third generator is not a b")
+    transposed = {group.index_of(Mat2(spec.parameter, tuple(zip(*group.element(i).entries))))
+                  for i in u1.members}
     _require(transposed == u2.member_set, "genus3 second subgroup is not the transpose image")
-    ia, ib, ic = group.index_of(a), group.index_of(b), group.index_of(c)
-    orders = (element_order(a), element_order(b), element_order(c))
-    _require(orders == (4, 4, 6), f"genus3 cycle orders {orders}, expected (4, 4, 6)")
-    polygon = PolygonSpec(2, (("a", ia), ("b", ib), ("c", ic)))
-    # The subgroup data is stored as generator pairs, so confirm the intended
-    # reading: both are Gassmann equivalent and both quotients are smooth.
     _require(are_gassmann(group, u1, u2), "genus3 subgroups are not Gassmann equivalent")
-    _require(all(smoothness(group, u1, polygon)) and all(smoothness(group, u2, polygon)),
+    _require(all(smoothness(group, u1, spec.polygon)) and all(smoothness(group, u2, spec.polygon)),
              "genus3 quotients are not smooth")
-    return CatalogEntry(
-        name="genus3",
-        group=group,
-        u_name="U1",
-        v_name="U2",
-        subgroup_u=u1,
-        subgroup_v=u2,
-        generator_labels=(("a", ia), ("b", ib), ("c", ic)),
-        polygon=polygon,
-        polygon_words=(("a", "a"), ("b", "b"), ("c", "c")),
-        expected=Expectations(
-            group_order=96,
-            subgroup_order=8,
-            index=12,
-            cycle_orders=(4, 4, 6),
-            chi_orb=Fraction(-4),
-            smooth=True,
-            genus=3,
-        ),
-    )
 
 
-ORBIFOLD_H_MODULUS = 8
-ORBIFOLD_H_A = (3, 2)
-ORBIFOLD_H_B = (7, 1)
-ORBIFOLD_H_C = (7, 2)
-ORBIFOLD_H_U1 = ((1, 0), (3, 0), (5, 0), (7, 0))
-ORBIFOLD_H_U2 = ((1, 0), (3, 4), (5, 4), (7, 0))
+ORBIFOLD_H_DOCUMENT = {
+    "kind": "semidirect",
+    "modulus": 8,
+    "generators": {"a": [3, 2], "b": [7, 1], "c": [7, 2]},
+    "subgroups": {
+        "U1": {"elements": [[1, 0], [5, 0], [7, 0], [3, 0]]},
+        "U2": {"elements": [[1, 0], [3, 4], [7, 0], [5, 4]]},
+    },
+    "polygon": {"edge_pairs": 3, "cycles": [
+        {"label": "a", "word": "a"}, {"label": "b", "word": "b"}, {"label": "c", "word": "c"},
+        {"label": "abc", "word": "a b c"}]},
+}
+ORBIFOLD_H_EXPECTED = Expectations(32, 4, 8, (2, 2, 2, 4), Fraction(-2), smooth=False, genus=None)
 
 
-def build_orbifold_h() -> CatalogEntry:
-    m = ORBIFOLD_H_MODULUS
-    a = SemiPair(m, *ORBIFOLD_H_A)
-    b = SemiPair(m, *ORBIFOLD_H_B)
-    c = SemiPair(m, *ORBIFOLD_H_C)
-    group = generate_group([a, b, c])
-    _require(group.order == 32, f"orbifold-h group has order {group.order}, expected 32")
-    abc = compose(compose(a, b), c)
-    orders = (element_order(a), element_order(b), element_order(c), element_order(abc))
-    _require(orders == (2, 2, 2, 4), f"orbifold-h cycle orders {orders}, expected (2, 2, 2, 4)")
-    u1 = subgroup_from_members(group, [group.index_of(SemiPair(m, *p)) for p in ORBIFOLD_H_U1])
-    u2 = subgroup_from_members(group, [group.index_of(SemiPair(m, *p)) for p in ORBIFOLD_H_U2])
-    _require(u1.order == 4 and u2.order == 4, "orbifold-h subgroups must have order 4")
-    ia, ib, ic = group.index_of(a), group.index_of(b), group.index_of(c)
-    iabc = group.index_of(abc)
-    polygon = PolygonSpec(3, (("a", ia), ("b", ib), ("c", ic), ("abc", iabc)))
-    return CatalogEntry(
-        name="orbifold-h",
-        group=group,
-        u_name="U1",
-        v_name="U2",
-        subgroup_u=u1,
-        subgroup_v=u2,
-        generator_labels=(("a", ia), ("b", ib), ("c", ic)),
-        polygon=polygon,
-        polygon_words=(("a", "a"), ("b", "b"), ("c", "c"), ("abc", "a b c")),
-        expected=Expectations(
-            group_order=32,
-            subgroup_order=4,
-            index=8,
-            cycle_orders=(2, 2, 2, 4),
-            chi_orb=Fraction(-2),
-            smooth=False,
-            genus=None,
-        ),
-    )
-
-
-_BUILDERS = {
-    "genus2": build_genus2,
-    "genus3": build_genus3,
-    "orbifold-h": build_orbifold_h,
+# name -> (stored document, expectations, entry-specific check or None)
+_ENTRIES = {
+    "genus2": (GENUS2_DOCUMENT, GENUS2_EXPECTED, _check_genus2),
+    "genus3": (GENUS3_DOCUMENT, GENUS3_EXPECTED, _check_genus3),
+    "orbifold-h": (ORBIFOLD_H_DOCUMENT, ORBIFOLD_H_EXPECTED, None),
 }
 
 
 def catalog_names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
+    return tuple(_ENTRIES)
 
 
 def catalog_entry(name: str) -> CatalogEntry:
+    """Parse the stored document of one entry and check it against its
+    expectations."""
     try:
-        builder = _BUILDERS[name]
+        document, expected, check = _ENTRIES[name]
     except KeyError:
-        known = ", ".join(_BUILDERS)
+        known = ", ".join(_ENTRIES)
         raise CatalogError(f"unknown catalog entry {name!r} (known: {known})") from None
-    return builder()
+    try:
+        spec = parse_document(document)
+    except SpecError as exc:
+        raise CatalogError(f"{name} document does not parse: {exc}") from exc
+    group = spec.group
+    _require(group.order == expected.group_order,
+             f"{name} group has order {group.order}, expected {expected.group_order}")
+    _require(len(spec.subgroups) == 2 and spec.polygon is not None,
+             f"{name} document needs two subgroups and a polygon")
+    (u_name, u), (v_name, v) = spec.subgroups.items()
+    _require(u.order == v.order == expected.subgroup_order,
+             f"{name} subgroups must have order {expected.subgroup_order}")
+    orders = tuple(element_order(group.element(e)) for _, e in spec.polygon.cycles)
+    _require(orders == expected.cycle_orders,
+             f"{name} cycle orders {orders}, expected {expected.cycle_orders}")
+    if check is not None:
+        check(spec)
+    return CatalogEntry(
+        name=name, group=group, u_name=u_name, v_name=v_name, subgroup_u=u, subgroup_v=v,
+        generator_labels=tuple((n, spec.named_elements[n]) for n in spec.generator_names),
+        polygon=spec.polygon,
+        polygon_words=tuple((c["label"], c["word"]) for c in document["polygon"]["cycles"]),
+        expected=expected, document=document)

@@ -31,8 +31,8 @@ from .schreier import graph_json_dict, schreier_graph, to_dot
 from .search import SearchConfig, _sunada_pairs
 from .spectra import (NumericError, adjacency_matrix, eigenvalues_symmetric,
                       spectrum_report_json)
-from .specfile import (LoadedSpec, SpecError, document_from_catalog, load_text,
-                       parse_polygon, render_element)
+from .specfile import (LoadedSpec, SpecError, decode_json, document_from_catalog,
+                       load_text, parse_polygon, render_element)
 
 __all__ = ["run", "main"]
 
@@ -138,10 +138,7 @@ def _cmd_report(args) -> int:
     spec = _load_spec(args.file)
     sub = _subgroup(spec, args.U)
     if args.polygon is not None:
-        try:
-            body = json.loads(_read_file(args.polygon))
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"invalid polygon JSON: {exc}") from exc
+        body = decode_json(_read_file(args.polygon), "polygon JSON")
         polygon = parse_polygon(body, spec.group, spec.named_elements)
     elif spec.polygon is not None:
         polygon = spec.polygon

@@ -12,7 +12,6 @@ must stay free of floating point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,10 +21,8 @@ from .schreier import coset_action, coset_table
 
 __all__ = [
     "PolygonSpec",
-    "PolygonValidation",
     "ConePoint",
     "CoveringReport",
-    "validate_polygon",
     "smoothness",
     "orbifold_euler",
     "cone_points",
@@ -52,17 +49,6 @@ class PolygonSpec:
         labels = [label for label, _ in cycles]
         if len(set(labels)) != len(labels):
             raise UsageError("vertex cycle labels must be unique")
-
-
-@dataclass(frozen=True)
-class PolygonValidation:
-    """Sanity report: cycles carrying the identity, and whether some choice of
-    exponents +-1 on the cycle elements (in listed order) multiplies to the
-    identity, as a boundary relator should."""
-
-    trivial_cycles: tuple[str, ...]
-    relator_holds: bool
-    relator_signs: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -94,27 +80,6 @@ def _check_cycles(group: FiniteGroup, spec: PolygonSpec) -> None:
 
 def _cycle_orders(group: FiniteGroup, spec: PolygonSpec) -> tuple[int, ...]:
     return tuple(element_order(group.element(e)) for _, e in spec.cycles)
-
-
-def validate_polygon(group: FiniteGroup, spec: PolygonSpec) -> PolygonValidation:
-    """Flag identity cycles and search exponent patterns for a boundary relator.
-
-    Sign vectors are tried in a fixed order (+1 before -1, leftmost position
-    fastest to stay at +1), and the first pattern whose signed product is the
-    identity is reported.  Failure is a warning carried in the report, not an
-    error.
-    """
-    _check_cycles(group, spec)
-    trivial = tuple(label for label, e in spec.cycles if e == group.identity)
-    signs_found: tuple[int, ...] | None = None
-    for signs in itertools.product((1, -1), repeat=len(spec.cycles)):
-        acc = group.identity
-        for (_, e), sign in zip(spec.cycles, signs):
-            acc = group.mul(acc, e if sign == 1 else group.inv(e))
-        if acc == group.identity:
-            signs_found = signs
-            break
-    return PolygonValidation(trivial, signs_found is not None, signs_found)
 
 
 def smoothness(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> tuple[bool, ...]:

@@ -16,8 +16,6 @@ __all__ = [
     "Subgroup",
     "subgroup_generate",
     "subgroup_from_members",
-    "full_subgroup",
-    "trivial_subgroup",
     "conjugate_members",
     "class_intersection_profile",
     "are_gassmann",
@@ -116,14 +114,6 @@ def subgroup_from_members(group: FiniteGroup, members: Iterable[int]) -> Subgrou
             if group.mul(x, y) not in member_set:
                 raise UsageError("member list is not closed under the group product")
     return Subgroup(group, sorted_members)
-
-
-def full_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group, tuple(range(group.order)))
-
-
-def trivial_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group, (group.identity,))
 
 
 def conjugate_members(group: FiniteGroup, members: Iterable[int], g: int) -> frozenset[int]:

@@ -25,6 +25,7 @@ followed by ``^-1``.  Polygon cycles are words too.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from typing import Any
@@ -32,7 +33,6 @@ from typing import Any
 from .algebra import (DEFAULT_ELEMENT_CAP, CycleParseError, Element, FiniteGroup,
                       Mat2, Perm, SemiPair, UsageError, cycle_string,
                       generate_group, parse_cycles)
-from .catalog import CatalogEntry
 from .covering import PolygonSpec
 from .gassmann import Subgroup, subgroup_from_members, subgroup_generate
 
@@ -41,6 +41,7 @@ __all__ = [
     "LoadedSpec",
     "parse_document",
     "parse_polygon",
+    "decode_json",
     "load_text",
     "render_element",
     "document_from_catalog",
@@ -64,10 +65,6 @@ class LoadedSpec:
     polygon: PolygonSpec | None
 
 
-def _parameter_key(kind: str) -> str:
-    return "degree" if kind == "permutation" else "modulus"
-
-
 def _parse_element(kind: str, parameter: int, raw: Any, where: str) -> Element:
     try:
         if kind == "permutation":
@@ -82,7 +79,7 @@ def _parse_element(kind: str, parameter: int, raw: Any, where: str) -> Element:
         if kind == "semidirect":
             u, v = (int(x) for x in raw)
             return SemiPair(parameter, u, v)
-    except (CycleParseError, UsageError, TypeError, ValueError) as exc:
+    except (CycleParseError, UsageError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
     raise SpecError(f"unknown kind {kind!r}")
 
@@ -130,7 +127,7 @@ def parse_polygon(body: Any, group: FiniteGroup, named: dict[str, int]) -> Polyg
                                              f"polygon cycle {label!r}")))
     try:
         return PolygonSpec(int(body["edge_pairs"]), tuple(cycles))
-    except (UsageError, TypeError, ValueError) as exc:
+    except (UsageError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"polygon: {exc}") from exc
 
 
@@ -141,12 +138,12 @@ def parse_document(doc: Any) -> LoadedSpec:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise SpecError(f"kind must be one of {', '.join(KINDS)}, got {kind!r}")
-    param_key = _parameter_key(kind)
+    param_key = "degree" if kind == "permutation" else "modulus"
     if param_key not in doc:
         raise SpecError(f"missing {param_key!r} for kind {kind!r}")
     try:
         parameter = int(doc[param_key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SpecError(f"{param_key!r} must be an integer") from None
     if kind == "permutation" and parameter > DEFAULT_ELEMENT_CAP:
         raise SpecError(f"'degree' {parameter} exceeds the bound of {DEFAULT_ELEMENT_CAP}")
@@ -203,42 +200,19 @@ def parse_document(doc: Any) -> LoadedSpec:
     )
 
 
-def load_text(text: str) -> LoadedSpec:
+def decode_json(text: str, what: str = "JSON") -> Any:
+    """Decode JSON text.  Every failure, also nesting too deep to decode or an
+    integer past Python's digit limit, is a SpecError naming ``what``."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"invalid JSON: {exc}") from exc
-    return parse_document(doc)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SpecError(f"invalid {what}: {exc}") from exc
 
 
-def _kind_of_entry(entry: CatalogEntry) -> tuple[str, int]:
-    sample = entry.group.element(0)
-    if isinstance(sample, Perm):
-        return "permutation", sample.degree
-    if isinstance(sample, Mat2):
-        return "matrix2", sample.modulus
-    return "semidirect", sample.modulus
+def load_text(text: str) -> LoadedSpec:
+    return parse_document(decode_json(text))
 
 
-def document_from_catalog(entry: CatalogEntry) -> dict:
-    """Export a catalog entry as a group document (round-trip safe)."""
-    kind, parameter = _kind_of_entry(entry)
-    doc: dict[str, Any] = {
-        "kind": kind,
-        _parameter_key(kind): parameter,
-        "generators": {
-            name: render_element(kind, entry.group.element(e))
-            for name, e in entry.generator_labels
-        },
-        "subgroups": {
-            name: {"elements": [render_element(kind, entry.group.element(i))
-                                for i in sub.members]}
-            for name, sub in entry.subgroups.items()
-        },
-        "polygon": {
-            "edge_pairs": entry.polygon.edge_pairs,
-            "cycles": [{"label": label, "word": word}
-                       for label, word in entry.polygon_words],
-        },
-    }
-    return doc
+def document_from_catalog(entry) -> dict:
+    """The stored group document of a ``catalog.CatalogEntry``, as a fresh copy."""
+    return copy.deepcopy(entry.document)

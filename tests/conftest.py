@@ -1,4 +1,5 @@
-"""Shared fixtures: catalog entries and small symmetric groups."""
+"""Shared fixtures (catalog entries and small symmetric groups) and the
+whole and trivial subgroup helpers."""
 
 from __future__ import annotations
 
@@ -8,13 +9,21 @@ from pathlib import Path
 
 import pytest
 
-from sunada import Perm, catalog_entry, generate_group, parse_cycles
+from sunada import FiniteGroup, Perm, Subgroup, catalog_entry, generate_group, parse_cycles
 
 # Subprocesses started by the tests (``python -m sunada``) import the same
 # package as the tests do, also from a checkout that is not installed.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+
+
+def full_subgroup(group: FiniteGroup) -> Subgroup:
+    return Subgroup(group, tuple(range(group.order)))
+
+
+def trivial_subgroup(group: FiniteGroup) -> Subgroup:
+    return Subgroup(group, (group.identity,))
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,15 @@ from sunada import (
     Mat2,
     Perm,
     SemiPair,
+    catalog,
     catalog_entry,
     catalog_names,
     covering_report,
+    cycle_string,
     element_order,
+    inverse,
     is_sunada_triple,
+    parse_cycles,
 )
 from sunada.specfile import document_from_catalog, parse_document
 
@@ -112,3 +117,39 @@ def test_polygon_words_cover_every_cycle():
         word_labels = [label for label, _ in entry.polygon_words]
         cycle_labels = [label for label, _ in entry.polygon.cycles]
         assert word_labels == cycle_labels
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_entry_is_its_exported_document(name):
+    entry = catalog_entry(name)
+    loaded = parse_document(document_from_catalog(entry))
+    assert loaded.group.elements == entry.group.elements
+    assert {n: s.members for n, s in loaded.subgroups.items()} == \
+        {n: s.members for n, s in entry.subgroups.items()}
+    assert loaded.polygon.cycles == entry.polygon.cycles
+
+
+def _inverse_matrix(rows):
+    return [list(row) for row in inverse(Mat2(4, tuple(map(tuple, rows)))).entries]
+
+
+@pytest.mark.parametrize("name, corrupt, message", [
+    # c replaced by its inverse keeps the group and the cycle orders, so only
+    # the entry's own relation check can catch it
+    ("genus2", lambda doc: doc["generators"].update(
+        c=cycle_string(inverse(parse_cycles(doc["generators"]["c"], 12)))),
+     "third generator"),
+    ("genus3", lambda doc: doc["generators"].update(c=_inverse_matrix(doc["generators"]["c"])),
+     "third generator"),
+    ("genus3", lambda doc: doc["subgroups"].update(U2=doc["subgroups"]["U1"]), "transpose image"),
+    ("genus2", lambda doc: doc["subgroups"]["U"]["elements"].pop(), "does not parse"),
+    ("orbifold-h", lambda doc: doc["polygon"]["cycles"][3].update(word="a b"), "cycle orders"),
+    ("orbifold-h", lambda doc: doc.update(modulus=16), "document does not parse"),
+])
+def test_corrupted_stored_document_raises(monkeypatch, name, corrupt, message):
+    stored, expected, check = catalog._ENTRIES[name]
+    broken = copy.deepcopy(stored)
+    corrupt(broken)
+    monkeypatch.setitem(catalog._ENTRIES, name, (broken, expected, check))
+    with pytest.raises(CatalogError, match=message):
+        catalog_entry(name)

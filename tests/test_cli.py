@@ -9,8 +9,9 @@ import sys
 
 import pytest
 
-from sunada import ResourceError, is_sunada_triple, trivial_subgroup
+from sunada import ResourceError, is_sunada_triple
 from sunada.cli import run
+from conftest import trivial_subgroup
 
 
 @pytest.fixture()
@@ -287,11 +288,17 @@ def test_missing_file_exits_two(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_invalid_json_exits_two(tmp_path, capsys):
+def test_invalid_json_exits_two(genus2_doc, tmp_path, capsys):
+    # Each text is tried both as the document and as a --polygon file.
     path = tmp_path / "broken.json"
-    path.write_text("{]")
-    assert run(["report", str(path), "--U", "U"]) == 2
-    assert "invalid JSON" in capsys.readouterr().err
+    for text in ("{]",
+                 "[" * 200_000,                                 # too deep to decode
+                 '{"edge_pairs": 1' + "0" * 5000 + "}"):        # past the digit limit
+        path.write_text(text)
+        assert run(["report", str(path), "--U", "U"]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+        assert run(["report", str(genus2_doc), "--U", "U", "--polygon", str(path)]) == 2
+        assert "invalid polygon JSON" in capsys.readouterr().err
 
 
 def test_huge_degree_exits_two_before_allocating(tmp_path, capsys):

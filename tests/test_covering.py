@@ -1,4 +1,4 @@
-"""Polygon validation, smoothness, Euler characteristics, and cone points."""
+"""Polygon specs, smoothness, Euler characteristics, and cone points."""
 
 from __future__ import annotations
 
@@ -16,13 +16,11 @@ from sunada import (
     covering_report,
     covering_report_json,
     element_order,
-    full_subgroup,
     orbifold_euler,
     smoothness,
     subgroup_generate,
-    trivial_subgroup,
-    validate_polygon,
 )
+from conftest import full_subgroup, trivial_subgroup
 
 
 def _orbit_sizes(group, sub, elem_idx):
@@ -69,33 +67,6 @@ def test_polygon_spec_rejects_bad_shapes(s3):
         PolygonSpec(edge_pairs=1, cycles=())
     with pytest.raises(UsageError):
         PolygonSpec(edge_pairs=1, cycles=(("t", t), ("t", t)))
-
-
-def test_validate_polygon_on_catalog_entries(genus2, genus3, orbifold_h):
-    for entry, signs in (
-        (genus2, (1, 1, 1)),
-        (genus3, (1, 1, -1)),
-        (orbifold_h, (1, 1, 1, -1)),
-    ):
-        result = validate_polygon(entry.group, entry.polygon)
-        assert result.trivial_cycles == ()
-        assert result.relator_holds
-        assert result.relator_signs == signs
-
-
-def test_validate_polygon_reports_failed_relator(s3):
-    t = s3.index_of(Perm((1, 2, 0)))
-    spec = PolygonSpec(edge_pairs=1, cycles=(("r", t),))
-    result = validate_polygon(s3, spec)
-    assert not result.relator_holds
-    assert result.relator_signs is None
-
-
-def test_validate_polygon_flags_identity_cycles(s3):
-    spec = PolygonSpec(edge_pairs=1, cycles=(("e", s3.identity),))
-    result = validate_polygon(s3, spec)
-    assert result.trivial_cycles == ("e",)
-    assert result.relator_holds
 
 
 # ----------------------------------------------------------------- smoothness
@@ -254,5 +225,5 @@ def test_covering_report_json_shape(orbifold_h):
 
 def test_polygon_cycle_indices_validated(s3):
     spec = PolygonSpec(edge_pairs=1, cycles=(("t", 99),))
-    with pytest.raises(UsageError):
-        validate_polygon(s3, spec)
+    with pytest.raises(UsageError, match="unknown element index 99"):
+        smoothness(s3, full_subgroup(s3), spec)

@@ -13,12 +13,11 @@ from sunada import (
     are_gassmann,
     class_intersection_profile,
     element_order,
-    full_subgroup,
     is_sunada_triple,
     subgroup_from_members,
     subgroup_generate,
-    trivial_subgroup,
 )
+from conftest import full_subgroup, trivial_subgroup
 
 
 def _subgroup_of(group, *elements):

@@ -12,14 +12,15 @@ from sunada import (
     UsageError,
     coset_action,
     coset_table,
-    full_subgroup,
     graph_isomorphic,
     graph_json_dict,
+    parse_cycles,
     schreier_graph,
     subgroup_from_members,
     subgroup_generate,
     to_dot,
 )
+from conftest import full_subgroup
 
 
 def _verify_bijection(g1, g2, phi, mode):
@@ -185,6 +186,49 @@ def test_isomorphism_requires_matching_shape(genus2, s4):
     assert graph_isomorphic(g1, g3, "direct") is None
     with pytest.raises(UsageError):
         graph_isomorphic(g1, g1, "sideways")
+
+
+def _networkx_graph(nx, graph):
+    multi = nx.MultiDiGraph()
+    multi.add_nodes_from(range(graph.vertex_count))
+    multi.add_edges_from((src, dst, {"label": label}) for src, dst, label in graph.arcs)
+    return multi
+
+
+@pytest.mark.parametrize("mode", ["direct", "reversed"])
+def test_graph_isomorphic_matches_networkx(mode, genus2, genus3, orbifold_h, s4, psl32):
+    """Verdicts agree with label-matching MultiDiGraph isomorphism, against
+    the arc-reversed second graph in reversed mode."""
+    nx = pytest.importorskip("networkx")
+    same_labels = nx.algorithms.isomorphism.categorical_multiedge_match("label", None)
+    pairs = [(entry.group, entry.subgroup_u, entry.subgroup_v, labels)
+             for entry in (genus2, genus3, orbifold_h)
+             for labels in (entry.generator_labels, entry.generator_labels[:2])]
+    rng = random.Random(5)
+    s4_labels = [(f"g{k}", idx) for k, idx in enumerate(s4.generators)]
+    for _ in range(12):
+        u = subgroup_generate(s4, [rng.randrange(s4.order)])
+        v = subgroup_generate(s4, [rng.randrange(s4.order)])
+        pairs.append((s4, u, v, s4_labels))
+    point = subgroup_generate(psl32, [psl32.index_of(parse_cycles(t, 7))
+                                      for t in ("(1,5)(2,6)", "(1,4,6)(2,3,5)")])
+    line = subgroup_generate(psl32, [psl32.index_of(parse_cycles(t, 7))
+                                     for t in ("(0,2)(4,6)", "(0,2,1)(3,5,6)")])
+    pairs.append((psl32, point, line, [("a", psl32.generators[0]), ("b", psl32.generators[1])]))
+
+    verdicts = set()
+    for group, u, v, labels in pairs:
+        g1, g2 = schreier_graph(group, u, labels), schreier_graph(group, v, labels)
+        target = _networkx_graph(nx, g2)
+        if mode == "reversed":
+            target = target.reverse()
+        expected = nx.is_isomorphic(_networkx_graph(nx, g1), target, edge_match=same_labels)
+        phi = graph_isomorphic(g1, g2, mode)
+        assert (phi is not None) == expected
+        if phi is not None:
+            assert _verify_bijection(g1, g2, phi, mode)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 # -------------------------------------------------------------------- exports

@@ -83,6 +83,12 @@ def test_load_text_rejects_invalid_json():
         lambda d: d.update(polygon={"edge_pairs": 1, "cycles": 5}),
         lambda d: d.update(subgroups=[1]),
         lambda d: d.update(subgroups={"U": {"elements": 5}}),
+        # 1e400 decodes to float infinity, which int() cannot convert
+        lambda d: d.update(degree=1e400),
+        lambda d: d.update(kind="matrix2", modulus=1e400),
+        lambda d: d.update(kind="matrix2", modulus=4, generators={"m": [[1e400, 0], [0, 1]]}),
+        lambda d: d.update(kind="semidirect", modulus=8, generators={"p": [1, 1e400]}),
+        lambda d: d.update(polygon={"edge_pairs": 1e400, "cycles": [{"label": "p", "word": "r"}]}),
     ],
 )
 def test_structural_errors(mutate):
