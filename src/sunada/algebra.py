@@ -441,6 +441,8 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
     Enumeration order is canonical: the distinct generators sorted by
     ``element_key`` come first, then new products in breadth-first discovery
     order.  Raises ResourceError if the closure would exceed ``max_elements``.
+    A permutation of degree d > 16 stores d images, so for those the cap is
+    ``max_elements * 16 // d``: the memory bound stays that of degree 16.
     """
     gens = list(generators)
     if not gens:
@@ -448,6 +450,9 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
     for g in gens[1:]:
         _require_same_family(gens[0], g)
     seeds = sorted(set(gens), key=element_key)
+    cap, where = max_elements, ""
+    if isinstance(seeds[0], Perm) and seeds[0].degree > 16:
+        cap, where = max_elements * 16 // seeds[0].degree, f" at degree {seeds[0].degree}"
     elements: list[Element] = list(seeds)
     index: dict[Element, int] = {e: i for i, e in enumerate(elements)}
     head = 0
@@ -457,8 +462,8 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
         for g in seeds:
             p = _product(x, g)
             if p not in index:
-                if len(elements) >= max_elements:
-                    raise ResourceError(f"group closure exceeded the element cap of {max_elements}")
+                if len(elements) >= cap:
+                    raise ResourceError(f"group closure exceeded the element cap of {cap}{where}")
                 index[p] = len(elements)
                 elements.append(p)
     return FiniteGroup(elements, range(len(seeds)))

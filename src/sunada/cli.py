@@ -92,11 +92,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_file(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _read_file(path: str, what: str = "JSON") -> str:
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"invalid {what}: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -138,7 +141,7 @@ def _cmd_report(args) -> int:
     spec = _load_spec(args.file)
     sub = _subgroup(spec, args.U)
     if args.polygon is not None:
-        body = decode_json(_read_file(args.polygon), "polygon JSON")
+        body = decode_json(_read_file(args.polygon, "polygon JSON"), "polygon JSON")
         polygon = parse_polygon(body, spec.group, spec.named_elements)
     elif spec.polygon is not None:
         polygon = spec.polygon

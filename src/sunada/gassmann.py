@@ -103,15 +103,24 @@ def subgroup_generate(group: FiniteGroup, generators: Iterable[int]) -> Subgroup
 
 
 def subgroup_from_members(group: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    """Subgroup from an explicit member list, verified closed under the product."""
+    """Subgroup from an explicit member list, verified closed under the product.
+
+    The closure grows from each member it does not yet hold, capped at the
+    list's length.  It ends holding every member, so it has at least that
+    many elements; the list is therefore closed exactly when the cap never
+    trips, and then the closure is the list.
+    """
     sorted_members = tuple(sorted(set(members)))
     _check_indices(group, sorted_members)
-    member_set = set(sorted_members)
-    if group.identity not in member_set:
+    if group.identity not in sorted_members:
         raise UsageError("member list does not contain the identity")
+    gens: list[int] = []
+    closed: frozenset[int] | None = frozenset([group.identity])
     for x in sorted_members:
-        for y in sorted_members:
-            if group.mul(x, y) not in member_set:
+        if x not in closed:
+            gens.append(x)
+            closed = _closure(group, gens, cap=len(sorted_members), base=closed)
+            if closed is None:
                 raise UsageError("member list is not closed under the group product")
     return Subgroup(group, sorted_members)
 

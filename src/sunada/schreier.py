@@ -121,102 +121,74 @@ def _inverse_perm(perm: Sequence[int]) -> list[int]:
     return inv
 
 
+def _forced_map(root: int, image: int,
+                moves: list[tuple[Sequence[int], Sequence[int]]]) -> dict[int, int] | None:
+    """The map of root's component that sends root to image, following each
+    (g1 move, g2 move) pair, or None if it is inconsistent or not injective."""
+    phi = {root: image}
+    hit = {image}
+    queue = [root]
+    for v in queue:
+        w = phi[v]
+        for move1, move2 in moves:
+            x, y = move1[v], move2[w]
+            if x in phi:
+                if phi[x] != y:
+                    return None
+            elif y in hit:
+                return None
+            else:
+                phi[x] = y
+                hit.add(y)
+                queue.append(x)
+    return phi
+
+
 def graph_isomorphic(g1: SchreierGraph, g2: SchreierGraph,
                      mode: Literal["direct", "reversed"] = "direct") -> tuple[int, ...] | None:
     """Label-preserving vertex bijection from g1 to g2, or None.
 
     In "direct" mode arcs map to arcs; in "reversed" mode an arc u -> v of g1
-    must map to an arc phi(v) -> phi(u) of g2.  The search is deterministic
-    and returns the first bijection in candidate order, so a graph tested
+    must map to an arc phi(v) -> phi(u) of g2.  The components of g1 are
+    matched in order of least vertex, each root to the first free vertex of
+    g2 whose forced map is consistent and injective, so a graph tested
     against itself in direct mode yields the identity.
+
+    The greedy choice is exact.  Every label is a permutation, so the image
+    of a root forces its whole component onto a whole component of g2.  A
+    match never blocks a later component: if some bijection extends the
+    earlier matches but sends this component to another free component,
+    exchanging the two (isomorphic) target components in it gives one that
+    extends this match too.  So the first match of each root is the one a
+    backtracking search over root candidates would return.
     """
     if mode not in ("direct", "reversed"):
         raise UsageError(f"unknown isomorphism mode {mode!r}")
     n = g1.vertex_count
     if n != g2.vertex_count or sorted(g1.labels) != sorted(g2.labels):
         return None
-    labels = g1.labels
-    out1 = {lab: g1.out_map(lab) for lab in labels}
-    in1 = {lab: _inverse_perm(out1[lab]) for lab in labels}
-    target = {lab: g2.out_map(lab) for lab in labels}
-    if mode == "reversed":
-        target = {lab: tuple(_inverse_perm(perm)) for lab, perm in target.items()}
-    target_inv = {lab: _inverse_perm(target[lab]) for lab in labels}
-
-    # Connected components of g1, each explored from its least vertex.  Within
-    # a component the image of the root forces every other image, so the
-    # search branches only over root candidates.
-    comp_roots: list[int] = []
-    comp_id = [-1] * n
-    for start in range(n):
-        if comp_id[start] >= 0:
-            continue
-        comp_roots.append(start)
-        stack = [start]
-        comp_id[start] = len(comp_roots) - 1
-        while stack:
-            v = stack.pop()
-            for lab in labels:
-                for w in (out1[lab][v], in1[lab][v]):
-                    if comp_id[w] < 0:
-                        comp_id[w] = comp_id[start]
-                        stack.append(w)
-
+    moves = []
+    for lab in g1.labels:
+        out1, out2 = g1.out_map(lab), g2.out_map(lab)
+        if mode == "reversed":
+            out2 = _inverse_perm(out2)
+        moves += [(out1, out2), (_inverse_perm(out1), _inverse_perm(out2))]
     phi = [-1] * n
     used = [False] * n
-
-    def propagate(root: int, image: int) -> list[int] | None:
-        assigned: list[int] = []
-
-        def assign(v: int, w: int) -> bool:
-            if phi[v] >= 0:
-                return phi[v] == w
-            if used[w]:
-                return False
+    for root in range(n):
+        if phi[root] >= 0:
+            continue
+        for cand in range(n):
+            if not used[cand]:
+                matched = _forced_map(root, cand, moves)
+                if matched is not None:
+                    break
+        else:
+            return None
+        for v, w in matched.items():
             phi[v] = w
             used[w] = True
-            assigned.append(v)
-            queue.append(v)
-            return True
-
-        queue: list[int] = []
-        if not assign(root, image):
-            return None
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for lab in labels:
-                if not assign(out1[lab][v], target[lab][phi[v]]):
-                    break
-                if not assign(in1[lab][v], target_inv[lab][phi[v]]):
-                    break
-            else:
-                continue
-            for v in assigned:
-                used[phi[v]] = False
-                phi[v] = -1
-            return None
-        return assigned
-
-    def solve(ci: int) -> bool:
-        if ci == len(comp_roots):
-            return True
-        root = comp_roots[ci]
-        for cand in range(n):
-            if used[cand]:
-                continue
-            assigned = propagate(root, cand)
-            if assigned is None:
-                continue
-            if solve(ci + 1):
-                return True
-            for v in assigned:
-                used[phi[v]] = False
-                phi[v] = -1
-        return False
-
-    return tuple(phi) if solve(0) else None
+    return tuple(phi)
 
 
 def _sorted_arcs(graph: SchreierGraph) -> list[tuple[int, int, str]]:

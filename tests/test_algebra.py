@@ -337,6 +337,11 @@ def test_generate_group_respects_element_cap():
     seven_cycle = Perm((1, 2, 3, 4, 5, 6, 0))
     with pytest.raises(ResourceError):
         generate_group([seven_cycle], max_elements=5)
+    # degree 32 halves the cap: S_32 stops at 50 elements, not 100
+    wide = [Perm((1, 0) + tuple(range(2, 32))), Perm(tuple(range(1, 32)) + (0,))]
+    with pytest.raises(ResourceError, match="cap of 50 at degree 32"):
+        generate_group(wide, max_elements=100)
+    assert generate_group([Perm(tuple(range(1, 16)) + (0,))], max_elements=16).order == 16
 
 
 def test_generate_group_rejects_empty_generator_list():

@@ -291,10 +291,11 @@ def test_missing_file_exits_two(capsys):
 def test_invalid_json_exits_two(genus2_doc, tmp_path, capsys):
     # Each text is tried both as the document and as a --polygon file.
     path = tmp_path / "broken.json"
-    for text in ("{]",
-                 "[" * 200_000,                                 # too deep to decode
-                 '{"edge_pairs": 1' + "0" * 5000 + "}"):        # past the digit limit
-        path.write_text(text)
+    for text in (b"{]",
+                 b"[" * 200_000,                                # too deep to decode
+                 b'{"edge_pairs": 1' + b"0" * 5000 + b"}",      # past the digit limit
+                 b"\xff\xfe\x00bad"):                           # not UTF-8 text
+        path.write_bytes(text)
         assert run(["report", str(path), "--U", "U"]) == 2
         assert "invalid JSON" in capsys.readouterr().err
         assert run(["report", str(genus2_doc), "--U", "U", "--polygon", str(path)]) == 2

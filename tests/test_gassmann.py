@@ -45,6 +45,9 @@ def test_subgroup_from_members_checks_closure(s3):
     three = s3.index_of(Perm((1, 2, 0)))
     with pytest.raises(UsageError):
         subgroup_from_members(s3, [s3.identity, three])  # not closed
+    # <t> fits, and the second transposition then generates all of S3
+    with pytest.raises(UsageError, match="not closed"):
+        subgroup_from_members(s3, [s3.identity, t, s3.index_of(Perm((0, 2, 1)))])
 
 
 def test_subgroup_membership_and_order_divides(s4):

@@ -198,18 +198,20 @@ def _networkx_graph(nx, graph):
 @pytest.mark.parametrize("mode", ["direct", "reversed"])
 def test_graph_isomorphic_matches_networkx(mode, genus2, genus3, orbifold_h, s4, psl32):
     """Verdicts agree with label-matching MultiDiGraph isomorphism, against
-    the arc-reversed second graph in reversed mode."""
+    the arc-reversed second graph in reversed mode.  Single-label graphs are
+    disconnected, so components are matched there with both verdicts."""
     nx = pytest.importorskip("networkx")
     same_labels = nx.algorithms.isomorphism.categorical_multiedge_match("label", None)
     pairs = [(entry.group, entry.subgroup_u, entry.subgroup_v, labels)
              for entry in (genus2, genus3, orbifold_h)
-             for labels in (entry.generator_labels, entry.generator_labels[:2])]
+             for labels in (entry.generator_labels, entry.generator_labels[:2],
+                            entry.generator_labels[:1])]
     rng = random.Random(5)
     s4_labels = [(f"g{k}", idx) for k, idx in enumerate(s4.generators)]
     for _ in range(12):
         u = subgroup_generate(s4, [rng.randrange(s4.order)])
         v = subgroup_generate(s4, [rng.randrange(s4.order)])
-        pairs.append((s4, u, v, s4_labels))
+        pairs += [(s4, u, v, s4_labels), (s4, u, v, s4_labels[:1])]
     point = subgroup_generate(psl32, [psl32.index_of(parse_cycles(t, 7))
                                       for t in ("(1,5)(2,6)", "(1,4,6)(2,3,5)")])
     line = subgroup_generate(psl32, [psl32.index_of(parse_cycles(t, 7))
@@ -219,16 +221,27 @@ def test_graph_isomorphic_matches_networkx(mode, genus2, genus3, orbifold_h, s4,
     verdicts = set()
     for group, u, v, labels in pairs:
         g1, g2 = schreier_graph(group, u, labels), schreier_graph(group, v, labels)
-        target = _networkx_graph(nx, g2)
+        source, target = _networkx_graph(nx, g1), _networkx_graph(nx, g2)
         if mode == "reversed":
             target = target.reverse()
-        expected = nx.is_isomorphic(_networkx_graph(nx, g1), target, edge_match=same_labels)
+        expected = nx.is_isomorphic(source, target, edge_match=same_labels)
         phi = graph_isomorphic(g1, g2, mode)
         assert (phi is not None) == expected
         if phi is not None:
             assert _verify_bijection(g1, g2, phi, mode)
-        verdicts.add(expected)
-    assert verdicts == {True, False}
+        verdicts.add((expected, nx.is_weakly_connected(source)))
+    assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def test_graph_isomorphic_matches_many_components_without_search():
+    def loops(n):
+        return SchreierGraph(n, ("a",), tuple((v, v, "a") for v in range(n)))
+
+    swap = SchreierGraph(200, ("a",), ((0, 1, "a"), (1, 0, "a"))
+                         + tuple((v, v, "a") for v in range(2, 200)))
+    assert graph_isomorphic(loops(1500), loops(1500)) == tuple(range(1500))
+    assert graph_isomorphic(loops(200), swap) is None
+    assert graph_isomorphic(loops(200), swap, "reversed") is None
 
 
 # -------------------------------------------------------------------- exports
