@@ -6,12 +6,20 @@ Elements are immutable and compare structurally.  Products read left to right:
 ``compose(x, y)`` applies x first for permutations, is the matrix product
 ``x y`` for matrices, and is ``(u, v)(u', v') = (u u', v + u v')`` for pairs.
 
-The element constructors validate their input; a product does not need to.
-``compose`` checks that its factors share one family and degree or modulus,
-then hands them to ``_product``, the one place a product is computed, which
-builds the result without re-validating it: the product of two valid elements
-of one family is always valid.  ``FiniteGroup`` checks the family of its whole
-enumeration once, at construction, so its products skip the per-call check.
+Each family's product is written once, on element keys (``element_key``: the
+image tuple, the entry rows, or ``(u, v)``).  ``_key_product`` picks it for a
+degree or modulus, and ``_product`` wraps it: it builds the result from the
+product key without re-validating it, since the product of two valid elements
+of one family is always valid.  The element constructors validate their
+input; ``compose`` checks that its factors share one family and degree or
+modulus before calling ``_product``.
+
+``FiniteGroup`` indexes its elements by key and multiplies keys, so a group
+product builds no element object and runs no Python-level ``__hash__`` or
+``__eq__``.  It checks the family of its whole enumeration once, at
+construction.  Keys of different families or degrees can be equal (the
+permutation (1, 0) and the pair (1, 0)), so ``index_of`` and ``in`` check an
+element's family and degree or modulus before they look its key up.
 """
 
 from __future__ import annotations
@@ -135,14 +143,17 @@ class SemiPair:
 Element = Union[Perm, Mat2, SemiPair]
 
 
+def _parameter(e: Element) -> int:
+    """The degree of a permutation, the modulus of a matrix or pair."""
+    return e.degree if isinstance(e, Perm) else e.modulus
+
+
 def _require_same_family(e1: Element, e2: Element) -> None:
     if type(e1) is not type(e2):
         raise UsageError(f"cannot mix {type(e1).__name__} with {type(e2).__name__}")
-    if isinstance(e1, Perm):
-        if e1.degree != e2.degree:
-            raise UsageError(f"degree mismatch: {e1.degree} vs {e2.degree}")
-    elif e1.modulus != e2.modulus:
-        raise UsageError(f"modulus mismatch: {e1.modulus} vs {e2.modulus}")
+    if _parameter(e1) != _parameter(e2):
+        kind = "degree" if isinstance(e1, Perm) else "modulus"
+        raise UsageError(f"{kind} mismatch: {_parameter(e1)} vs {_parameter(e2)}")
 
 
 def compose(e1: Element, e2: Element) -> Element:
@@ -151,35 +162,57 @@ def compose(e1: Element, e2: Element) -> Element:
     return _product(e1, e2)
 
 
+def _perm_key_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(b.__getitem__, a))
+
+
+def _key_product(e: Element):
+    """The product on element keys of e's family and degree or modulus."""
+    if isinstance(e, Perm):
+        return _perm_key_product
+    if isinstance(e, Mat2):
+        m = e.modulus
+
+        def mat2_key_product(x, y):
+            (a, b), (c, d) = x
+            (q, r), (s, t) = y
+            return (((a * q + b * s) % m, (a * r + b * t) % m),
+                    ((c * q + d * s) % m, (c * r + d * t) % m))
+        return mat2_key_product
+    if isinstance(e, SemiPair):
+        m = e.modulus
+
+        def pair_key_product(x, y):
+            return (x[0] * y[0]) % m, (x[1] + x[0] * y[1]) % m
+        return pair_key_product
+    raise UsageError(f"unsupported element type {type(e).__name__}")
+
+
 _new = object.__new__
 _set = object.__setattr__
 
 
+def _from_key(like: Element, key) -> Element:
+    """The element of ``like``'s family and degree or modulus with this key,
+    built without ``__post_init__``: the key must be a valid one."""
+    p = _new(type(like))
+    if isinstance(like, Perm):
+        _set(p, "images", key)
+    elif isinstance(like, Mat2):
+        _set(p, "modulus", like.modulus)
+        _set(p, "entries", key)
+    else:
+        _set(p, "modulus", like.modulus)
+        _set(p, "u", key[0])
+        _set(p, "v", key[1])
+    return p
+
+
 def _product(e1: Element, e2: Element) -> Element:
     """``compose`` for factors already known to share one family and degree or
-    modulus.  The result is built without ``__post_init__``: it is valid
-    because both factors are."""
-    if isinstance(e1, Perm):
-        p = _new(Perm)
-        _set(p, "images", tuple(map(e2.images.__getitem__, e1.images)))
-        return p
-    if isinstance(e1, Mat2):
-        m = e1.modulus
-        (a, b), (c, d) = e1.entries
-        (q, r), (s, t) = e2.entries
-        p = _new(Mat2)
-        _set(p, "modulus", m)
-        _set(p, "entries", (((a * q + b * s) % m, (a * r + b * t) % m),
-                            ((c * q + d * s) % m, (c * r + d * t) % m)))
-        return p
-    if isinstance(e1, SemiPair):
-        m = e1.modulus
-        p = _new(SemiPair)
-        _set(p, "modulus", m)
-        _set(p, "u", (e1.u * e2.u) % m)
-        _set(p, "v", (e1.v + e1.u * e2.v) % m)
-        return p
-    raise UsageError(f"unsupported element type {type(e1).__name__}")
+    modulus: the key product, wrapped.  The result is valid because both
+    factors are."""
+    return _from_key(e1, _key_product(e1)(element_key(e1), element_key(e2)))
 
 
 def inverse(e: Element) -> Element:
@@ -215,11 +248,11 @@ def identity_like(e: Element) -> Element:
 
 def element_order(e: Element) -> int:
     """Smallest k >= 1 with e^k = identity."""
-    ident = identity_like(e)
-    k = 1
-    x = e
+    product, key = _key_product(e), element_key(e)
+    ident = element_key(identity_like(e))
+    k, x = 1, key
     while x != ident:
-        x = _product(x, e)
+        x = product(x, key)
         k += 1
     return k
 
@@ -317,12 +350,14 @@ class FiniteGroup:
     cosets, graph vertices) derives from it.  ``generators`` must generate
     the whole group: conjugation orbits are closed under the generators only.
     ``generate_group`` guarantees this.  The constructor checks once that
-    all elements share one family and degree or modulus, so ``mul`` takes the
-    trusted product of the two elements, without a family check, and looks
-    the result up in the element index; products are never cached.
-    Inverses, one conjugation map per generator, and the class partition are
-    cached on first use; caches are write-once, so sharing an instance across
-    threads is safe.
+    all elements share one family and degree or modulus, indexes them by
+    ``element_key`` and picks the key product of that family.  So ``mul``
+    multiplies two keys and looks the product up, with no family check and
+    no element object built; products are never cached.  ``index_of`` and
+    ``in`` reject an element of another family, degree or modulus before the
+    key lookup.  Inverses, one conjugation map per generator, and the class
+    partition are cached on first use; caches are write-once, so sharing an
+    instance across threads is safe.
     """
 
     def __init__(self, elements: Sequence[Element], generators: Sequence[int]):
@@ -330,13 +365,15 @@ class FiniteGroup:
         if not self.elements:
             raise UsageError("a group needs at least one element")
         first = self.elements[0]
-        ident = identity_like(first)
         for e in self.elements:
             _require_same_family(first, e)
-        self._index: dict[Element, int] = {e: i for i, e in enumerate(self.elements)}
+        self._keys = tuple(map(element_key, self.elements))
+        self._index: dict[object, int] = {k: i for i, k in enumerate(self._keys)}
         if len(self._index) != len(self.elements):
             raise UsageError("duplicate elements in enumeration")
+        self._key_product = _key_product(first)
         self.generators: tuple[int, ...] = tuple(generators)
+        ident = element_key(identity_like(first))
         if ident not in self._index:
             raise UsageError("identity missing from enumeration")
         self.identity: int = self._index[ident]
@@ -355,19 +392,29 @@ class FiniteGroup:
     def element(self, i: int) -> Element:
         return self.elements[i]
 
+    def _find(self, e: Element) -> int | None:
+        """Index of e, or None.  Keys of different families or degrees can
+        be equal, so only an element of this group's family and degree or
+        modulus is looked up."""
+        first = self.elements[0]
+        if type(e) is not type(first) or _parameter(e) != _parameter(first):
+            return None
+        return self._index.get(element_key(e))
+
     def index_of(self, e: Element) -> int:
-        try:
-            return self._index[e]
-        except KeyError:
-            raise UsageError(f"element {e} is not in the group") from None
+        i = self._find(e)
+        if i is None:
+            raise UsageError(f"element {e} is not in the group")
+        return i
 
     def __contains__(self, e: Element) -> bool:
-        return e in self._index
+        return self._find(e) is not None
 
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j]."""
+        keys = self._keys
         try:
-            return self._index[_product(self.elements[i], self.elements[j])]
+            return self._index[self._key_product(keys[i], keys[j])]
         except KeyError:
             raise UsageError("element enumeration is not closed under the product") from None
 
@@ -381,13 +428,13 @@ class FiniteGroup:
         return self.mul(self.mul(g, x), self.inv(g))
 
     def _conjugation_map(self, g: int) -> tuple[int, ...]:
-        """The index map x -> g^-1 x g, built from ``_product``/``inverse``."""
+        """The index map x -> g^-1 x g, built from key products."""
         row = self._conjugation_maps.get(g)
         if row is None:
-            e = self.elements[g]
-            e_inv = inverse(e)
+            index, product = self._index, self._key_product
+            k, k_inv = self._keys[g], element_key(inverse(self.elements[g]))
             try:
-                row = tuple(self._index[_product(_product(e_inv, x), e)] for x in self.elements)
+                row = tuple(index[product(product(k_inv, x), k)] for x in self._keys)
             except KeyError:
                 raise UsageError("element enumeration is not closed under the product") from None
             self._conjugation_maps[g] = row
@@ -453,19 +500,19 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
     cap, where = max_elements, ""
     if isinstance(seeds[0], Perm) and seeds[0].degree > 16:
         cap, where = max_elements * 16 // seeds[0].degree, f" at degree {seeds[0].degree}"
-    elements: list[Element] = list(seeds)
-    index: dict[Element, int] = {e: i for i, e in enumerate(elements)}
-    head = 0
-    while head < len(elements):
-        x = elements[head]
-        head += 1
-        for g in seeds:
-            p = _product(x, g)
-            if p not in index:
-                if len(elements) >= cap:
+    product = _key_product(seeds[0])
+    seed_keys = [element_key(g) for g in seeds]
+    keys = list(seed_keys)
+    seen = set(keys)
+    for x in keys:
+        for g in seed_keys:
+            p = product(x, g)
+            if p not in seen:
+                if len(keys) >= cap:
                     raise ResourceError(f"group closure exceeded the element cap of {cap}{where}")
-                index[p] = len(elements)
-                elements.append(p)
+                seen.add(p)
+                keys.append(p)
+    elements = seeds + [_from_key(seeds[0], k) for k in keys[len(seeds):]]
     return FiniteGroup(elements, range(len(seeds)))
 
 

@@ -152,7 +152,9 @@ def graph_isomorphic(g1: SchreierGraph, g2: SchreierGraph,
     must map to an arc phi(v) -> phi(u) of g2.  The components of g1 are
     matched in order of least vertex, each root to the first free vertex of
     g2 whose forced map is consistent and injective, so a graph tested
-    against itself in direct mode yields the identity.
+    against itself in direct mode yields the identity.  The scan for free
+    vertices starts at the least one, so many components cost linear time
+    when each first candidate matches.
 
     The greedy choice is exact.  Every label is a permutation, so the image
     of a root forces its whole component onto a whole component of g2.  A
@@ -175,10 +177,13 @@ def graph_isomorphic(g1: SchreierGraph, g2: SchreierGraph,
         moves += [(out1, out2), (_inverse_perm(out1), _inverse_perm(out2))]
     phi = [-1] * n
     used = [False] * n
+    free = 0  # every vertex of g2 below it is used
     for root in range(n):
         if phi[root] >= 0:
             continue
-        for cand in range(n):
+        while used[free]:
+            free += 1
+        for cand in range(free, n):
             if not used[cand]:
                 matched = _forced_map(root, cand, moves)
                 if matched is not None:

@@ -17,7 +17,9 @@ Two things keep the growth step cheap without losing a class:
   growth equals one already tried.  The elements are tried in index order,
   and the first element of each double coset is never skipped, so each class
   is first reached by the same growth, in the same order, as by trying every
-  element, and the ``max_subgroups`` cap trips at the same point.
+  element, and the ``max_subgroups`` cap trips at the same point.  R e R is
+  marked one right coset R e r at a time, skipping those already marked,
+  which costs |R| + |R e R| products rather than |R| + |R|^2.
 * The closure of <R, e> starts from R's members and adds whole right cosets
   of R (``gassmann._closure`` with R as its base).  The seeds are the
   growths of the trivial subgroup, its default base.
@@ -57,6 +59,19 @@ class SearchConfig:
     require_smooth: PolygonSpec | None = None
     max_subgroups: int = DEFAULT_SUBGROUP_CAP
     dedupe: bool = True
+
+
+def _mark_double_coset(group: FiniteGroup, rep: frozenset[int], e: int, tried: set[int]) -> None:
+    """Add R e R to ``tried``, a union of right cosets of R = ``rep``.
+
+    R e R is the union of the right cosets R (e r), r in R, so it is added
+    one right coset at a time; a coset with e r already in ``tried`` lies in
+    it whole, so ``tried`` stays a union of right cosets.
+    """
+    for r in rep:
+        y = group.mul(e, r)
+        if y not in tried:
+            tried.update([group.mul(x, y) for x in rep])
 
 
 def _subgroup_classes(group: FiniteGroup, order: int,
@@ -112,8 +127,7 @@ def _subgroup_classes(group: FiniteGroup, order: int,
         for e in usable:
             if e not in tried:
                 grow(gens + (e,), rep)
-                left = [group.mul(r, e) for r in rep]
-                tried.update([group.mul(x, r) for r in rep for x in left])
+                _mark_double_coset(group, rep, e, tried)
     return [orbit for _, orbit in classes]
 
 

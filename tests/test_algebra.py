@@ -298,7 +298,29 @@ def test_trusted_product_stays_in_the_enumeration(genus2):
     group = genus2.group
     for x in group.elements:
         for y in group.elements:
-            assert _product(x, y) in group._index
+            assert _product(x, y) in group
+
+
+@pytest.mark.parametrize("name", ["genus2", "genus3", "orbifold_h", "psl32"])
+def test_mul_matches_compose_exhaustively(name, request):
+    fixture = request.getfixturevalue(name)
+    group = getattr(fixture, "group", fixture)
+    for i, x in enumerate(group.elements):
+        for j, y in enumerate(group.elements):
+            assert group.mul(i, j) == group.index_of(compose(x, y))
+
+
+# Each key below is also the key of the identity of the group it is tried in.
+@pytest.mark.parametrize("name, foreign", [
+    ("orbifold_h", Perm((1, 0))),
+    ("orbifold_h", SemiPair(16, 1, 0)),
+    ("genus3", Mat2(8, ((1, 0), (0, 1)))),
+])
+def test_foreign_element_with_a_member_key_is_not_in_the_group(name, foreign, request):
+    group = request.getfixturevalue(name).group
+    assert foreign not in group
+    with pytest.raises(UsageError, match="not in the group"):
+        group.index_of(foreign)
 
 
 @pytest.mark.parametrize("elements", [

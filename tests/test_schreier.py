@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -240,6 +241,10 @@ def test_graph_isomorphic_matches_many_components_without_search():
     swap = SchreierGraph(200, ("a",), ((0, 1, "a"), (1, 0, "a"))
                          + tuple((v, v, "a") for v in range(2, 200)))
     assert graph_isomorphic(loops(1500), loops(1500)) == tuple(range(1500))
+    many = loops(12000)
+    start = time.perf_counter()
+    assert graph_isomorphic(many, many) == tuple(range(12000))
+    assert time.perf_counter() - start < 1.0
     assert graph_isomorphic(loops(200), swap) is None
     assert graph_isomorphic(loops(200), swap, "reversed") is None
 

@@ -17,6 +17,7 @@ from sunada import (
     subgroup_generate,
 )
 from sunada.gassmann import _closure
+from sunada.search import _mark_double_coset, _subgroup_classes
 
 
 def _closure_oracle(group, seed_indices):
@@ -133,6 +134,22 @@ def test_closure_from_a_base_matches_the_closure_oracle(genus3):
             for cap in (len(full) - 1, len(full)):
                 capped = _closure(group, base_gens + (e,), cap=cap, base=base)
                 assert capped == (full if cap >= len(full) else None)
+
+
+@pytest.mark.parametrize("name", ["s4", "psl32"])
+def test_double_coset_marking_matches_the_square_construction(name, request):
+    """The walk's marking, one right coset at a time, against R e R built
+    from all |R|^2 products r e r', after each growth of every class."""
+    group = request.getfixturevalue(name)
+    for orbit in _subgroup_classes(group, group.order, 10**6):
+        rep = orbit[0]
+        tried, square = set(rep), set(rep)
+        for e in range(group.order):
+            if e not in tried:
+                _mark_double_coset(group, rep, e, tried)
+                left = [group.mul(r, e) for r in rep]
+                square.update(group.mul(x, r) for r in rep for x in left)
+                assert tried == square
 
 
 def test_enumerate_subgroups_ordering_is_deterministic(s4):
