@@ -8,11 +8,10 @@ Elements are immutable and compare structurally.  Products read left to right:
 
 Each family's product is written once, on element keys (``element_key``: the
 image tuple, the entry rows, or ``(u, v)``).  ``_key_product`` picks it for a
-degree or modulus, and ``_product`` wraps it: it builds the result from the
-product key without re-validating it, since the product of two valid elements
-of one family is always valid.  The element constructors validate their
-input; ``compose`` checks that its factors share one family and degree or
-modulus before calling ``_product``.
+degree or modulus, and ``compose`` wraps it: it checks that its factors share
+one family and degree or modulus, then builds the result from the product key
+without re-validating it, since the product of two valid elements of one
+family is always valid.  The element constructors validate their input.
 
 ``FiniteGroup`` indexes its elements by key and multiplies keys, so a group
 product builds no element object and runs no Python-level ``__hash__`` or
@@ -159,7 +158,7 @@ def _require_same_family(e1: Element, e2: Element) -> None:
 def compose(e1: Element, e2: Element) -> Element:
     """Group product of two elements of the same family; e1 acts first for perms."""
     _require_same_family(e1, e2)
-    return _product(e1, e2)
+    return _from_key(e1, _key_product(e1)(element_key(e1), element_key(e2)))
 
 
 def _perm_key_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -206,13 +205,6 @@ def _from_key(like: Element, key) -> Element:
         _set(p, "u", key[0])
         _set(p, "v", key[1])
     return p
-
-
-def _product(e1: Element, e2: Element) -> Element:
-    """``compose`` for factors already known to share one family and degree or
-    modulus: the key product, wrapped.  The result is valid because both
-    factors are."""
-    return _from_key(e1, _key_product(e1)(element_key(e1), element_key(e2)))
 
 
 def inverse(e: Element) -> Element:
@@ -490,6 +482,7 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
     order.  Raises ResourceError if the closure would exceed ``max_elements``.
     A permutation of degree d > 16 stores d images, so for those the cap is
     ``max_elements * 16 // d``: the memory bound stays that of degree 16.
+    Likewise the cap for a modulus of b > 64 bits is ``max_elements * 64 // b``.
     """
     gens = list(generators)
     if not gens:
@@ -500,6 +493,9 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
     cap, where = max_elements, ""
     if isinstance(seeds[0], Perm) and seeds[0].degree > 16:
         cap, where = max_elements * 16 // seeds[0].degree, f" at degree {seeds[0].degree}"
+    elif not isinstance(seeds[0], Perm) and seeds[0].modulus.bit_length() > 64:
+        bits = seeds[0].modulus.bit_length()
+        cap, where = max_elements * 64 // bits, f" at a {bits}-bit modulus"
     product = _key_product(seeds[0])
     seed_keys = [element_key(g) for g in seeds]
     keys = list(seed_keys)

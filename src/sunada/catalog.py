@@ -57,7 +57,6 @@ class CatalogEntry:
     subgroup_v: Subgroup = field(repr=False)
     generator_labels: tuple[tuple[str, int], ...]
     polygon: PolygonSpec
-    polygon_words: tuple[tuple[str, str], ...]
     expected: Expectations
     # The stored document itself: read it, or copy it with document_from_catalog.
     document: dict[str, Any] = field(repr=False, compare=False)
@@ -186,5 +185,4 @@ def catalog_entry(name: str) -> CatalogEntry:
         name=name, group=group, u_name=u_name, v_name=v_name, subgroup_u=u, subgroup_v=v,
         generator_labels=tuple((n, spec.named_elements[n]) for n in spec.generator_names),
         polygon=spec.polygon,
-        polygon_words=tuple((c["label"], c["word"]) for c in document["polygon"]["cycles"]),
         expected=expected, document=document)

@@ -183,8 +183,8 @@ def _cmd_search(args) -> int:
         **({} if args.max_subgroups is None else {"max_subgroups": args.max_subgroups}),
         dedupe=not args.no_dedupe,
     )
-    # Each line is written and flushed as soon as its pair is verified, so the
-    # lines already found survive a cap or a kill.
+    # Lines are flushed as each pair is verified, so a kill keeps those written;
+    # a max_subgroups cap trips in the subgroup walk, before the first line.
     with (open(args.out, "w", encoding="utf-8") if args.out is not None
           else contextlib.nullcontext(sys.stdout)) as out:
         for u, v, report in _sunada_pairs(spec.group, config):

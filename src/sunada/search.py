@@ -24,14 +24,17 @@ Two things keep the growth step cheap without losing a class:
   of R (``gassmann._closure`` with R as its base).  The seeds are the
   growths of the trivial subgroup, its default base.
 
-Closures that grow past the target order are abandoned, and conjugation
-invariants (class intersection profiles, smoothness) are computed once per
-class.
+Closures that grow past the target order are abandoned.  The pair search
+pairs classes of equal class intersection profile (computed once per class,
+as is smoothness).  Each orbit of pairs under simultaneous conjugacy holds
+(m, v) with m the least subgroup of the two classes; dedupe keeps m with the
+least member of each N_G(m)-orbit on the other class, the orbit's least pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 from .algebra import FiniteGroup, ResourceError
@@ -131,6 +134,14 @@ def _subgroup_classes(group: FiniteGroup, order: int,
     return [orbit for _, orbit in classes]
 
 
+def _classes_of_order(group: FiniteGroup, order: int,
+                      max_subgroups: int) -> list[list[tuple[int, ...]]]:
+    """Each class of subgroups of exactly ``order``: its sorted member tuples, sorted."""
+    return [sorted(tuple(sorted(members)) for members in orbit)
+            for orbit in _subgroup_classes(group, order, max_subgroups)
+            if len(orbit[0]) == order]
+
+
 def enumerate_subgroups(group: FiniteGroup, order: int,
                         max_subgroups: int = DEFAULT_SUBGROUP_CAP,
                         up_to_conjugacy: bool = False) -> list[Subgroup]:
@@ -140,13 +151,11 @@ def enumerate_subgroups(group: FiniteGroup, order: int,
     representative per conjugacy orbit (the least member tuple).  Raises
     ResourceError when the walk exceeds ``max_subgroups`` distinct subgroups.
     """
-    orbits = [[tuple(sorted(members)) for members in orbit]
-              for orbit in _subgroup_classes(group, order, max_subgroups)
-              if len(orbit[0]) == order]
+    classes = _classes_of_order(group, order, max_subgroups)
     if up_to_conjugacy:
-        found = sorted(min(orbit) for orbit in orbits)
+        found = sorted(cls[0] for cls in classes)
     else:
-        found = sorted(members for orbit in orbits for members in orbit)
+        found = sorted(members for cls in classes for members in cls)
     return [Subgroup(group, members) for members in found]
 
 
@@ -171,10 +180,10 @@ def find_sunada_pairs(group: FiniteGroup,
                       config: SearchConfig) -> list[tuple[Subgroup, Subgroup, SunadaReport]]:
     """All Gassmann equivalent, non-conjugate subgroup pairs of the target order.
 
-    Pairs are scanned in sorted member order, optionally filtered so both
-    quotients are smooth under ``config.require_smooth``, and deduplicated up
-    to simultaneous conjugacy when ``config.dedupe`` is set.  Every returned
-    report re-verifies the pair as a Sunada triple.
+    Each pair (U, V) has U the lesser member tuple; the pairs come sorted.
+    ``config.require_smooth`` keeps only classes with smooth quotients and
+    ``config.dedupe`` the least pair of each simultaneous-conjugacy orbit.
+    Every pair comes with its ``is_sunada_triple`` report.
     """
     return list(_sunada_pairs(group, config))
 
@@ -183,34 +192,28 @@ def _sunada_pairs(group: FiniteGroup,
                   config: SearchConfig) -> Iterator[tuple[Subgroup, Subgroup, SunadaReport]]:
     """The pairs of ``find_sunada_pairs``, yielded as each one is verified."""
     # Profiles and smoothness are conjugation invariants: one test per class.
-    entries = []
-    for cid, orbit in enumerate(_subgroup_classes(group, config.order, config.max_subgroups)):
-        if len(orbit[0]) != config.order:
-            continue
-        rep = Subgroup(group, tuple(sorted(orbit[0])))
+    buckets: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {}
+    for cls in _classes_of_order(group, config.order, config.max_subgroups):
+        rep = Subgroup(group, cls[0])
         if config.require_smooth is not None and not all(
                 smoothness(group, rep, config.require_smooth)):
             continue
-        profile = class_intersection_profile(group, rep)
-        entries.extend((tuple(sorted(members)), cid, profile) for members in orbit)
-    entries.sort()
-    subgroups = [Subgroup(group, members) for members, _, _ in entries]
-    classes = [cid for _, cid, _ in entries]
-    profiles = [profile for _, _, profile in entries]
-    covered: set[tuple[frozenset[int], ...]] = set()
-    for i in range(len(subgroups)):
-        for j in range(i + 1, len(subgroups)):
-            # Subgroups of one class are conjugate, so never a Sunada pair.
-            if profiles[i] != profiles[j] or classes[i] == classes[j]:
+        buckets.setdefault(class_intersection_profile(group, rep), []).append(cls)
+    pairs = []
+    for bucket in buckets.values():
+        for first, second in combinations(bucket, 2):
+            if not config.dedupe:
+                pairs.extend((min(u, v), max(u, v)) for u in first for v in second)
                 continue
-            pair = (subgroups[i].member_set, subgroups[j].member_set)
-            if pair in covered:
-                continue
-            report = is_sunada_triple(group, subgroups[i], subgroups[j])
-            if not report.is_sunada_triple:
-                continue
-            if config.dedupe:
-                # Pairs count as unordered, so cover both orders of each image.
-                for image in group.conjugation_orbit(pair):
-                    covered.update((image, image[::-1]))
-            yield subgroups[i], subgroups[j], report
+            # Every orbit of pairs holds a pair (m, v); its least pair is m with
+            # the least member of one N_G(m)-orbit on the other class.
+            low, rest = sorted((first, second))
+            m, m_set = low[0], frozenset(low[0])
+            while rest:
+                pairs.append((m, rest[0]))
+                orbit = {tuple(sorted(w)) for u, w in group.conjugation_orbit([m, rest[0]])
+                         if u == m_set}
+                rest = [w for w in rest if w not in orbit]
+    for u, v in sorted(pairs):
+        su, sv = Subgroup(group, u), Subgroup(group, v)
+        yield su, sv, is_sunada_triple(group, su, sv)

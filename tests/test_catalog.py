@@ -111,14 +111,6 @@ def test_document_round_trip_preserves_structure():
             assert entry.group.element(idx_a) == loaded.group.element(idx_b)
 
 
-def test_polygon_words_cover_every_cycle():
-    for name in catalog_names():
-        entry = catalog_entry(name)
-        word_labels = [label for label, _ in entry.polygon_words]
-        cycle_labels = [label for label, _ in entry.polygon.cycles]
-        assert word_labels == cycle_labels
-
-
 @pytest.mark.parametrize("name", catalog_names())
 def test_entry_is_its_exported_document(name):
     entry = catalog_entry(name)

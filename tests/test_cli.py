@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -49,6 +51,73 @@ def test_catalog_output_is_byte_stable(capsys):
     run(["catalog", "genus3"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# (catalog name, subgroup U, subgroup V, search order) of each bundled document
+_GOLDEN_DOCUMENTS = {
+    "genus2": ("U", "V", "8"),
+    "genus3": ("U1", "U2", "8"),
+    "orbifold-h": ("U1", "U2", "4"),
+}
+
+# sha256 of stdout per (document, command).  ``spectrum`` is left out: its
+# ``residual`` is float noise that depends on the BLAS build.
+_GOLDEN_DIGESTS = {
+    ("genus2", "catalog"): "017789cefac902ae28254c9f31264a041ad9a2a119928000a3ef0d7b14182612",
+    ("genus2", "verify"): "7a2b29dbb1e47bc544c730d92ab97973ac2fc56cf60a28da7d2ac83836b50685",
+    ("genus2", "report U"): "ae3569d1ea5123e17ff131dba274add3405c0668f8a4bd98b464e1282db9d1d9",
+    ("genus2", "report V"): "ae3569d1ea5123e17ff131dba274add3405c0668f8a4bd98b464e1282db9d1d9",
+    ("genus2", "graph dot"): "c0deb77659542939dd95a196542170c4d76d8a22d99caa44dac5e95590dcee72",
+    ("genus2", "graph json"): "067f335938e4540453f922d0bc23d02fc651cebd297d3d0220b9d0890b515d1b",
+    ("genus2", "search"): "83be66ee378d04fa8261c5df130045a7547126e37941fddd99287cf34d2e8064",
+    ("genus2", "search no-dedupe"):
+        "4f8ee022b7631c60ff81f7a21c0f7ed92e96dcbc1fe87a779d8702e8978ec1f2",
+    ("genus2", "search smooth"): "83be66ee378d04fa8261c5df130045a7547126e37941fddd99287cf34d2e8064",
+    ("genus3", "catalog"): "cb06481a499af414ba073830b5bd8f702a0f95cae53b68af54376791f6064b8d",
+    ("genus3", "verify"): "ce072f75a41e94b0311181fc7ba13bd95a9720b554055d40ab8c774d700d03e3",
+    ("genus3", "report U"): "0f2def0f1fc643e84d2b43768bc8f69d863c8f165261af68ddce3ddb9edfcf24",
+    ("genus3", "report V"): "0f2def0f1fc643e84d2b43768bc8f69d863c8f165261af68ddce3ddb9edfcf24",
+    ("genus3", "graph dot"): "d0b2ffe0d2267ec187cc729a305f8e61ee34852b8d7aa932e640277c1fefb6ac",
+    ("genus3", "graph json"): "f49ece9a142daf6c68e74b77d670e73d0063563c39ad3c6770acf05fe26a57f3",
+    ("genus3", "search"): "93e62d3613409a904e22b28078f47955bec51f3a2b332d3692c8bf38cb60e1b7",
+    ("genus3", "search no-dedupe"):
+        "43b1498697283297b51d7b199484e856a62e10f2a77b772e99a3011617e3068c",
+    ("orbifold-h", "catalog"): "9c7586ed4cb3f50ae0f500b7638dfe31f2121e7cd563269d943a08421b547a4d",
+    ("orbifold-h", "verify"): "76d50f30dc5e5205d2ab225ed6460a3550ebea119018b429ca4fe31df616f06d",
+    ("orbifold-h", "report U"): "b7cf19e9909379822ad6a2d39f506ced8b70e7a5150a977792b4abf967888766",
+    ("orbifold-h", "report V"): "b7cf19e9909379822ad6a2d39f506ced8b70e7a5150a977792b4abf967888766",
+    ("orbifold-h", "graph dot"): "855e89fabb63a333588dd4ba54555636acf7749ba22c63452524c40cb540b556",
+    ("orbifold-h", "graph json"):
+        "c9d4710aca9d3f4874c6178fdc28938351433b7b207b52f2cf39291c4b7e0f35",
+    ("orbifold-h", "search"): "644f507ecf7555528a5a3614dc90ded1bddce5ff724fb3797609b4829bf47a8e",
+    ("orbifold-h", "search no-dedupe"):
+        "b4f570cb93dfcc7aeea1f0d4033212e1394516a58e8c5f68c27113bb9d16b428",
+}
+
+
+def _golden_argv(name: str, command: str, path: str) -> list[str]:
+    u, v, order = _GOLDEN_DOCUMENTS[name]
+    return {
+        "catalog": ["catalog", name],
+        "verify": ["verify", path, "--U", u, "--V", v],
+        "report U": ["report", path, "--U", u],
+        "report V": ["report", path, "--U", v],
+        "graph dot": ["graph", path, "--U", u, "--format", "dot"],
+        "graph json": ["graph", path, "--U", u, "--format", "json"],
+        "search": ["search", path, "--order", order],
+        "search no-dedupe": ["search", path, "--order", order, "--no-dedupe"],
+        "search smooth": ["search", path, "--order", order, "--smooth"],
+    }[command]
+
+
+@pytest.mark.parametrize("name, command", sorted(_GOLDEN_DIGESTS))
+def test_cli_output_matches_golden_digest(tmp_path, capsys, name, command):
+    assert run(["catalog", name]) == 0
+    path = tmp_path / f"{name}.json"
+    path.write_text(capsys.readouterr().out)
+    assert run(_golden_argv(name, command, str(path))) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _GOLDEN_DIGESTS[name, command]
 
 
 def test_catalog_rejects_unknown_name(capsys):
@@ -308,6 +377,18 @@ def test_huge_degree_exits_two_before_allocating(tmp_path, capsys):
                                 "generators": {"a": "(0,1)"}}))
     assert run(["search", str(path), "--order", "2"]) == 2
     assert "exceeds the bound" in capsys.readouterr().err
+
+
+def test_huge_modulus_closure_exits_two_quickly(tmp_path, capsys):
+    # Each element holds residues of 13,288 bits, so the closure cap shrinks
+    # to 10**6 * 64 // 13288 elements instead of running into gigabytes.
+    path = tmp_path / "huge-modulus.json"
+    path.write_text(json.dumps({"kind": "semidirect", "modulus": 10**4000 + 1,
+                                "generators": {"a": [2, 1]}}))
+    start = time.perf_counter()
+    assert run(["search", str(path), "--order", "2"]) == 2
+    assert time.perf_counter() - start < 5
+    assert "element cap of 4816 at a 13288-bit modulus" in capsys.readouterr().err
 
 
 def test_no_arguments_exits_two(capsys):

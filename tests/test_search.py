@@ -239,12 +239,22 @@ def test_search_pair_order_is_canonical(orbifold_h):
         assert u.members < v.members
 
 
-@pytest.mark.parametrize("name, order", [("orbifold-h", 4), ("genus3", 8)])
+@pytest.mark.parametrize("name, order", [("orbifold-h", 4), ("genus3", 8), ("psl32", 24)])
 def test_dedupe_keeps_a_representative_of_every_pair(name, order, request):
-    g = request.getfixturevalue(name.replace("-", "_")).group
+    fixture = request.getfixturevalue(name.replace("-", "_"))
+    g = getattr(fixture, "group", fixture)
     raw = find_sunada_pairs(g, SearchConfig(order=order, dedupe=False))
     kept = find_sunada_pairs(g, SearchConfig(order=order))
     assert kept == [entry for entry in raw if entry in kept]
-    for u, v, _ in raw:
-        assert any(simultaneous_conjugator(g, (u, v), (ku, kv)) is not None
-                   for ku, kv, _ in kept)
+    raw_pairs = [(u, v) for u, v, _ in raw]
+    assert [(u.members, v.members) for u, v in raw_pairs] == sorted(
+        (u.members, v.members) for u, v in raw_pairs)
+    # Each kept pair is the least raw pair of its simultaneous-conjugacy
+    # orbit, so no two kept pairs share an orbit, and the orbits cover raw.
+    covered = 0
+    for ku, kv, _ in kept:
+        orbit = [pair for pair in raw_pairs
+                 if simultaneous_conjugator(g, pair, (ku, kv)) is not None]
+        assert orbit[0] == (ku, kv)
+        covered += len(orbit)
+    assert covered == len(raw)
