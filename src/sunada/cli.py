@@ -172,14 +172,11 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_search(args) -> int:
     spec = _load_spec(args.file)
-    polygon = None
-    if args.smooth:
-        if spec.polygon is None:
-            raise SpecError("--smooth needs a polygon in the document")
-        polygon = spec.polygon
+    if args.smooth and spec.polygon is None:
+        raise SpecError("--smooth needs a polygon in the document")
     config = SearchConfig(
         order=args.order,
-        require_smooth=polygon,
+        require_smooth=spec.polygon if args.smooth else None,
         **({} if args.max_subgroups is None else {"max_subgroups": args.max_subgroups}),
         dedupe=not args.no_dedupe,
     )
@@ -222,10 +219,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (SpecError, UsageError, CycleParseError, ResourceError, CatalogError) as exc:
-        print(f"sunada: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SpecError, UsageError, CycleParseError, ResourceError, CatalogError, OSError) as exc:
         print(f"sunada: error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

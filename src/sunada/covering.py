@@ -3,8 +3,16 @@
 A polygon spec records a 2N-gon whose edges are identified in N pairs, with
 vertex cycles labeled by group elements.  For a subgroup U of G the quotient
 over U is analysed combinatorially: smoothness over each vertex cycle, exact
-orbifold Euler characteristic, cone points from coset orbit counting, and the
-genus when the underlying Euler characteristic is an even integer.
+orbifold Euler characteristic, cone points, and the genus when the underlying
+Euler characteristic is an even integer.
+
+Smoothness and cone points come from the orbits of each cycle element g, of
+order m, on the right cosets U\\G, read off the class intersection profile of
+U.  It gives the permutation character fix(x) = [G:U] |class(x) & U| /
+|class(x)| of U\\G, so Gassmann equivalent subgroups share them (Sunada,
+Ann. Math. 1985).  g has N_d = (fix(g^d) - sum of e N_e over e | d, e < d) / d
+orbits of size d, for each d | m in ascending order; an orbit of size d < m is
+a cone point of order m / d.
 
 All Euler characteristic arithmetic is exact (fractions.Fraction); this module
 must stay free of floating point.
@@ -16,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import FiniteGroup, UsageError, element_order
-from .gassmann import Subgroup, check_parent
-from .schreier import coset_action, coset_table
+from .gassmann import Subgroup, check_parent, class_intersection_profile
 
 __all__ = [
     "PolygonSpec",
@@ -78,35 +85,52 @@ def _check_cycles(group: FiniteGroup, spec: PolygonSpec) -> None:
             raise UsageError(f"cycle {label!r} refers to unknown element index {e}")
 
 
-def _cycle_orders(group: FiniteGroup, spec: PolygonSpec) -> tuple[int, ...]:
-    return tuple(element_order(group.element(e)) for _, e in spec.cycles)
+def _cycle_orbits(group: FiniteGroup, profile: tuple[int, ...],
+                  spec: PolygonSpec) -> list[tuple[int, dict[int, int]]]:
+    """(m, {d: N_d}) per cycle of order m: the N_d > 0 orbits of size d < m
+    on U\\G, by the formula of the module docstring, for the U with class
+    intersection ``profile``."""
+    _check_cycles(group, spec)
+    classes = group.conjugacy_classes()
+    index = group.order // sum(profile)
+    orbits = []
+    for _, e in spec.cycles:
+        order = element_order(group.element(e))
+        counts: dict[int, int] = {}
+        power = e
+        for d in range(1, order):
+            if order % d == 0:
+                c = group.class_index(power)
+                fixed = index * profile[c] // len(classes[c])
+                n = (fixed - sum(k * counts[k] for k in counts if d % k == 0)) // d
+                if n:
+                    counts[d] = n
+            power = group.mul(power, e)
+        orbits.append((order, counts))
+    return orbits
+
+
+def _cone_points(spec: PolygonSpec, orbits) -> tuple[ConePoint, ...]:
+    return tuple(ConePoint(label, order // d, counts[d])
+                 for (label, _), (order, counts) in zip(spec.cycles, orbits)
+                 for d in sorted(counts, reverse=True))
+
+
+def _orbifold_euler(sub: Subgroup, spec: PolygonSpec, orders) -> Fraction:
+    return sub.index * (1 - spec.edge_pairs + sum(Fraction(1, m) for m in orders))
 
 
 def smoothness(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> tuple[bool, ...]:
     """Per-cycle smoothness of the quotient over each vertex cycle.
 
-    The quotient is smooth over the cycle of g iff g is the identity or no
-    conjugacy class of g^r for 0 < r < ord(g) meets the subgroup.
+    The cycle of g, of order m, is smooth iff g has no orbit of size d < m on
+    U\\G: N_d = (fix(g^d) - sum of e N_e over e | d, e < d) / d is 0 for each
+    such d | m, with fix(x) = [G:U] |class(x) & U| / |class(x)|.  Both
+    divisions are exact: fix(x) counts the cosets that x fixes, and as orbit
+    sizes divide m, those g^d fixes fill its orbits of the sizes e | d.
     """
-    check_parent(group, sub)
-    _check_cycles(group, spec)
-    group.conjugacy_classes()
-    flags: list[bool] = []
-    for _, e in spec.cycles:
-        if e == group.identity:
-            flags.append(True)
-            continue
-        order = element_order(group.element(e))
-        smooth = True
-        power = e
-        for _ in range(1, order):
-            cls = group.conjugacy_classes()[group.class_index(power)]
-            if any(x in sub.member_set for x in cls):
-                smooth = False
-                break
-            power = group.mul(power, e)
-        flags.append(smooth)
-    return tuple(flags)
+    orbits = _cycle_orbits(group, class_intersection_profile(group, sub), spec)
+    return tuple(not counts for _, counts in orbits)
 
 
 def orbifold_euler(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> Fraction:
@@ -114,43 +138,17 @@ def orbifold_euler(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> Frac
     [G:U] * (1 - N + sum over cycles of 1/ord)."""
     check_parent(group, sub)
     _check_cycles(group, spec)
-    per_polygon = Fraction(1 - spec.edge_pairs)
-    for order in _cycle_orders(group, spec):
-        per_polygon += Fraction(1, order)
-    return sub.index * per_polygon
+    return _orbifold_euler(sub, spec, (element_order(group.element(e)) for _, e in spec.cycles))
 
 
 def cone_points(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> tuple[ConePoint, ...]:
-    """Cone points of the quotient, from orbit counting on the right cosets.
-
-    For the cycle of g with ord(g) = m, the points of the quotient over that
-    vertex correspond to orbits of coset -> coset * g; an orbit of size d < m
-    is a cone point of order m / d.  Orbits of full size m are smooth points.
-    Points are grouped per cycle and cone order, with multiplicities.
+    """Cone points of the quotient: the N_d orbits of size d < m of a cycle g
+    of order m on U\\G are cone points of order m / d, with
+    N_d = (fix(g^d) - sum of e N_e over e | d, e < d) / d, exact as in
+    ``smoothness``.  Points are grouped per cycle and cone order, with
+    multiplicities, in ascending cone order.
     """
-    check_parent(group, sub)
-    _check_cycles(group, spec)
-    table = coset_table(group, sub)
-    points: list[ConePoint] = []
-    for (label, e), order in zip(spec.cycles, _cycle_orders(group, spec)):
-        action = coset_action(group, table, e)
-        seen = [False] * len(action)
-        orbit_counts: dict[int, int] = {}
-        for start in range(len(action)):
-            if seen[start]:
-                continue
-            size = 0
-            v = start
-            while not seen[v]:
-                seen[v] = True
-                size += 1
-                v = action[v]
-            if size < order:
-                cone_order = order // size
-                orbit_counts[cone_order] = orbit_counts.get(cone_order, 0) + 1
-        for cone_order in sorted(orbit_counts):
-            points.append(ConePoint(label, cone_order, orbit_counts[cone_order]))
-    return tuple(points)
+    return _cone_points(spec, _cycle_orbits(group, class_intersection_profile(group, sub), spec))
 
 
 def covering_report(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> CoveringReport:
@@ -160,9 +158,11 @@ def covering_report(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> Cov
     Euler characteristic of the underlying surface; the genus (2 - chi_top)/2
     is reported only when chi_top is an even integer.
     """
-    flags = smoothness(group, sub, spec)
-    cones = cone_points(group, sub, spec)
-    chi_orb = orbifold_euler(group, sub, spec)
+    orbits = _cycle_orbits(group, class_intersection_profile(group, sub), spec)
+    orders = tuple(order for order, _ in orbits)
+    flags = tuple(not counts for _, counts in orbits)
+    cones = _cone_points(spec, orbits)
+    chi_orb = _orbifold_euler(sub, spec, orders)
     chi_top = chi_orb
     for cone in cones:
         chi_top += cone.multiplicity * (1 - Fraction(1, cone.order))
@@ -176,7 +176,7 @@ def covering_report(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> Cov
     return CoveringReport(
         index=sub.index,
         cycle_labels=tuple(label for label, _ in spec.cycles),
-        cycle_orders=_cycle_orders(group, spec),
+        cycle_orders=orders,
         smooth_cycles=flags,
         smooth=all(flags),
         cone_points=cones,

@@ -1,8 +1,8 @@
 """Right coset tables, Schreier coset graphs, and labeled digraph isomorphism.
 
 Cosets are right cosets U\\G with G acting by right multiplication; vertex 0 is
-the coset of the identity.  The same coset action drives the orbit counting in
-the covering module, so the two stay consistent by construction.
+the coset of the identity.  The covering module counts the orbits of this
+action without a coset table: it reads them off the class intersection profile.
 """
 
 from __future__ import annotations

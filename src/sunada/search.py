@@ -25,10 +25,10 @@ Two things keep the growth step cheap without losing a class:
   growths of the trivial subgroup, its default base.
 
 Closures that grow past the target order are abandoned.  The pair search
-pairs classes of equal class intersection profile (computed once per class,
-as is smoothness).  Each orbit of pairs under simultaneous conjugacy holds
-(m, v) with m the least subgroup of the two classes; dedupe keeps m with the
-least member of each N_G(m)-orbit on the other class, the orbit's least pair.
+pairs classes of equal class intersection profile (computed once per class;
+smoothness is read off it).  Each orbit of pairs under simultaneous conjugacy
+holds (m, v) with m the least subgroup of the two classes; dedupe keeps m with
+the least member of each N_G(m)-orbit on the other class, the orbit's least pair.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .algebra import FiniteGroup, ResourceError
-from .covering import PolygonSpec, smoothness
+from .covering import PolygonSpec, _cycle_orbits
 from .gassmann import (SunadaReport, Subgroup, _closure, class_intersection_profile,
                        conjugate_members, is_sunada_triple)
 
@@ -194,11 +194,11 @@ def _sunada_pairs(group: FiniteGroup,
     # Profiles and smoothness are conjugation invariants: one test per class.
     buckets: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {}
     for cls in _classes_of_order(group, config.order, config.max_subgroups):
-        rep = Subgroup(group, cls[0])
-        if config.require_smooth is not None and not all(
-                smoothness(group, rep, config.require_smooth)):
+        profile = class_intersection_profile(group, Subgroup(group, cls[0]))
+        if config.require_smooth is not None and any(
+                counts for _, counts in _cycle_orbits(group, profile, config.require_smooth)):
             continue
-        buckets.setdefault(class_intersection_profile(group, rep), []).append(cls)
+        buckets.setdefault(profile, []).append(cls)
     pairs = []
     for bucket in buckets.values():
         for first, second in combinations(bucket, 2):

@@ -54,6 +54,13 @@ class SpecError(ValueError):
     """The document does not describe a valid group."""
 
 
+def _integer(value: Any, what: str) -> int:
+    """``value`` if it is a JSON integer (an int, not a bool), else SpecError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
 @dataclass
 class LoadedSpec:
     kind: str
@@ -69,15 +76,15 @@ def _parse_element(kind: str, parameter: int, raw: Any, where: str) -> Element:
     try:
         if kind == "permutation":
             if not isinstance(raw, str):
-                raise SpecError(f"{where}: permutation elements are cycle strings")
+                raise SpecError("permutation elements are cycle strings")
             return parse_cycles(raw, parameter)
         if kind == "matrix2":
-            rows = [[int(x) for x in row] for row in raw]
+            rows = [[_integer(x, "a matrix entry") for x in row] for row in raw]
             if len(rows) != 2 or any(len(r) != 2 for r in rows):
-                raise SpecError(f"{where}: matrix elements are 2x2 integer arrays")
+                raise SpecError("matrix elements are 2x2 integer arrays")
             return Mat2(parameter, ((rows[0][0], rows[0][1]), (rows[1][0], rows[1][1])))
         if kind == "semidirect":
-            u, v = (int(x) for x in raw)
+            u, v = (_integer(x, "a pair entry") for x in raw)
             return SemiPair(parameter, u, v)
     except (CycleParseError, UsageError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
@@ -126,7 +133,7 @@ def parse_polygon(body: Any, group: FiniteGroup, named: dict[str, int]) -> Polyg
         cycles.append((label, _evaluate_word(group, named, str(cyc["word"]),
                                              f"polygon cycle {label!r}")))
     try:
-        return PolygonSpec(int(body["edge_pairs"]), tuple(cycles))
+        return PolygonSpec(_integer(body["edge_pairs"], "'edge_pairs'"), tuple(cycles))
     except (UsageError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"polygon: {exc}") from exc
 
@@ -141,10 +148,7 @@ def parse_document(doc: Any) -> LoadedSpec:
     param_key = "degree" if kind == "permutation" else "modulus"
     if param_key not in doc:
         raise SpecError(f"missing {param_key!r} for kind {kind!r}")
-    try:
-        parameter = int(doc[param_key])
-    except (TypeError, ValueError, OverflowError):
-        raise SpecError(f"{param_key!r} must be an integer") from None
+    parameter = _integer(doc[param_key], repr(param_key))
     if kind == "permutation" and parameter > DEFAULT_ELEMENT_CAP:
         raise SpecError(f"'degree' {parameter} exceeds the bound of {DEFAULT_ELEMENT_CAP}")
 

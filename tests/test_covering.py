@@ -11,49 +11,61 @@ from sunada import (
     ConePoint,
     Perm,
     PolygonSpec,
+    SearchConfig,
     UsageError,
     cone_points,
     covering_report,
     covering_report_json,
     element_order,
+    enumerate_subgroups,
+    find_sunada_pairs,
     orbifold_euler,
+    parse_cycles,
     smoothness,
     subgroup_generate,
 )
 from conftest import full_subgroup, trivial_subgroup
 
 
-def _orbit_sizes(group, sub, elem_idx):
-    """Multiset of coset orbit sizes under right multiplication, computed from
-    raw coset sets rather than through the coset table."""
-    coset_keys: dict[frozenset, None] = {}
+def _raw_cosets(group, sub):
+    """Element -> its right coset U x as a raw element set (one shared set per
+    coset), built from the subgroup members rather than through the coset
+    table."""
+    coset_of: dict[int, frozenset] = {}
     for x in range(group.order):
-        coset_keys.setdefault(frozenset(group.mul(u, x) for u in sub.members), None)
+        if x not in coset_of:
+            coset = frozenset(group.mul(u, x) for u in sub.members)
+            coset_of.update(dict.fromkeys(coset, coset))
+    return coset_of
 
-    def step(coset):
-        return frozenset(group.mul(x, elem_idx) for x in coset)
 
+def _expected_cone_counts(group, coset_of, elem_idx):
+    """Cone order -> multiplicity derived from the multiset of coset orbit
+    sizes under right multiplication, and whether no orbit is shorter than
+    the element order."""
+    m = element_order(group.element(elem_idx))
     seen: set[frozenset] = set()
     sizes = []
-    for coset in coset_keys:
-        if coset in seen:
-            continue
+    for coset in coset_of.values():
         size = 0
-        cur = coset
-        while cur not in seen:
-            seen.add(cur)
+        while coset not in seen:
+            seen.add(coset)
             size += 1
-            cur = step(cur)
-        sizes.append(size)
-    return sorted(sizes)
+            coset = coset_of[group.mul(next(iter(coset)), elem_idx)]
+        if size:
+            sizes.append(size)
+    return Counter(m // d for d in sizes if d < m), min(sizes) == m
 
 
-def _expected_cone_counts(group, sub, elem_idx):
-    """Cone order -> multiplicity derived from the orbit size multiset."""
-    m = element_order(group.element(elem_idx))
-    sizes = _orbit_sizes(group, sub, elem_idx)
-    assert sum(sizes) == sub.index
-    return Counter(m // d for d in sizes if d < m)
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _triangle_polygon(psl32):
+    """The polygon a, b, (ab)^-1 of PSL(3,2) on its two generators."""
+    a = psl32.index_of(parse_cycles("(1,5)(2,6)", 7))
+    b = psl32.index_of(parse_cycles("(0,3,1)(2,4,5)", 7))
+    return PolygonSpec(2, (("a", a), ("b", b), ("c", psl32.inv(psl32.mul(a, b)))))
 
 
 # ----------------------------------------------------------------- validation
@@ -108,16 +120,27 @@ def test_orbifold_euler_scales_with_index(genus2, genus3, orbifold_h):
 # ---------------------------------------------------------------- cone points
 
 
-def test_cone_points_match_orbit_oracle(genus2, genus3, orbifold_h):
-    for entry in (genus2, genus3, orbifold_h):
-        for sub in (entry.subgroup_u, entry.subgroup_v):
-            points = cone_points(entry.group, sub, entry.polygon)
-            by_label: dict[str, Counter] = {}
-            for p in points:
-                by_label.setdefault(p.label, Counter())[p.order] += p.multiplicity
-            for label, idx in entry.polygon.cycles:
-                expected = _expected_cone_counts(entry.group, sub, idx)
-                assert by_label.get(label, Counter()) == expected
+def test_cone_points_match_orbit_oracle(genus2, genus3, orbifold_h, psl32):
+    cases = [(e.group, e.polygon) for e in (genus2, genus3, orbifold_h)]
+    cases.append((psl32, _triangle_polygon(psl32)))
+    for group, polygon in cases:
+        labels = [label for label, _ in polygon.cycles]
+        for order in _divisors(group.order):
+            for sub in enumerate_subgroups(group, order):
+                points = cone_points(group, sub, polygon)
+                # grouped per cycle, in ascending cone order
+                keys = [(labels.index(p.label), p.order) for p in points]
+                assert keys == sorted(set(keys))
+                flags = smoothness(group, sub, polygon)
+                by_label: dict[str, Counter] = {}
+                for p in points:
+                    by_label.setdefault(p.label, Counter())[p.order] += p.multiplicity
+                coset_of = _raw_cosets(group, sub)
+                assert len(set(coset_of.values())) == sub.index
+                for (label, idx), smooth in zip(polygon.cycles, flags):
+                    expected, no_short_orbit = _expected_cone_counts(group, coset_of, idx)
+                    assert by_label.get(label, Counter()) == expected
+                    assert smooth == no_short_orbit
 
 
 def test_smooth_entries_have_no_cone_points(genus2, genus3):
@@ -139,6 +162,20 @@ def test_full_subgroup_cone_points_are_cycle_orders(genus2):
 
 
 # --------------------------------------------------------------- full reports
+
+
+def test_sunada_pairs_share_covering_reports(genus2, genus3, orbifold_h, psl32):
+    # Gassmann equivalent subgroups have equal permutation characters, so
+    # their quotients share all local data.
+    cases = [(e.group, e.polygon, _divisors(e.group.order)) for e in (genus2, genus3, orbifold_h)]
+    cases.append((psl32, _triangle_polygon(psl32), (4, 12, 24)))
+    for group, polygon, orders in cases:
+        found = 0
+        for order in orders:
+            for u, v, _ in find_sunada_pairs(group, SearchConfig(order=order)):
+                assert covering_report(group, u, polygon) == covering_report(group, v, polygon)
+                found += 1
+        assert found
 
 
 def test_covering_report_genus_two(genus2):

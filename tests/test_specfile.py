@@ -89,6 +89,13 @@ def test_load_text_rejects_invalid_json():
         lambda d: d.update(kind="matrix2", modulus=4, generators={"m": [[1e400, 0], [0, 1]]}),
         lambda d: d.update(kind="semidirect", modulus=8, generators={"p": [1, 1e400]}),
         lambda d: d.update(polygon={"edge_pairs": 1e400, "cycles": [{"label": "p", "word": "r"}]}),
+        # numbers must be JSON integers: no truncated floats, strings or booleans
+        lambda d: d.update(polygon={"edge_pairs": 2.9, "cycles": [{"label": "p", "word": "r"}]}),
+        lambda d: d.update(degree=12.7),
+        lambda d: d.update(degree="12"),
+        lambda d: d.update(degree=True),
+        lambda d: d.update(kind="matrix2", modulus=4, generators={"m": [[3.9, 0], [0, 1]]}),
+        lambda d: d.update(kind="semidirect", modulus=8, generators={"p": [1, 1.0]}),
     ],
 )
 def test_structural_errors(mutate):
