@@ -6,18 +6,24 @@ Elements are immutable and compare structurally.  Products read left to right:
 ``compose(x, y)`` applies x first for permutations, is the matrix product
 ``x y`` for matrices, and is ``(u, v)(u', v') = (u u', v + u v')`` for pairs.
 
-Each family's product is written once, on element keys (``element_key``: the
-image tuple, the entry rows, or ``(u, v)``).  ``_key_product`` picks it for a
-degree or modulus, and ``compose`` wraps it: it checks that its factors share
-one family and degree or modulus, then builds the result from the product key
-without re-validating it, since the product of two valid elements of one
-family is always valid.  The element constructors validate their input.
+Each family's product is written once, on private element keys (``_key``).
+A matrix key is its entry rows and a pair key is ``(u, v)``, as
+``element_key`` returns.  A permutation of degree <= 256 is keyed by its
+images as ``bytes``: the product is then one ``bytes.translate`` in C, about
+8 times cheaper than building and hashing an int tuple, and the inner loop of
+every group algorithm here is that product and a dict lookup.  Above degree
+256 an image no longer fits in a byte, so the key is the image tuple.
+``_key_product`` picks the product for a degree or modulus, and ``compose``
+wraps it: it checks that its factors share one family and degree or modulus,
+then builds the result from the product key without re-validating it, since
+the product of two valid elements of one family is always valid.  The element
+constructors validate their input.
 
-``FiniteGroup`` indexes its elements by key and multiplies keys, so a group
-product builds no element object and runs no Python-level ``__hash__`` or
-``__eq__``.  It checks the family of its whole enumeration once, at
-construction.  Keys of different families or degrees can be equal (the
-permutation (1, 0) and the pair (1, 0)), so ``index_of`` and ``in`` check an
+``FiniteGroup`` indexes its elements by ``_key`` and multiplies keys, so a
+group product builds no element object and runs no Python-level ``__hash__``
+or ``__eq__``.  It checks the family of its whole enumeration once, at
+construction.  Keys of different families or moduli can be equal (the
+identity matrices mod 4 and mod 8), so ``index_of`` and ``in`` check an
 element's family and degree or modulus before they look its key up.
 """
 
@@ -158,7 +164,15 @@ def _require_same_family(e1: Element, e2: Element) -> None:
 def compose(e1: Element, e2: Element) -> Element:
     """Group product of two elements of the same family; e1 acts first for perms."""
     _require_same_family(e1, e2)
-    return _from_key(e1, _key_product(e1)(element_key(e1), element_key(e2)))
+    return _from_key(e1, _key_product(e1)(_key(e1), _key(e2)))
+
+
+def _key(e: Element):
+    """The key a group indexes and multiplies: ``element_key``, except that a
+    permutation of degree <= 256 is keyed by its images as bytes."""
+    if isinstance(e, Perm) and e.degree <= 256:
+        return bytes(e.images)
+    return element_key(e)
 
 
 def _perm_key_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -166,9 +180,18 @@ def _perm_key_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]
 
 
 def _key_product(e: Element):
-    """The product on element keys of e's family and degree or modulus."""
+    """The product on ``_key`` keys of e's family and degree or modulus."""
     if isinstance(e, Perm):
-        return _perm_key_product
+        if e.degree > 256:
+            return _perm_key_product
+        # x acts first, so the product maps i to b[a[i]]: ``a.translate`` with
+        # b padded to the 256-byte table it requires.  The pad is never read,
+        # since every byte of a is below the degree.
+        pad = bytes(range(e.degree, 256))
+
+        def bytes_perm_key_product(a, b):
+            return a.translate(b + pad)
+        return bytes_perm_key_product
     if isinstance(e, Mat2):
         m = e.modulus
 
@@ -192,11 +215,13 @@ _set = object.__setattr__
 
 
 def _from_key(like: Element, key) -> Element:
-    """The element of ``like``'s family and degree or modulus with this key,
-    built without ``__post_init__``: the key must be a valid one."""
+    """The element of ``like``'s family and degree or modulus with this
+    ``_key``, built without ``__post_init__``: the key must be a valid one.
+    A permutation gets its images as a tuple whatever its key, so equality
+    and hashing of elements do not depend on how they were built."""
     p = _new(type(like))
     if isinstance(like, Perm):
-        _set(p, "images", key)
+        _set(p, "images", tuple(key))
     elif isinstance(like, Mat2):
         _set(p, "modulus", like.modulus)
         _set(p, "entries", key)
@@ -240,8 +265,8 @@ def identity_like(e: Element) -> Element:
 
 def element_order(e: Element) -> int:
     """Smallest k >= 1 with e^k = identity."""
-    product, key = _key_product(e), element_key(e)
-    ident = element_key(identity_like(e))
+    product, key = _key_product(e), _key(e)
+    ident = _key(identity_like(e))
     k, x = 1, key
     while x != ident:
         x = product(x, key)
@@ -343,7 +368,10 @@ class FiniteGroup:
     the whole group: conjugation orbits are closed under the generators only.
     ``generate_group`` guarantees this.  The constructor checks once that
     all elements share one family and degree or modulus, indexes them by
-    ``element_key`` and picks the key product of that family.  So ``mul``
+    key and picks the key product of that family.  A permutation's key is
+    its images as bytes up to degree 256, so a product is one
+    ``bytes.translate``, and its image tuple above, where an image no longer
+    fits in a byte; a matrix or pair is keyed by ``element_key``.  So ``mul``
     multiplies two keys and looks the product up, with no family check and
     no element object built; products are never cached.  ``index_of`` and
     ``in`` reject an element of another family, degree or modulus before the
@@ -352,20 +380,23 @@ class FiniteGroup:
     instance across threads is safe.
     """
 
-    def __init__(self, elements: Sequence[Element], generators: Sequence[int]):
+    def __init__(self, elements: Sequence[Element], generators: Sequence[int], *,
+                 _keys: Sequence | None = None):
+        """``_keys``, if given, are the elements' keys, as ``generate_group``
+        already has them."""
         self.elements: tuple[Element, ...] = tuple(elements)
         if not self.elements:
             raise UsageError("a group needs at least one element")
         first = self.elements[0]
         for e in self.elements:
             _require_same_family(first, e)
-        self._keys = tuple(map(element_key, self.elements))
+        self._keys = tuple(map(_key, self.elements)) if _keys is None else tuple(_keys)
         self._index: dict[object, int] = {k: i for i, k in enumerate(self._keys)}
         if len(self._index) != len(self.elements):
             raise UsageError("duplicate elements in enumeration")
         self._key_product = _key_product(first)
         self.generators: tuple[int, ...] = tuple(generators)
-        ident = element_key(identity_like(first))
+        ident = _key(identity_like(first))
         if ident not in self._index:
             raise UsageError("identity missing from enumeration")
         self.identity: int = self._index[ident]
@@ -385,13 +416,13 @@ class FiniteGroup:
         return self.elements[i]
 
     def _find(self, e: Element) -> int | None:
-        """Index of e, or None.  Keys of different families or degrees can
+        """Index of e, or None.  Keys of different families or moduli can
         be equal, so only an element of this group's family and degree or
         modulus is looked up."""
         first = self.elements[0]
         if type(e) is not type(first) or _parameter(e) != _parameter(first):
             return None
-        return self._index.get(element_key(e))
+        return self._index.get(_key(e))
 
     def index_of(self, e: Element) -> int:
         i = self._find(e)
@@ -424,7 +455,7 @@ class FiniteGroup:
         row = self._conjugation_maps.get(g)
         if row is None:
             index, product = self._index, self._key_product
-            k, k_inv = self._keys[g], element_key(inverse(self.elements[g]))
+            k, k_inv = self._keys[g], _key(inverse(self.elements[g]))
             try:
                 row = tuple(index[product(product(k_inv, x), k)] for x in self._keys)
             except KeyError:
@@ -497,7 +528,7 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
         bits = seeds[0].modulus.bit_length()
         cap, where = max_elements * 64 // bits, f" at a {bits}-bit modulus"
     product = _key_product(seeds[0])
-    seed_keys = [element_key(g) for g in seeds]
+    seed_keys = [_key(g) for g in seeds]
     keys = list(seed_keys)
     seen = set(keys)
     for x in keys:
@@ -509,7 +540,7 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
                 seen.add(p)
                 keys.append(p)
     elements = seeds + [_from_key(seeds[0], k) for k in keys[len(seeds):]]
-    return FiniteGroup(elements, range(len(seeds)))
+    return FiniteGroup(elements, range(len(seeds)), _keys=keys)
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:

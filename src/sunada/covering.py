@@ -49,6 +49,8 @@ class PolygonSpec:
     def __post_init__(self):
         cycles = tuple((str(label), int(e)) for label, e in self.cycles)
         object.__setattr__(self, "cycles", cycles)
+        if not isinstance(self.edge_pairs, int) or isinstance(self.edge_pairs, bool):
+            raise UsageError(f"edge pair count must be an integer, got {self.edge_pairs!r}")
         if self.edge_pairs < 1:
             raise UsageError(f"edge pair count must be >= 1, got {self.edge_pairs}")
         if not cycles:

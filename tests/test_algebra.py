@@ -26,6 +26,7 @@ from sunada import (
     generate_group,
     identity_like,
     inverse,
+    is_sunada_triple,
     parse_cycles,
 )
 from sunada.algebra import FiniteGroup
@@ -332,6 +333,30 @@ def test_finite_group_rejects_mixed_families(elements):
         FiniteGroup(elements, [0])
 
 
+# A permutation of degree <= 256 is multiplied as bytes, a longer one as a
+# tuple; the cyclic group of one n-cycle exercises both sides of the boundary.
+# Its element with 0 -> k is the k-th power of the cycle, of order n / gcd(k, n).
+# A product at degree 257 costs about 25 us here, so every element is
+# multiplied on both sides by 8 spread elements rather than by all of them.
+@pytest.mark.parametrize("degree", [256, 257])
+def test_permutation_products_agree_at_the_byte_boundary(degree):
+    generated = generate_group([Perm(tuple(range(1, degree)) + (0,))])
+    assert generated.order == degree
+    sample = range(0, degree, 32)
+    for j in sample:
+        y = generated.element(j)
+        assert element_order(y) == degree // math.gcd(y.images[0], degree)
+    direct = FiniteGroup(generated.elements[::-1], [degree - 1])
+    for group in (generated, direct):
+        for i, x in enumerate(group.elements):
+            assert group.element(group.inv(i)) == inverse(x)
+            assert group.index_of(x) == group.index_of(Perm(x.images)) == i
+            for j in sample:
+                y = group.element(j)
+                assert group.mul(i, j) == group.index_of(compose(x, y))
+                assert group.mul(j, i) == group.index_of(compose(y, x))
+
+
 def test_mul_rejects_enumeration_not_closed_under_the_product():
     group = FiniteGroup([Perm((0, 1, 2)), Perm((1, 2, 0))], [1])
     with pytest.raises(UsageError, match="not closed"):
@@ -496,6 +521,23 @@ def test_psl33_conjugacy_classes():
     assert len(classes) == 12
     assert sorted(len(c) for c in classes) == [
         1, 104, 117, 432, 432, 432, 432, 624, 702, 702, 702, 936]
+
+
+def test_psl33_sunada_pairs_of_order_432():
+    """The two classes of point and line stabilisers of PSL(3,3), index 13."""
+    transvection = _projective_plane_action([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3)
+    cycle = _projective_plane_action([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 3)
+    group = generate_group([transvection, cycle])
+    pairs = find_sunada_pairs(group, SearchConfig(order=432))
+    assert len(pairs) == 2
+    for u, v, report in pairs:
+        assert report.is_sunada_triple
+        assert is_sunada_triple(group, u, v).is_sunada_triple
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for sub in {sub for u, v, _ in pairs for sub in (u, v)}:
+        oracle = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(group.element(i).images)) for i in sub.members])
+        assert oracle.order() == sub.order == 432
 
 
 def test_index_of_and_contains(s3):
