@@ -167,10 +167,15 @@ def compose(e1: Element, e2: Element) -> Element:
     return _from_key(e1, _key_product(e1)(_key(e1), _key(e2)))
 
 
+# A permutation up to this degree is keyed by its images as bytes, since each
+# image fits in a byte; the one size dispatch of ``_key`` and ``_key_product``.
+_MAX_BYTES_DEGREE = 256
+
+
 def _key(e: Element):
-    """The key a group indexes and multiplies: ``element_key``, except that a
-    permutation of degree <= 256 is keyed by its images as bytes."""
-    if isinstance(e, Perm) and e.degree <= 256:
+    """The key a group indexes and multiplies: the images as bytes of a
+    permutation up to ``_MAX_BYTES_DEGREE``, ``element_key`` otherwise."""
+    if isinstance(e, Perm) and len(e.images) <= _MAX_BYTES_DEGREE:
         return bytes(e.images)
     return element_key(e)
 
@@ -182,7 +187,7 @@ def _perm_key_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]
 def _key_product(e: Element):
     """The product on ``_key`` keys of e's family and degree or modulus."""
     if isinstance(e, Perm):
-        if e.degree > 256:
+        if e.degree > _MAX_BYTES_DEGREE:
             return _perm_key_product
         # x acts first, so the product maps i to b[a[i]]: ``a.translate`` with
         # b padded to the 256-byte table it requires.  The pad is never read,
@@ -380,17 +385,14 @@ class FiniteGroup:
     instance across threads is safe.
     """
 
-    def __init__(self, elements: Sequence[Element], generators: Sequence[int], *,
-                 _keys: Sequence | None = None):
-        """``_keys``, if given, are the elements' keys, as ``generate_group``
-        already has them."""
+    def __init__(self, elements: Sequence[Element], generators: Sequence[int]):
         self.elements: tuple[Element, ...] = tuple(elements)
         if not self.elements:
             raise UsageError("a group needs at least one element")
         first = self.elements[0]
         for e in self.elements:
             _require_same_family(first, e)
-        self._keys = tuple(map(_key, self.elements)) if _keys is None else tuple(_keys)
+        self._keys = tuple(map(_key, self.elements))
         self._index: dict[object, int] = {k: i for i, k in enumerate(self._keys)}
         if len(self._index) != len(self.elements):
             raise UsageError("duplicate elements in enumeration")
@@ -511,8 +513,10 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
     Enumeration order is canonical: the distinct generators sorted by
     ``element_key`` come first, then new products in breadth-first discovery
     order.  Raises ResourceError if the closure would exceed ``max_elements``.
-    A permutation of degree d > 16 stores d images, so for those the cap is
-    ``max_elements * 16 // d``: the memory bound stays that of degree 16.
+    A permutation of degree d > 16 stores d images, and up to
+    ``_MAX_BYTES_DEGREE`` a d-byte key besides, so for those the cap is
+    ``max_elements * 16 // d``: memory per element grows at most linearly in
+    d, so the bound stays that of degree 16.
     Likewise the cap for a modulus of b > 64 bits is ``max_elements * 64 // b``.
     """
     gens = list(generators)
@@ -540,7 +544,7 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
                 seen.add(p)
                 keys.append(p)
     elements = seeds + [_from_key(seeds[0], k) for k in keys[len(seeds):]]
-    return FiniteGroup(elements, range(len(seeds)), _keys=keys)
+    return FiniteGroup(elements, range(len(seeds)))
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
