@@ -6,31 +6,37 @@ Elements are immutable and compare structurally.  Products read left to right:
 ``compose(x, y)`` applies x first for permutations, is the matrix product
 ``x y`` for matrices, and is ``(u, v)(u', v') = (u u', v + u v')`` for pairs.
 
-Each family's product is written once, on private element keys (``_key``).
-A matrix key is its entry rows and a pair key is ``(u, v)``, as
+Each family's product and inverse are written once, on private element keys
+(``_key``).  A matrix key is its entry rows and a pair key is ``(u, v)``, as
 ``element_key`` returns.  A permutation of degree <= 256 is keyed by its
-images as ``bytes``: the product is then one ``bytes.translate`` in C, about
-8 times cheaper than building and hashing an int tuple, and the inner loop of
-every group algorithm here is that product and a dict lookup.  Above degree
-256 an image no longer fits in a byte, so the key is the image tuple.
-``_key_product`` picks the product for a degree or modulus, and ``compose``
-wraps it: it checks that its factors share one family and degree or modulus,
-then builds the result from the product key without re-validating it, since
-the product of two valid elements of one family is always valid.  The element
-constructors validate their input.
+images as ``bytes``: the product is then one ``bytes.translate`` and the
+inverse one ``bytes.maketrans``, both in C, about 8 times cheaper than
+building and hashing an int tuple, and the inner loop of every group
+algorithm here is that product and a dict lookup.  Above degree 256 an image
+no longer fits in a byte, so the key is the image tuple, multiplied by one
+``operator.itemgetter``.  ``_key_product`` and ``_key_inverse`` pick the
+product and inverse for a degree or modulus; ``compose`` and ``inverse`` wrap
+them and build the result from its key without re-validating it, since the
+product of two valid elements of one family, and the inverse of a valid
+element, are always valid.  ``compose`` first checks that its factors share
+one family and degree or modulus.  The element constructors validate their
+input.
 
-``FiniteGroup`` indexes its elements by ``_key`` and multiplies keys, so a
-group product builds no element object and runs no Python-level ``__hash__``
-or ``__eq__``.  It checks the family of its whole enumeration once, at
-construction.  Keys of different families or moduli can be equal (the
-identity matrices mod 4 and mod 8), so ``index_of`` and ``in`` check an
-element's family and degree or modulus before they look its key up.
+``FiniteGroup`` indexes its elements by ``_key`` and multiplies and inverts
+keys, so a group product or inverse builds no element object and runs no
+Python-level ``__hash__`` or ``__eq__``; its derived tables (inverses,
+conjugation maps, classes) are tuples of indices.  It checks the family of
+its whole enumeration once, at construction.  Keys of different families or
+moduli can be equal (the identity matrices mod 4 and mod 8), so ``index_of``
+and ``in`` check an element's family and degree or modulus before they look
+its key up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -181,7 +187,15 @@ def _key(e: Element):
 
 
 def _perm_key_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(b.__getitem__, a))
+    # Only called above degree 256, where itemgetter always returns a tuple.
+    return itemgetter(*a)(b)
+
+
+def _perm_key_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for i, img in enumerate(a):
+        inv[img] = i
+    return tuple(inv)
 
 
 def _key_product(e: Element):
@@ -215,6 +229,37 @@ def _key_product(e: Element):
     raise UsageError(f"unsupported element type {type(e).__name__}")
 
 
+def _key_inverse(e: Element):
+    """The inverse on ``_key`` keys of e's family and degree or modulus."""
+    if isinstance(e, Perm):
+        n = e.degree
+        if n > _MAX_BYTES_DEGREE:
+            return _perm_key_inverse
+        # maketrans(a, ident) maps byte a[i] to i, so its first n bytes are
+        # the inverse images; the rest of the 256-byte table is dropped.
+        ident = bytes(range(n))
+
+        def bytes_perm_key_inverse(a):
+            return bytes.maketrans(a, ident)[:n]
+        return bytes_perm_key_inverse
+    if isinstance(e, Mat2):
+        m = e.modulus
+
+        def mat2_key_inverse(x):
+            (a, b), (c, d) = x
+            w = pow((a * d - b * c) % m, -1, m)
+            return (((d * w) % m, (-b * w) % m), ((-c * w) % m, (a * w) % m))
+        return mat2_key_inverse
+    if isinstance(e, SemiPair):
+        m = e.modulus
+
+        def pair_key_inverse(x):
+            w = pow(x[0], -1, m)
+            return w, (-w * x[1]) % m
+        return pair_key_inverse
+    raise UsageError(f"unsupported element type {type(e).__name__}")
+
+
 _new = object.__new__
 _set = object.__setattr__
 
@@ -238,23 +283,8 @@ def _from_key(like: Element, key) -> Element:
 
 
 def inverse(e: Element) -> Element:
-    """Group inverse, computed structurally."""
-    if isinstance(e, Perm):
-        inv = [0] * e.degree
-        for i, img in enumerate(e.images):
-            inv[img] = i
-        return Perm(tuple(inv))
-    if isinstance(e, Mat2):
-        m = e.modulus
-        (a, b), (c, d) = e.entries
-        det_inv = pow((a * d - b * c) % m, -1, m)
-        return Mat2(m, (((d * det_inv) % m, (-b * det_inv) % m),
-                        (((-c) * det_inv) % m, (a * det_inv) % m)))
-    if isinstance(e, SemiPair):
-        m = e.modulus
-        w = pow(e.u, -1, m)
-        return SemiPair(m, w, (-w * e.v) % m)
-    raise UsageError(f"unsupported element type {type(e).__name__}")
+    """Group inverse, built from the inverse of e's key."""
+    return _from_key(e, _key_inverse(e)(_key(e)))
 
 
 def identity_like(e: Element) -> Element:
@@ -373,16 +403,25 @@ class FiniteGroup:
     the whole group: conjugation orbits are closed under the generators only.
     ``generate_group`` guarantees this.  The constructor checks once that
     all elements share one family and degree or modulus, indexes them by
-    key and picks the key product of that family.  A permutation's key is
-    its images as bytes up to degree 256, so a product is one
-    ``bytes.translate``, and its image tuple above, where an image no longer
-    fits in a byte; a matrix or pair is keyed by ``element_key``.  So ``mul``
-    multiplies two keys and looks the product up, with no family check and
-    no element object built; products are never cached.  ``index_of`` and
-    ``in`` reject an element of another family, degree or modulus before the
-    key lookup.  Inverses, one conjugation map per generator, and the class
-    partition are cached on first use; caches are write-once, so sharing an
-    instance across threads is safe.
+    key and picks the key product and inverse of that family.  A
+    permutation's key is its images as bytes up to degree 256, so a product
+    is one ``bytes.translate``, and its image tuple above, where an image no
+    longer fits in a byte; a matrix or pair is keyed by ``element_key``.  So
+    ``mul`` multiplies two keys and looks the product up, with no family
+    check and no element object built; products are never cached.
+    ``index_of`` and ``in`` reject an element of another family, degree or
+    modulus before the key lookup.  Three index tables are cached on first
+    use, each built in key and index space:
+
+    * the inverse table, by inverting every key and looking it up;
+    * one conjugation map per generator g, x -> g^-1 x g, from two key
+      products per element and the inverse of g's key alone;
+    * the class partition, as the orbits of single indices under those maps.
+
+    ``conjugation_orbit`` is the orbit walk for tuples of index sets
+    (subgroups and their pairs).  An enumeration that is not closed raises
+    ``UsageError`` from ``mul``, ``inv`` and the maps alike.  Caches are
+    write-once, so sharing an instance across threads is safe.
     """
 
     def __init__(self, elements: Sequence[Element], generators: Sequence[int]):
@@ -397,6 +436,7 @@ class FiniteGroup:
         if len(self._index) != len(self.elements):
             raise UsageError("duplicate elements in enumeration")
         self._key_product = _key_product(first)
+        self._key_inverse = _key_inverse(first)
         self.generators: tuple[int, ...] = tuple(generators)
         ident = _key(identity_like(first))
         if ident not in self._index:
@@ -444,8 +484,13 @@ class FiniteGroup:
             raise UsageError("element enumeration is not closed under the product") from None
 
     def inv(self, i: int) -> int:
+        """Index of elements[i]^-1; the table is built from keys on first use."""
         if self._inverses is None:
-            self._inverses = tuple(self.index_of(inverse(e)) for e in self.elements)
+            try:
+                self._inverses = tuple(map(self._index.__getitem__,
+                                           map(self._key_inverse, self._keys)))
+            except KeyError:
+                raise UsageError("element enumeration is not closed under the product") from None
         return self._inverses[i]
 
     def conjugate(self, g: int, x: int) -> int:
@@ -457,7 +502,8 @@ class FiniteGroup:
         row = self._conjugation_maps.get(g)
         if row is None:
             index, product = self._index, self._key_product
-            k, k_inv = self._keys[g], _key(inverse(self.elements[g]))
+            k = self._keys[g]
+            k_inv = self._key_inverse(k)
             try:
                 row = tuple(index[product(product(k_inv, x), k)] for x in self._keys)
             except KeyError:
@@ -486,16 +532,26 @@ class FiniteGroup:
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Partition into conjugacy classes, ordered by least member index,
-        members ascending.  Computed once and cached."""
+        members ascending.  Computed once and cached, as the orbits of
+        single indices under the generators' conjugation maps: a
+        breadth-first walk over ints that marks each index's class as it
+        is reached, so no index is visited twice."""
         if self._classes is None:
+            maps = [self._conjugation_map(g) for g in self.generators]
             class_of = [-1] * self.order
             classes: list[tuple[int, ...]] = []
             for i, cid in enumerate(class_of):
                 if cid >= 0:
                     continue
-                members = sorted(x for (s,) in self.conjugation_orbit([(i,)]) for x in s)
+                cid = class_of[i] = len(classes)
+                members = [i]
                 for x in members:
-                    class_of[x] = len(classes)
+                    for row in maps:
+                        y = row[x]
+                        if class_of[y] < 0:
+                            class_of[y] = cid
+                            members.append(y)
+                members.sort()
                 classes.append(tuple(members))
             self._class_of = tuple(class_of)
             self._classes = tuple(classes)

@@ -294,6 +294,16 @@ def test_trusted_product_matches_validated_compose(pair):
     assert rebuilt == p and hash(rebuilt) == hash(p)
 
 
+@settings(max_examples=200, deadline=None)
+@given(same_family_pairs())
+def test_trusted_inverse_is_a_valid_two_sided_inverse(pair):
+    x, _ = pair
+    w = inverse(x)
+    assert type(w) is type(x)
+    assert _revalidated(w) == w and hash(_revalidated(w)) == hash(w)
+    assert compose(x, w) == compose(w, x) == identity_like(x)
+
+
 def test_trusted_product_stays_in_the_enumeration(genus2):
     group = genus2.group
     for x in group.elements:
@@ -308,6 +318,16 @@ def test_mul_matches_compose_exhaustively(name, request):
     for i, x in enumerate(group.elements):
         for j, y in enumerate(group.elements):
             assert group.mul(i, j) == group.index_of(compose(x, y))
+
+
+# genus2 is keyed by bytes, genus3 by Mat2 entries and orbifold-h by SemiPair
+# (u, v); the degree-257 boundary test covers tuple keys.
+@pytest.mark.parametrize("name", ["genus2", "genus3", "orbifold_h"])
+def test_inverse_table_matches_element_inverse(name, request):
+    group = request.getfixturevalue(name).group
+    for i, x in enumerate(group.elements):
+        assert group.element(group.inv(i)) == inverse(x)
+        assert group.mul(i, group.inv(i)) == group.mul(group.inv(i), i) == group.identity
 
 
 # Each key below is also the key of the identity of the group it is tried in.
@@ -353,6 +373,7 @@ def test_permutation_products_agree_at_the_byte_boundary(degree):
     for group in (generated, direct):
         for i, x in enumerate(group.elements):
             assert group.element(group.inv(i)) == inverse(x)
+            assert group.mul(i, group.inv(i)) == group.identity
             assert group.index_of(x) == group.index_of(Perm(x.images)) == i
         for i, j in pairs:
             x, y = group.element(i), group.element(j)
@@ -363,6 +384,12 @@ def test_mul_rejects_enumeration_not_closed_under_the_product():
     group = FiniteGroup([Perm((0, 1, 2)), Perm((1, 2, 0))], [1])
     with pytest.raises(UsageError, match="not closed"):
         group.mul(1, 1)
+
+
+def test_inv_rejects_enumeration_not_closed_under_inverses():
+    group = FiniteGroup([Perm((0, 1, 2)), Perm((1, 2, 0))], [1])
+    with pytest.raises(UsageError, match="not closed"):
+        group.inv(1)
 
 
 # ------------------------------------------------------------- group closure
@@ -467,17 +494,25 @@ PSL_GENERATORS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PSL_GENERATORS))
-def test_conjugacy_classes_match_sympy(name):
+def _assert_classes_match_sympy(group, perms):
+    """Each class of ``group``, as a set of image tuples, is one class of the
+    sympy group on the same generators, and every sympy class is one of them."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    degree, cycles, sizes = PSL_GENERATORS[name]
-    perms = [parse_cycles(text, degree) for text in cycles]
-    group = generate_group(perms)
     oracle = combinatorics.PermutationGroup(
         [combinatorics.Permutation(list(p.images)) for p in perms])
     assert group.order == oracle.order()
-    got = sorted(len(c) for c in group.conjugacy_classes())
-    assert got == sorted(len(c) for c in oracle.conjugacy_classes()) == sizes
+    expected = {frozenset(tuple(q.array_form) for q in c) for c in oracle.conjugacy_classes()}
+    got = [frozenset(group.element(i).images for i in c) for c in group.conjugacy_classes()]
+    assert len(got) == len(expected) and set(got) == expected
+
+
+@pytest.mark.parametrize("name", sorted(PSL_GENERATORS))
+def test_conjugacy_classes_match_sympy(name):
+    degree, cycles, sizes = PSL_GENERATORS[name]
+    perms = [parse_cycles(text, degree) for text in cycles]
+    group = generate_group(perms)
+    assert sorted(len(c) for c in group.conjugacy_classes()) == sizes
+    _assert_classes_match_sympy(group, perms)
 
 
 # Subgroups of PSL(3,2) per order: (all subgroups, conjugacy classes).  Order
@@ -523,6 +558,7 @@ def test_psl33_conjugacy_classes():
     assert len(classes) == 12
     assert sorted(len(c) for c in classes) == [
         1, 104, 117, 432, 432, 432, 432, 624, 702, 702, 702, 936]
+    _assert_classes_match_sympy(group, [transvection, cycle])
 
 
 def test_psl33_sunada_pairs_of_order_432():
