@@ -2,9 +2,10 @@
 
 Three element families are supported: permutations of {0, ..., n-1}, invertible
 2x2 matrices over Z/m, and unit/residue pairs (u, v) with u a unit mod m.
-Elements are immutable and compare structurally.  Products read left to right:
-``compose(x, y)`` applies x first for permutations, is the matrix product
-``x y`` for matrices, and is ``(u, v)(u', v') = (u u', v + u v')`` for pairs.
+Elements are immutable named tuples of their fields, so they compare, hash
+and order as those tuples.  Products read left to right: ``compose(x, y)``
+applies x first for permutations, is the matrix product ``x y`` for
+matrices, and is ``(u, v)(u', v') = (u u', v + u v')`` for pairs.
 
 Each family's product and inverse are written once, on private element keys
 (``_key``).  A matrix key is its entry rows and a pair key is ``(u, v)``, as
@@ -16,11 +17,11 @@ algorithm here is that product and a dict lookup.  Above degree 256 an image
 no longer fits in a byte, so the key is the image tuple, multiplied by one
 ``operator.itemgetter``.  ``_key_product`` and ``_key_inverse`` pick the
 product and inverse for a degree or modulus; ``compose`` and ``inverse`` wrap
-them and build the result from its key without re-validating it, since the
-product of two valid elements of one family, and the inverse of a valid
-element, are always valid.  ``compose`` first checks that its factors share
-one family and degree or modulus.  The element constructors validate their
-input.
+them and build the result from its key with ``tuple.__new__``, without
+re-validating it, since the product of two valid elements of one family, and
+the inverse of a valid element, are always valid.  ``compose`` first checks
+that its factors share one family and degree or modulus.  The element
+constructors (each class's ``__new__``) validate their input.
 
 ``FiniteGroup`` indexes its elements by ``_key`` and multiplies and inverts
 keys, so a group product or inverse builds no element object and runs no
@@ -35,9 +36,8 @@ its key up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
     "UsageError",
@@ -79,17 +79,16 @@ class ResourceError(RuntimeError):
     """A closure or enumeration exceeded its configured cap."""
 
 
-@dataclass(frozen=True)
-class Perm:
+class Perm(NamedTuple("Perm", [("images", tuple[int, ...])])):
     """Permutation of {0, ..., degree-1} stored as its image tuple."""
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        images = tuple(int(x) for x in self.images)
-        object.__setattr__(self, "images", images)
+    def __new__(cls, images: Iterable[int]):
+        images = tuple(int(x) for x in images)
         if sorted(images) != list(range(len(images))):
             raise UsageError(f"images {images!r} do not form a permutation of 0..{len(images) - 1}")
+        return super().__new__(cls, images)
 
     @property
     def degree(self) -> int:
@@ -99,53 +98,46 @@ class Perm:
         return cycle_string(self)
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple("Mat2", [("modulus", int),
+                               ("entries", tuple[tuple[int, int], tuple[int, int]])])):
     """Invertible 2x2 matrix over Z/modulus, entries stored row-major and reduced."""
 
-    modulus: int
-    entries: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = int(self.modulus)
+    def __new__(cls, modulus: int, entries):
+        m = int(modulus)
         if m < 2:
             raise UsageError(f"matrix modulus must be >= 2, got {m}")
-        (a, b), (c, d) = self.entries
+        (a, b), (c, d) = entries
         ent = ((int(a) % m, int(b) % m), (int(c) % m, int(d) % m))
-        object.__setattr__(self, "modulus", m)
-        object.__setattr__(self, "entries", ent)
         det = (ent[0][0] * ent[1][1] - ent[0][1] * ent[1][0]) % m
         if math.gcd(det, m) != 1:
             raise UsageError(f"determinant {det} is not a unit mod {m}")
+        return super().__new__(cls, m, ent)
 
     def __str__(self) -> str:
         (a, b), (c, d) = self.entries
         return f"[[{a},{b}],[{c},{d}]]"
 
 
-@dataclass(frozen=True)
-class SemiPair:
+class SemiPair(NamedTuple("SemiPair", [("modulus", int), ("u", int), ("v", int)])):
     """Pair (u, v) with u a unit mod modulus, v any residue.
 
     The product is (u, v)(u', v') = (u u', v + u v'), the semidirect product of
     the unit group acting on the additive group by multiplication.
     """
 
-    modulus: int
-    u: int
-    v: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = int(self.modulus)
+    def __new__(cls, modulus: int, u: int, v: int):
+        m = int(modulus)
         if m < 2:
             raise UsageError(f"pair modulus must be >= 2, got {m}")
-        u = int(self.u) % m
-        v = int(self.v) % m
+        u = int(u) % m
+        v = int(v) % m
         if math.gcd(u, m) != 1:
             raise UsageError(f"first component {u} is not a unit mod {m}")
-        object.__setattr__(self, "modulus", m)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        return super().__new__(cls, m, u, v)
 
     def __str__(self) -> str:
         return f"({self.u},{self.v})"
@@ -260,26 +252,17 @@ def _key_inverse(e: Element):
     raise UsageError(f"unsupported element type {type(e).__name__}")
 
 
-_new = object.__new__
-_set = object.__setattr__
-
-
 def _from_key(like: Element, key) -> Element:
     """The element of ``like``'s family and degree or modulus with this
-    ``_key``, built without ``__post_init__``: the key must be a valid one.
-    A permutation gets its images as a tuple whatever its key, so equality
-    and hashing of elements do not depend on how they were built."""
-    p = _new(type(like))
+    ``_key``, built by ``tuple.__new__`` without the validating ``__new__``:
+    the key must be a valid one.  A permutation gets its images as a tuple
+    whatever its key, so equality and hashing of elements do not depend on
+    how they were built."""
     if isinstance(like, Perm):
-        _set(p, "images", tuple(key))
-    elif isinstance(like, Mat2):
-        _set(p, "modulus", like.modulus)
-        _set(p, "entries", key)
-    else:
-        _set(p, "modulus", like.modulus)
-        _set(p, "u", key[0])
-        _set(p, "v", key[1])
-    return p
+        return tuple.__new__(type(like), (tuple(key),))
+    if isinstance(like, Mat2):
+        return tuple.__new__(type(like), (like.modulus, key))
+    return tuple.__new__(type(like), (like.modulus, key[0], key[1]))
 
 
 def inverse(e: Element) -> Element:
@@ -505,7 +488,14 @@ class FiniteGroup:
             k = self._keys[g]
             k_inv = self._key_inverse(k)
             try:
-                row = tuple(index[product(product(k_inv, x), k)] for x in self._keys)
+                if isinstance(k, bytes):
+                    # k_inv (x k) inline, with k's 256-byte translate table
+                    # built once rather than once per element.
+                    pad = bytes(range(len(k), 256))
+                    kt = k + pad
+                    row = tuple(index[k_inv.translate(x.translate(kt) + pad)] for x in self._keys)
+                else:
+                    row = tuple(index[product(product(k_inv, x), k)] for x in self._keys)
             except KeyError:
                 raise UsageError("element enumeration is not closed under the product") from None
             self._conjugation_maps[g] = row

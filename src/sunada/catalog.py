@@ -18,9 +18,8 @@ CatalogError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .algebra import FiniteGroup, Mat2, element_order
 from .covering import PolygonSpec, smoothness
@@ -34,8 +33,7 @@ class CatalogError(RuntimeError):
     """Self-verification of a bundled construction failed."""
 
 
-@dataclass(frozen=True)
-class Expectations:
+class Expectations(NamedTuple):
     """Reference values carried with each entry for tests and reporting."""
 
     group_order: int
@@ -47,19 +45,21 @@ class Expectations:
     genus: int | None
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
-    group: FiniteGroup = field(repr=False)
+    group: FiniteGroup
     u_name: str
     v_name: str
-    subgroup_u: Subgroup = field(repr=False)
-    subgroup_v: Subgroup = field(repr=False)
+    subgroup_u: Subgroup
+    subgroup_v: Subgroup
     generator_labels: tuple[tuple[str, int], ...]
     polygon: PolygonSpec
     expected: Expectations
     # The stored document itself: read it, or copy it with document_from_catalog.
-    document: dict[str, Any] = field(repr=False, compare=False)
+    document: dict[str, Any]
+
+    def __hash__(self) -> int:  # without the document, a dict
+        return hash(self[:-1])
 
     @property
     def subgroups(self) -> dict[str, Subgroup]:

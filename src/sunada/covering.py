@@ -20,8 +20,8 @@ must stay free of floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import FiniteGroup, UsageError, element_order
 from .gassmann import Subgroup, check_parent, class_intersection_profile
@@ -38,37 +38,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolygonSpec:
+class PolygonSpec(NamedTuple("PolygonSpec", [("edge_pairs", int),
+                                             ("cycles", tuple[tuple[str, int], ...])])):
     """2N-gon with edges identified in ``edge_pairs`` pairs and vertex cycles
     given as (label, element index) in boundary order."""
 
-    edge_pairs: int
-    cycles: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        cycles = tuple((str(label), int(e)) for label, e in self.cycles)
-        object.__setattr__(self, "cycles", cycles)
-        if not isinstance(self.edge_pairs, int) or isinstance(self.edge_pairs, bool):
-            raise UsageError(f"edge pair count must be an integer, got {self.edge_pairs!r}")
-        if self.edge_pairs < 1:
-            raise UsageError(f"edge pair count must be >= 1, got {self.edge_pairs}")
+    def __new__(cls, edge_pairs: int, cycles):
+        cycles = tuple((str(label), int(e)) for label, e in cycles)
+        if not isinstance(edge_pairs, int) or isinstance(edge_pairs, bool):
+            raise UsageError(f"edge pair count must be an integer, got {edge_pairs!r}")
+        if edge_pairs < 1:
+            raise UsageError(f"edge pair count must be >= 1, got {edge_pairs}")
         if not cycles:
             raise UsageError("a polygon spec needs at least one vertex cycle")
         labels = [label for label, _ in cycles]
         if len(set(labels)) != len(labels):
             raise UsageError("vertex cycle labels must be unique")
+        return super().__new__(cls, edge_pairs, cycles)
 
 
-@dataclass(frozen=True)
-class ConePoint:
+class ConePoint(NamedTuple):
     label: str
     order: int
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class CoveringReport:
+class CoveringReport(NamedTuple):
     index: int
     cycle_labels: tuple[str, ...]
     cycle_orders: tuple[int, ...]

@@ -7,8 +7,7 @@ triple (G, U, V) is a Gassmann pair that is not conjugate in G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .algebra import FiniteGroup, UsageError, element_key
 
@@ -25,16 +24,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    """Subgroup of a FiniteGroup, stored as a sorted tuple of element indices."""
+    """Subgroup of a FiniteGroup, stored as a sorted tuple of element indices.
 
-    parent: FiniteGroup = field(repr=False)
-    members: tuple[int, ...]
-    member_set: frozenset[int] = field(init=False, repr=False, compare=False)
+    Immutable.  Equality and hash are over (parent, members); ``member_set``
+    holds the members as a frozenset for membership tests.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "member_set", frozenset(self.members))
+    __slots__ = ("parent", "members", "member_set")
+
+    def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "member_set", frozenset(members))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"Subgroup is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.members) == (other.parent, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.parent, self.members))
+
+    def __repr__(self) -> str:
+        return f"Subgroup(members={self.members!r})"
 
     @property
     def order(self) -> int:
@@ -162,8 +180,7 @@ def are_conjugate_subgroups(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int
                 if conjugate_members(group, u.members, g) == target)
 
 
-@dataclass(frozen=True)
-class SunadaReport:
+class SunadaReport(NamedTuple):
     """Verdict for a candidate triple: per-class profiles, Gassmann equality,
     a conjugator when one exists, and the combined Sunada verdict."""
 

@@ -7,8 +7,7 @@ action without a coset table: it reads them off the class intersection profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .algebra import FiniteGroup, UsageError
 from .gassmann import Subgroup, check_parent
@@ -25,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(NamedTuple):
     """Enumeration of right cosets of a subgroup.
 
     ``transversal[i]`` is the element index representing coset i (coset 0 is
@@ -34,7 +32,7 @@ class CosetTable:
     coset containing element e.
     """
 
-    subgroup: Subgroup = field(repr=False)
+    subgroup: Subgroup
     transversal: tuple[int, ...]
     coset_of: tuple[int, ...]
 
@@ -74,23 +72,24 @@ def coset_action(group: FiniteGroup, table: CosetTable, element_index: int) -> t
                  for rep in table.transversal)
 
 
-@dataclass(frozen=True)
-class SchreierGraph:
+class SchreierGraph(NamedTuple("SchreierGraph", [("vertex_count", int),
+                                                 ("labels", tuple[str, ...]),
+                                                 ("arcs", tuple[tuple[int, int, str], ...])])):
     """Labeled digraph on coset vertices; per label, every vertex has exactly
     one outgoing and one incoming arc."""
 
-    vertex_count: int
-    labels: tuple[str, ...]
-    arcs: tuple[tuple[int, int, str], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+    def __new__(cls, vertex_count: int, labels: tuple[str, ...],
+                arcs: tuple[tuple[int, int, str], ...]):
+        if len(set(labels)) != len(labels):
             raise UsageError("arc labels must be unique")
-        for label in self.labels:
-            outs = [dst for src, dst, lab in self.arcs if lab == label]
-            srcs = sorted(src for src, dst, lab in self.arcs if lab == label)
-            if srcs != list(range(self.vertex_count)) or sorted(outs) != list(range(self.vertex_count)):
+        for label in labels:
+            outs = [dst for src, dst, lab in arcs if lab == label]
+            srcs = sorted(src for src, dst, lab in arcs if lab == label)
+            if srcs != list(range(vertex_count)) or sorted(outs) != list(range(vertex_count)):
                 raise UsageError(f"label {label!r} does not define a permutation of the vertices")
+        return super().__new__(cls, vertex_count, labels, arcs)
 
     def out_map(self, label: str) -> tuple[int, ...]:
         """The permutation src -> dst of one label."""

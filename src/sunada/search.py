@@ -33,9 +33,8 @@ the least member of each N_G(m)-orbit on the other class, the orbit's least pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import FiniteGroup, ResourceError
 from .covering import PolygonSpec, _cycle_orbits
@@ -52,8 +51,7 @@ __all__ = [
 DEFAULT_SUBGROUP_CAP = 20000
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     """Search parameters: target subgroup order, an optional polygon whose
     quotients must be smooth, a cap on distinct subgroups explored, and
     whether to deduplicate pairs up to simultaneous conjugacy."""

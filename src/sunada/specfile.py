@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .algebra import (DEFAULT_ELEMENT_CAP, CycleParseError, Element, FiniteGroup,
                       Mat2, Perm, SemiPair, UsageError, cycle_string,
@@ -61,11 +60,10 @@ def _integer(value: Any, what: str) -> int:
     return value
 
 
-@dataclass
-class LoadedSpec:
+class LoadedSpec(NamedTuple):
     kind: str
     parameter: int
-    group: FiniteGroup = field(repr=False)
+    group: FiniteGroup
     generator_names: tuple[str, ...]
     named_elements: dict[str, int]
     subgroups: dict[str, Subgroup]

@@ -6,8 +6,8 @@ importing the package, and every command that computes no spectrum, skips it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+import math
+from typing import NamedTuple, Sequence, Union
 
 from .algebra import UsageError
 from .schreier import SchreierGraph
@@ -54,8 +54,7 @@ class DenseSymMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     eigenvalues: tuple[float, ...]
     residual: float
 
@@ -85,8 +84,8 @@ def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> S
     """
     if matrix.dimension < 1:
         raise UsageError("spectrum of an empty matrix is undefined")
-    if not tol > 0:
-        raise UsageError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise UsageError(f"tolerance must be positive and finite, got {tol}")
     import numpy as np
 
     try:
@@ -113,8 +112,8 @@ def _eigenvalue_list(spectrum: Spectrum) -> list[float]:
 
 def spectra_equal(s1: Spectrum, s2: Spectrum, tol: float = DEFAULT_TOL) -> bool:
     """Entrywise comparison after ascending sort; different sizes are unequal."""
-    if not tol > 0:
-        raise UsageError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise UsageError(f"tolerance must be positive and finite, got {tol}")
     v1 = sorted(_eigenvalue_list(s1))
     v2 = sorted(_eigenvalue_list(s2))
     if len(v1) != len(v2):

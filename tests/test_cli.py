@@ -259,6 +259,13 @@ def test_spectrum_nonpositive_tolerance_exits_two(genus2_doc, capsys):
     assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_spectrum_nonfinite_tolerance_exits_two(genus2_doc, capsys, tol):
+    # An infinite tolerance would accept any residual.
+    assert run(["spectrum", str(genus2_doc), "--U", "U", "--tol", tol]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- search
 
 
@@ -436,15 +443,20 @@ def test_console_pipeline_subprocess():
 
 
 def test_commands_without_spectra_leave_numpy_unloaded(tmp_path):
+    # Neither numpy nor dataclasses, with the inspect it pulls in, belongs on
+    # the start-up path of every command.
     doc, verdict = tmp_path / "genus2.json", tmp_path / "verdict.json"
+    check = ("for name in ('numpy', 'dataclasses', 'inspect'):\n"
+             "    assert name not in sys.modules, f'{name} loaded after {step}'\n")
     script = (
         "import sys\n"
         "import sunada\n"
-        "assert 'numpy' not in sys.modules, 'import sunada loaded numpy'\n"
+        "step = 'import sunada'\n" + check +
         "from sunada.cli import run\n"
         f"assert run(['catalog', 'genus2', '--out', {str(doc)!r}]) == 0\n"
+        "step = 'catalog'\n" + check +
         f"assert run(['verify', {str(doc)!r}, '--U', 'U', '--V', 'V', '--out', {str(verdict)!r}]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'verify loaded numpy'\n"
+        "step = 'verify'\n" + check
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -70,6 +70,16 @@ def test_unreachable_tolerance_raises_numeric_error(genus2):
         eigenvalues_symmetric(adjacency_matrix(g), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_nonfinite_tolerance_is_rejected(genus2, tol):
+    # An infinite tolerance would pass every residual and every comparison.
+    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
+    with pytest.raises(UsageError, match="tolerance"):
+        eigenvalues_symmetric(adjacency_matrix(g), tol=tol)
+    with pytest.raises(UsageError, match="tolerance"):
+        spectra_equal((0.0, 1.0), (5.0, 1.0), tol=tol)
+
+
 # ------------------------------------------------------------------ adjacency
 
 

@@ -1,0 +1,113 @@
+"""Contracts of the value types: elements and records are immutable named
+tuples, ``Subgroup`` an immutable slotted class."""
+
+from __future__ import annotations
+
+import pytest
+
+from sunada import (
+    ConePoint,
+    Mat2,
+    Perm,
+    PolygonSpec,
+    SchreierGraph,
+    SearchConfig,
+    SemiPair,
+    SpectrumReport,
+    Subgroup,
+    UsageError,
+    coset_table,
+    covering_report,
+    document_from_catalog,
+    is_sunada_triple,
+    parse_document,
+    schreier_graph,
+)
+from sunada.algebra import _from_key, _key
+from sunada.search import DEFAULT_SUBGROUP_CAP
+
+
+@pytest.fixture(scope="module")
+def values(genus2):
+    """One instance of each value type, by name."""
+    group, u, v = genus2.group, genus2.subgroup_u, genus2.subgroup_v
+    return {
+        "Perm": Perm((1, 0, 2)),
+        "Mat2": Mat2(4, ((1, 1), (0, 3))),
+        "SemiPair": SemiPair(8, 3, 2),
+        "PolygonSpec": genus2.polygon,
+        "SchreierGraph": schreier_graph(group, u, genus2.generator_labels),
+        "CosetTable": coset_table(group, u),
+        "Subgroup": u,
+        "SunadaReport": is_sunada_triple(group, u, v),
+        "CoveringReport": covering_report(group, u, genus2.polygon),
+        "ConePoint": ConePoint("a", 3, 1),
+        "Expectations": genus2.expected,
+        "CatalogEntry": genus2,
+        "SearchConfig": SearchConfig(order=8),
+        "SpectrumReport": SpectrumReport((0.0, 4.0), 1e-15),
+        "LoadedSpec": parse_document(document_from_catalog(genus2)),
+    }
+
+
+@pytest.mark.parametrize("name, field", [
+    ("Perm", "images"), ("Mat2", "entries"), ("SemiPair", "u"),
+    ("PolygonSpec", "cycles"), ("SchreierGraph", "arcs"), ("CosetTable", "coset_of"),
+    ("Subgroup", "members"), ("Subgroup", "member_set"), ("SunadaReport", "gassmann"),
+    ("CoveringReport", "genus"), ("ConePoint", "order"), ("Expectations", "genus"),
+    ("CatalogEntry", "polygon"), ("SearchConfig", "dedupe"),
+    ("SpectrumReport", "residual"), ("LoadedSpec", "subgroups"),
+])
+def test_value_types_reject_assignment(values, name, field):
+    value = values[name]
+    assert type(value).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("element", [
+    Perm((2, 0, 1)), Perm(tuple(range(1, 300)) + (0,)),
+    Mat2(4, ((1, 1), (0, 3))), SemiPair(8, 3, 2),
+], ids=["perm", "perm-300", "mat2", "pair"])
+def test_elements_from_key_match_constructed(element):
+    rebuilt = _from_key(element, _key(element))
+    assert type(rebuilt) is type(element)
+    assert rebuilt == element and hash(rebuilt) == hash(element)
+    assert type(rebuilt[0]) is type(element[0])
+
+
+def test_keyword_construction(genus2):
+    assert Perm(images=[1, 0]) == Perm((1, 0))
+    assert Mat2(modulus=4, entries=[[5, 0], [0, 1]]) == Mat2(4, ((1, 0), (0, 1)))
+    assert SemiPair(modulus=8, u=11, v=-1) == SemiPair(8, 3, 7)
+    assert PolygonSpec(edge_pairs=2, cycles=[("a", 1)]).cycles == (("a", 1),)
+    config = SearchConfig(order=8, dedupe=False)
+    assert (config.require_smooth, config.max_subgroups, config.dedupe) == (
+        None, DEFAULT_SUBGROUP_CAP, False)
+    u = genus2.subgroup_u
+    assert Subgroup(parent=u.parent, members=u.members) == u
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Perm(images=(0, 0)),
+    lambda: Mat2(modulus=1, entries=((1, 0), (0, 1))),
+    lambda: Mat2(modulus=4, entries=((2, 0), (0, 2))),
+    lambda: SemiPair(modulus=8, u=2, v=0),
+    lambda: PolygonSpec(edge_pairs=0, cycles=(("a", 0),)),
+    lambda: PolygonSpec(edge_pairs=1, cycles=(("a", 0), ("a", 1))),
+    lambda: SchreierGraph(vertex_count=2, labels=("a",), arcs=((0, 0, "a"), (1, 0, "a"))),
+], ids=["perm", "mat2-modulus", "mat2-det", "pair", "polygon-pairs", "polygon-labels", "graph"])
+def test_invalid_input_raises_usage_error(build):
+    with pytest.raises(UsageError):
+        build()
+
+
+def test_subgroup_equality_is_over_parent_and_members(genus2, genus3):
+    u = genus2.subgroup_u
+    same = Subgroup(u.parent, tuple(u.members))
+    assert same == u and hash(same) == hash(u) == hash((u.parent, u.members))
+    assert same.member_set is not u.member_set
+    assert Subgroup(genus3.group, u.members) != u
+    assert repr(u) == f"Subgroup(members={u.members!r})"
