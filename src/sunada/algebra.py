@@ -21,21 +21,27 @@ them and build the result from its key with ``tuple.__new__``, without
 re-validating it, since the product of two valid elements of one family, and
 the inverse of a valid element, are always valid.  ``compose`` first checks
 that its factors share one family and degree or modulus.  The element
-constructors (each class's ``__new__``) validate their input.
+constructors (each class's ``__new__``) validate their input;
+``parse_cycles`` builds its permutation, valid by construction, without.
 
-``FiniteGroup`` indexes its elements by ``_key`` and multiplies and inverts
-keys, so a group product or inverse builds no element object and runs no
-Python-level ``__hash__`` or ``__eq__``; its derived tables (inverses,
-conjugation maps, classes) are tuples of indices.  It checks the family of
-its whole enumeration once, at construction.  Keys of different families or
-moduli can be equal (the identity matrices mod 4 and mod 8), so ``index_of``
-and ``in`` check an element's family and degree or modulus before they look
-its key up.
+A group is its keys.  ``FiniteGroup`` stores the ``_key`` of each element,
+indexed by a dict, and no element object: ``element(i)`` builds one from
+its key on demand, so an element costs the memory of its key alone, and
+``generate_group`` closes its generators in key space and hands the keys
+over.  A group product or inverse multiplies or inverts keys, so it builds
+no element object and runs no Python-level ``__hash__`` or ``__eq__``; its
+derived tables (inverses, conjugation maps, classes) are tuples of indices.
+The constructor checks the family of its whole enumeration once.  Keys of
+different families or moduli can be equal (the identity matrices mod 4 and
+mod 8), so ``index_of`` and ``in`` check an element's family and degree or
+modulus before they look its key up.  Within one family keys sort as
+``element_key`` does, a bytes key as its image tuple.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -265,6 +271,30 @@ def _from_key(like: Element, key) -> Element:
     return tuple.__new__(type(like), (like.modulus, key[0], key[1]))
 
 
+def _translate_table(k: bytes) -> bytes:
+    """The 256-byte ``bytes.translate`` table of a bytes key k: x.translate
+    of it is the product x k.  The pad is never read, since every byte of x
+    is below the degree."""
+    return k + bytes(range(len(k), 256))
+
+
+def _key_right_multiplier(like: Element, k):
+    """The map x -> x k on ``_key`` keys of ``like``'s family and degree or
+    modulus.  For a bytes key the 256-byte ``translate`` table of k is built
+    here, once, rather than once per product."""
+    if isinstance(k, bytes):
+        table = _translate_table(k)
+
+        def bytes_perm_right_multiplier(x):
+            return x.translate(table)
+        return bytes_perm_right_multiplier
+    product = _key_product(like)
+
+    def right_multiplier(x):
+        return product(x, k)
+    return right_multiplier
+
+
 def inverse(e: Element) -> Element:
     """Group inverse, built from the inverse of e's key."""
     return _from_key(e, _key_inverse(e)(_key(e)))
@@ -303,19 +333,34 @@ def element_key(e: Element):
     raise UsageError(f"unsupported element type {type(e).__name__}")
 
 
-def parse_cycles(text: str, degree: int) -> Perm:
-    """Parse disjoint cycle notation like "(0,7,11)(1,5,6)" into a Perm.
+# Well-formed cycle notation.  A str pattern's \s and \d are the characters
+# of str.isspace and str.isdecimal, which int() reads.
+_CYCLES = re.compile(r"\s*(?:\(\s*\d+\s*(?:,\s*\d+\s*)+\)\s*)*")
 
-    Points are 0-based and must be below ``degree``; points not listed stay
-    fixed; whitespace is ignored; the empty string is the identity.  Raises
-    CycleParseError (carrying a text position) for malformed input, repeated
-    points, or out-of-range points.
-    """
-    if degree < 1:
-        raise UsageError(f"degree must be >= 1, got {degree}")
-    images = list(range(degree))
+
+def _read_cycles(text: str, degree: int) -> list[list[int]] | None:
+    """The cycles of well-formed text, read in bulk, or None where a point is
+    out of range, repeated or past int()'s digit limit."""
+    try:
+        cycles = [list(map(int, part.partition("(")[2].split(",")))
+                  for part in text.split(")")[:-1]]
+    except ValueError:
+        return None
+    points = [p for cycle in cycles for p in cycle]
+    if len(set(points)) != len(points) or max(points, default=0) >= degree:
+        return None
+    return cycles
+
+
+def _scan_cycles(text: str, degree: int) -> list[list[int]]:
+    """The cycles of the text, read a character at a time, so that an error
+    carries its position."""
+    cycles: list[list[int]] = []
     seen: set[int] = set()
     n = len(text)
+    # A point has at most this many significant digits, so a longer run is
+    # out of range before int() sees it, which refuses over 4300 digits.
+    width = len(str(degree - 1))
 
     def skip_ws(p: int) -> int:
         while p < n and text[p].isspace():
@@ -331,11 +376,18 @@ def parse_cycles(text: str, degree: int) -> Perm:
         while True:
             point_pos = skip_ws(pos)
             pos = point_pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos].isdecimal():
                 pos += 1
             if pos == point_pos:
                 raise CycleParseError("expected a point number", point_pos)
-            point = int(text[point_pos:pos])
+            digits = text[point_pos:pos]
+            if len(digits) > width:
+                # Leading zeros, of any script int() reads, do not count.
+                digits = "".join(str(int(d)) for d in digits).lstrip("0") or "0"
+                if len(digits) > width:
+                    raise CycleParseError(f"point {digits} out of range for degree {degree}",
+                                          point_pos)
+            point = int(digits)
             if point >= degree:
                 raise CycleParseError(f"point {point} out of range for degree {degree}", point_pos)
             if point in seen:
@@ -352,10 +404,31 @@ def parse_cycles(text: str, degree: int) -> Perm:
             raise CycleParseError("expected ',' or ')'", pos)
         if len(cycle) < 2:
             raise CycleParseError("a cycle needs at least two points", pos - 1)
+        cycles.append(cycle)
+        pos = skip_ws(pos)
+    return cycles
+
+
+def parse_cycles(text: str, degree: int) -> Perm:
+    """Parse disjoint cycle notation like "(0,7,11)(1,5,6)" into a Perm.
+
+    Points are 0-based and must be below ``degree``; points not listed stay
+    fixed; whitespace is ignored; the empty string is the identity.  Raises
+    CycleParseError (carrying a text position) for malformed input, repeated
+    points, or out-of-range points.  Well-formed text is read in bulk, the
+    rest, which includes every error, a character at a time.
+    """
+    if degree < 1:
+        raise UsageError(f"degree must be >= 1, got {degree}")
+    cycles = _read_cycles(text, degree) if _CYCLES.fullmatch(text) else None
+    if cycles is None:
+        cycles = _scan_cycles(text, degree)
+    images = list(range(degree))
+    for cycle in cycles:
         for i, point in enumerate(cycle):
             images[point] = cycle[(i + 1) % len(cycle)]
-        pos = skip_ws(pos)
-    return Perm(tuple(images))
+    # A permutation by construction, so Perm's validation is skipped.
+    return tuple.__new__(Perm, (tuple(images),))
 
 
 def cycle_string(perm: Perm) -> str:
@@ -378,23 +451,29 @@ def cycle_string(perm: Perm) -> str:
 
 
 class FiniteGroup:
-    """A finite group enumerated as a tuple of elements of one family.
+    """A finite group enumerated in a fixed order, stored as the keys of its
+    elements.
 
     The element order is the canonical closure order produced by
     ``generate_group`` and every downstream ordering (conjugacy classes,
     cosets, graph vertices) derives from it.  ``generators`` must generate
     the whole group: conjugation orbits are closed under the generators only.
     ``generate_group`` guarantees this.  The constructor checks once that
-    all elements share one family and degree or modulus, indexes them by
-    key and picks the key product and inverse of that family.  A
-    permutation's key is its images as bytes up to degree 256, so a product
-    is one ``bytes.translate``, and its image tuple above, where an image no
-    longer fits in a byte; a matrix or pair is keyed by ``element_key``.  So
-    ``mul`` multiplies two keys and looks the product up, with no family
-    check and no element object built; products are never cached.
-    ``index_of`` and ``in`` reject an element of another family, degree or
-    modulus before the key lookup.  Three index tables are cached on first
-    use, each built in key and index space:
+    all elements share one family and degree or modulus, that none repeats
+    and that the identity is among them.  A group keeps only the ``_key`` of
+    each element, a dict from key to index, and one element standing for
+    its family and degree or modulus, which picks the key product and
+    inverse.  A permutation's key is its images as bytes up to degree 256,
+    so a product is one ``bytes.translate``, and its image tuple above,
+    where an image no longer fits in a byte; a matrix or pair is keyed by
+    ``element_key``.  So ``mul`` multiplies two keys and looks the product
+    up, with no family check and no element object built; products are
+    never cached.  ``element(i)`` builds the element of key i on demand;
+    ``elements`` is the tuple of all of them, built on first access, which
+    no algorithm of the package needs.  ``index_of`` and ``in`` reject an
+    element of another family, degree or modulus before the key lookup.
+    Three index tables are cached on first use, each built in key and index
+    space:
 
     * the inverse table, by inverting every key and looking it up;
     * one conjugation map per generator g, x -> g^-1 x g, from two key
@@ -408,23 +487,32 @@ class FiniteGroup:
     """
 
     def __init__(self, elements: Sequence[Element], generators: Sequence[int]):
-        self.elements: tuple[Element, ...] = tuple(elements)
-        if not self.elements:
+        elements = tuple(elements)
+        if not elements:
             raise UsageError("a group needs at least one element")
-        first = self.elements[0]
-        for e in self.elements:
+        first = elements[0]
+        for e in elements:
             _require_same_family(first, e)
-        self._keys = tuple(map(_key, self.elements))
-        self._index: dict[object, int] = {k: i for i, k in enumerate(self._keys)}
-        if len(self._index) != len(self.elements):
+        keys = tuple(map(_key, elements))
+        index = {k: i for i, k in enumerate(keys)}
+        if len(index) != len(keys):
             raise UsageError("duplicate elements in enumeration")
-        self._key_product = _key_product(first)
-        self._key_inverse = _key_inverse(first)
+        self._setup(first, keys, index, generators)
+
+    def _setup(self, like: Element, keys: tuple, index: dict, generators: Sequence[int]) -> None:
+        """Adopt distinct ``keys`` of ``like``'s family, ``index`` mapping
+        each to its position; the identity must be among them."""
+        self._like = like
+        self._keys = keys
+        self._index: dict[object, int] = index
+        self._key_product = _key_product(like)
+        self._key_inverse = _key_inverse(like)
         self.generators: tuple[int, ...] = tuple(generators)
-        ident = _key(identity_like(first))
-        if ident not in self._index:
+        ident = _key(identity_like(like))
+        if ident not in index:
             raise UsageError("identity missing from enumeration")
-        self.identity: int = self._index[ident]
+        self.identity: int = index[ident]
+        self._elements: tuple[Element, ...] | None = None
         self._inverses: tuple[int, ...] | None = None
         self._conjugation_maps: dict[int, tuple[int, ...]] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
@@ -432,20 +520,29 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._keys)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._keys)
 
     def element(self, i: int) -> Element:
-        return self.elements[i]
+        """The element of index i, built from its key."""
+        return _from_key(self._like, self._keys[i])
+
+    @property
+    def elements(self) -> tuple[Element, ...]:
+        """Every element in index order, built from the keys on first access."""
+        if self._elements is None:
+            like = self._like
+            self._elements = tuple(_from_key(like, k) for k in self._keys)
+        return self._elements
 
     def _find(self, e: Element) -> int | None:
         """Index of e, or None.  Keys of different families or moduli can
         be equal, so only an element of this group's family and degree or
         modulus is looked up."""
-        first = self.elements[0]
-        if type(e) is not type(first) or _parameter(e) != _parameter(first):
+        like = self._like
+        if type(e) is not type(like) or _parameter(e) != _parameter(like):
             return None
         return self._index.get(_key(e))
 
@@ -489,10 +586,10 @@ class FiniteGroup:
             k_inv = self._key_inverse(k)
             try:
                 if isinstance(k, bytes):
-                    # k_inv (x k) inline, with k's 256-byte translate table
-                    # built once rather than once per element.
-                    pad = bytes(range(len(k), 256))
-                    kt = k + pad
+                    # k_inv (x k) inline, with k's translate table built once
+                    # rather than once per element.
+                    kt = _translate_table(k)
+                    pad = kt[len(k):]
                     row = tuple(index[k_inv.translate(x.translate(kt) + pad)] for x in self._keys)
                 else:
                     row = tuple(index[product(product(k_inv, x), k)] for x in self._keys)
@@ -559,11 +656,14 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
     Enumeration order is canonical: the distinct generators sorted by
     ``element_key`` come first, then new products in breadth-first discovery
     order.  Raises ResourceError if the closure would exceed ``max_elements``.
-    A permutation of degree d > 16 stores d images, and up to
-    ``_MAX_BYTES_DEGREE`` a d-byte key besides, so for those the cap is
-    ``max_elements * 16 // d``: memory per element grows at most linearly in
-    d, so the bound stays that of degree 16.
+    The group stores each element as its key alone: a permutation of degree
+    d as d bytes up to ``_MAX_BYTES_DEGREE`` and a d-image tuple above, so
+    for d > 16 the cap is ``max_elements * 16 // d``: memory per element
+    grows at most linearly in d, so the bound stays that of degree 16.
     Likewise the cap for a modulus of b > 64 bits is ``max_elements * 64 // b``.
+    The closure multiplies each new key on the right by every generator's
+    key, through one right multiplier per generator, and hands its keys and
+    their index to the group, which builds no element object.
     """
     gens = list(generators)
     if not gens:
@@ -577,20 +677,21 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
     elif not isinstance(seeds[0], Perm) and seeds[0].modulus.bit_length() > 64:
         bits = seeds[0].modulus.bit_length()
         cap, where = max_elements * 64 // bits, f" at a {bits}-bit modulus"
-    product = _key_product(seeds[0])
-    seed_keys = [_key(g) for g in seeds]
-    keys = list(seed_keys)
-    seen = set(keys)
+    like = seeds[0]
+    keys = [_key(g) for g in seeds]
+    index = {k: i for i, k in enumerate(keys)}
+    rights = [_key_right_multiplier(like, k) for k in keys]
     for x in keys:
-        for g in seed_keys:
-            p = product(x, g)
-            if p not in seen:
+        for right in rights:
+            p = right(x)
+            if p not in index:
                 if len(keys) >= cap:
                     raise ResourceError(f"group closure exceeded the element cap of {cap}{where}")
-                seen.add(p)
+                index[p] = len(keys)
                 keys.append(p)
-    elements = seeds + [_from_key(seeds[0], k) for k in keys[len(seeds):]]
-    return FiniteGroup(elements, range(len(seeds)))
+    group = FiniteGroup.__new__(FiniteGroup)
+    group._setup(like, tuple(keys), index, range(len(seeds)))
+    return group
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:

@@ -18,7 +18,6 @@ CatalogError.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any, NamedTuple
 
 from .algebra import FiniteGroup, Mat2, element_order
@@ -40,7 +39,7 @@ class Expectations(NamedTuple):
     subgroup_order: int
     index: int
     cycle_orders: tuple[int, ...]
-    chi_orb: Fraction
+    chi_orb: int  # equal to the Fraction a covering report gives
     smooth: bool
     genus: int | None
 
@@ -89,7 +88,7 @@ GENUS2_DOCUMENT = {
     "polygon": {"edge_pairs": 2, "cycles": [
         {"label": "a", "word": "a"}, {"label": "b", "word": "b"}, {"label": "c", "word": "c"}]},
 }
-GENUS2_EXPECTED = Expectations(96, 8, 12, (3, 3, 6), Fraction(-2), smooth=True, genus=2)
+GENUS2_EXPECTED = Expectations(96, 8, 12, (3, 3, 6), -2, smooth=True, genus=2)
 
 
 def _check_genus2(spec: LoadedSpec) -> None:
@@ -113,7 +112,7 @@ GENUS3_DOCUMENT = {
     "polygon": {"edge_pairs": 2, "cycles": [
         {"label": "a", "word": "a"}, {"label": "b", "word": "b"}, {"label": "c", "word": "c"}]},
 }
-GENUS3_EXPECTED = Expectations(96, 8, 12, (4, 4, 6), Fraction(-4), smooth=True, genus=3)
+GENUS3_EXPECTED = Expectations(96, 8, 12, (4, 4, 6), -4, smooth=True, genus=3)
 
 
 def _check_genus3(spec: LoadedSpec) -> None:
@@ -141,7 +140,7 @@ ORBIFOLD_H_DOCUMENT = {
         {"label": "a", "word": "a"}, {"label": "b", "word": "b"}, {"label": "c", "word": "c"},
         {"label": "abc", "word": "a b c"}]},
 }
-ORBIFOLD_H_EXPECTED = Expectations(32, 4, 8, (2, 2, 2, 4), Fraction(-2), smooth=False, genus=None)
+ORBIFOLD_H_EXPECTED = Expectations(32, 4, 8, (2, 2, 2, 4), -2, smooth=False, genus=None)
 
 
 # name -> (stored document, expectations, entry-specific check or None)

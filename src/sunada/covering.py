@@ -20,11 +20,13 @@ must stay free of floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import FiniteGroup, UsageError, element_order
 from .gassmann import Subgroup, check_parent, class_intersection_profile
+
+if TYPE_CHECKING:  # fractions, with decimal, loads only where a Fraction is built
+    from fractions import Fraction
 
 __all__ = [
     "PolygonSpec",
@@ -116,6 +118,7 @@ def _cone_points(spec: PolygonSpec, orbits) -> tuple[ConePoint, ...]:
 
 
 def _orbifold_euler(sub: Subgroup, spec: PolygonSpec, orders) -> Fraction:
+    from fractions import Fraction
     return sub.index * (1 - spec.edge_pairs + sum(Fraction(1, m) for m in orders))
 
 
@@ -157,6 +160,7 @@ def covering_report(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> Cov
     Euler characteristic of the underlying surface; the genus (2 - chi_top)/2
     is reported only when chi_top is an even integer.
     """
+    from fractions import Fraction
     orbits = _cycle_orbits(group, class_intersection_profile(group, sub), spec)
     orders = tuple(order for order, _ in orbits)
     flags = tuple(not counts for _, counts in orbits)

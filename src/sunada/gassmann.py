@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .algebra import FiniteGroup, UsageError, element_key
+from .algebra import FiniteGroup, UsageError
 
 __all__ = [
     "Subgroup",
@@ -176,7 +176,9 @@ def are_conjugate_subgroups(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int
     target = v.member_set
     if len(u.members) != len(v.members) or (target,) not in group.conjugation_orbit([u.members]):
         return None
-    return next(g for g in sorted(range(group.order), key=lambda i: element_key(group.element(i)))
+    # Keys order as element_key does in every family (a bytes key as its
+    # image tuple), so no element is built to sort the candidates.
+    return next(g for g in sorted(range(group.order), key=group._keys.__getitem__)
                 if conjugate_members(group, u.members, g) == target)
 
 

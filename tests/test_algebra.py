@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from sunada import (
     UsageError,
     compose,
     conjugacy_classes,
+    covering_report,
     cycle_string,
     element_order,
     enumerate_subgroups,
@@ -27,9 +29,12 @@ from sunada import (
     identity_like,
     inverse,
     is_sunada_triple,
+    load_text,
     parse_cycles,
+    schreier_graph,
+    subgroup_generate,
 )
-from sunada.algebra import FiniteGroup
+from sunada.algebra import FiniteGroup, element_key
 
 A12_A = "(0,7,11)(1,5,6)(2,9,10)(3,4,8)"
 A12_B = "(0,4,2)(1,5,9)(3,7,11)(6,10,8)"
@@ -56,12 +61,35 @@ def test_parse_cycles_ignores_whitespace():
 
 @pytest.mark.parametrize(
     "text",
-    ["(0,1", "(0,0)", "(0,99)", "(5)", "0,1", "(a,b)", "(0,1)x", "(0,1)(1,2)"],
+    ["(0,1", "(0,0)", "(0,99)", "(5)", "0,1", "(a,b)", "(0,1)x", "(0,1)(1,2)",
+     pytest.param("(0," + "9" * 5000 + ")", id="overlong-point")],
 )
 def test_parse_cycles_rejects_malformed_text(text):
     with pytest.raises(CycleParseError) as excinfo:
         parse_cycles(text, 12)
     assert 0 <= excinfo.value.position <= len(text)
+
+
+def test_parse_cycles_reads_leading_zeros_and_other_scripts():
+    want = parse_cycles("(0,11)", 12)
+    assert parse_cycles("(00,0011)", 12) == want
+    assert parse_cycles("(0," + "0" * 5000 + "11)", 12) == want
+    assert parse_cycles("(0,\u0661\u0661)", 12) == want  # Arabic-Indic digits
+    with pytest.raises(CycleParseError) as excinfo:
+        parse_cycles("(0,0012)", 12)
+    assert excinfo.value.position == 3
+    # A superscript is a digit to str.isdigit but not to int(): no point.
+    with pytest.raises(CycleParseError):
+        parse_cycles("(0,\u00b2)", 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda n: st.permutations(tuple(range(n)))))
+def test_parse_cycles_inverts_cycle_string(images):
+    p = Perm(images)
+    q = parse_cycles(cycle_string(p), p.degree)
+    assert type(q) is Perm and type(q.images) is tuple
+    assert q == p and hash(q) == hash(p)
 
 
 def test_parse_cycles_rejects_nonpositive_degree():
@@ -426,6 +454,85 @@ def test_generate_group_respects_element_cap():
 def test_generate_group_rejects_empty_generator_list():
     with pytest.raises(UsageError):
         generate_group([])
+
+
+# ----------------------------------------------------------------- group keys
+
+
+def _dihedral(n: int) -> list[Perm]:
+    return [Perm(tuple(range(1, n)) + (0,)), Perm(tuple(-i % n for i in range(n)))]
+
+
+def _reference_closure(gens) -> list:
+    """generate_group's enumeration, closed over ``compose`` on elements."""
+    seeds = sorted(set(gens), key=element_key)
+    elements, seen = list(seeds), set(seeds)
+    for x in elements:
+        for g in seeds:
+            p = compose(x, g)
+            if p not in seen:
+                seen.add(p)
+                elements.append(p)
+    return elements
+
+
+# Bytes permutation keys, tuple keys from degree 257, matrices and pairs.
+@pytest.fixture(params=["psl32", "dihedral256", "dihedral257", "genus3", "orbifold_h"])
+def family_gens(request):
+    name = request.param
+    if name.startswith("dihedral"):
+        return _dihedral(int(name[len("dihedral"):]))
+    fixture = request.getfixturevalue(name)
+    group = getattr(fixture, "group", fixture)
+    return [group.element(i) for i in group.generators]
+
+
+def test_generate_group_matches_a_closure_over_compose(family_gens):
+    reference = _reference_closure(family_gens)
+    group = generate_group(family_gens)
+    assert group.elements == tuple(reference)
+    assert group.generators == tuple(range(len(set(family_gens))))
+
+
+def test_elements_are_built_from_keys_on_demand(family_gens):
+    group = generate_group(family_gens)
+    assert group._elements is None
+    for i in range(group.order):
+        e = group.element(i)
+        assert group.index_of(e) == i and e in group
+    assert group._elements is None
+    assert all(group.element(i) == e for i, e in enumerate(group.elements))
+    assert group.elements is group.elements
+
+
+def test_keys_sort_in_element_key_order(family_gens):
+    group = generate_group(family_gens)
+    by_key = sorted(range(group.order), key=group._keys.__getitem__)
+    assert by_key == sorted(range(group.order), key=lambda i: element_key(group.element(i)))
+
+
+def test_pipeline_builds_no_element_tuple(psl211):
+    def members(gens):
+        sub = subgroup_generate(psl211, [psl211.index_of(parse_cycles(t, 11)) for t in gens])
+        return [cycle_string(psl211.element(i)) for i in sub.members]
+    document = {
+        "kind": "permutation", "degree": 11,
+        "generators": {"a": "(1,9)(2,3)(4,8)(5,6)", "b": "(0,1,10)(2,4,9)(5,7,8)"},
+        "subgroups": {
+            "U": {"elements": members(["(1,9)(2,3)(4,8)(5,6)", "(1,7,4)(3,8,6)(5,10,9)"])},
+            "V": {"elements": members(["(1,9)(2,3)(4,8)(5,6)", "(0,4,6)(1,2,3)(7,9,10)"])},
+        },
+        "polygon": {"edge_pairs": 2, "cycles": [
+            {"label": "a", "word": "a"}, {"label": "b", "word": "b"},
+            {"label": "c", "word": "b^-1 a^-1"}]},
+    }
+    spec = load_text(json.dumps(document))
+    group, u, v = spec.group, spec.subgroups["U"], spec.subgroups["V"]
+    assert is_sunada_triple(group, u, v).is_sunada_triple
+    assert covering_report(group, u, spec.polygon).index == 11
+    labels = [(n, spec.named_elements[n]) for n in spec.generator_names]
+    assert schreier_graph(group, u, labels).vertex_count == 11
+    assert group._elements is None
 
 
 def test_group_table_matches_element_arithmetic(orbifold_h):

@@ -443,10 +443,10 @@ def test_console_pipeline_subprocess():
 
 
 def test_commands_without_spectra_leave_numpy_unloaded(tmp_path):
-    # Neither numpy nor dataclasses, with the inspect it pulls in, belongs on
-    # the start-up path of every command.
+    # Neither numpy nor dataclasses, with the inspect it pulls in, nor
+    # fractions, with decimal, belongs on the start-up path of every command.
     doc, verdict = tmp_path / "genus2.json", tmp_path / "verdict.json"
-    check = ("for name in ('numpy', 'dataclasses', 'inspect'):\n"
+    check = ("for name in ('numpy', 'dataclasses', 'inspect', 'fractions', 'decimal'):\n"
              "    assert name not in sys.modules, f'{name} loaded after {step}'\n")
     script = (
         "import sys\n"
