@@ -16,8 +16,7 @@ from .algebra import (CycleParseError, Element, FiniteGroup, Mat2, Perm,
 from .catalog import (CatalogEntry, CatalogError, Expectations, catalog_entry,
                       catalog_names)
 from .covering import (ConePoint, CoveringReport, PolygonSpec, cone_points,
-                       covering_report, covering_report_json, orbifold_euler,
-                       smoothness)
+                       covering_report, covering_report_json, smoothness)
 from .gassmann import (Subgroup, SunadaReport, are_conjugate_subgroups,
                        are_gassmann, class_intersection_profile,
                        is_sunada_triple, subgroup_from_members,
@@ -43,7 +42,7 @@ __all__ = [
     "CatalogEntry", "CatalogError", "Expectations", "catalog_entry",
     "catalog_names",
     "ConePoint", "CoveringReport", "PolygonSpec", "cone_points",
-    "covering_report", "covering_report_json", "orbifold_euler", "smoothness",
+    "covering_report", "covering_report_json", "smoothness",
     "Subgroup", "SunadaReport", "are_conjugate_subgroups", "are_gassmann",
     "class_intersection_profile", "is_sunada_triple",
     "subgroup_from_members", "subgroup_generate",

@@ -8,13 +8,13 @@ applies x first for permutations, is the matrix product ``x y`` for
 matrices, and is ``(u, v)(u', v') = (u u', v + u v')`` for pairs.
 
 Each family's product and inverse are written once, on private element keys
-(``_key``).  A matrix key is its entry rows and a pair key is ``(u, v)``, as
-``element_key`` returns.  A permutation of degree <= 256 is keyed by its
-images as ``bytes``: the product is then one ``bytes.translate`` and the
-inverse one ``bytes.maketrans``, both in C, about 8 times cheaper than
-building and hashing an int tuple, and the inner loop of every group
-algorithm here is that product and a dict lookup.  Above degree 256 an image
-no longer fits in a byte, so the key is the image tuple, multiplied by one
+(``_key``).  A matrix key is its entry rows and a pair key is ``(u, v)``.  A
+permutation of degree <= 256 is keyed by its images as ``bytes``: the
+product is then one ``bytes.translate`` and the inverse one
+``bytes.maketrans``, both in C, about 8 times cheaper than building and
+hashing an int tuple, and the inner loop of every group algorithm here is
+that product and a dict lookup.  Above degree 256 an image no longer fits in
+a byte, so the key is the image tuple, multiplied by one
 ``operator.itemgetter``.  ``_key_product`` and ``_key_inverse`` pick the
 product and inverse for a degree or modulus; ``compose`` and ``inverse`` wrap
 them and build the result from its key with ``tuple.__new__``, without
@@ -24,18 +24,16 @@ that its factors share one family and degree or modulus.  The element
 constructors (each class's ``__new__``) validate their input;
 ``parse_cycles`` builds its permutation, valid by construction, without.
 
-A group is its keys.  ``FiniteGroup`` stores the ``_key`` of each element,
-indexed by a dict, and no element object: ``element(i)`` builds one from
-its key on demand, so an element costs the memory of its key alone, and
-``generate_group`` closes its generators in key space and hands the keys
-over.  A group product or inverse multiplies or inverts keys, so it builds
-no element object and runs no Python-level ``__hash__`` or ``__eq__``; its
-derived tables (inverses, conjugation maps, classes) are tuples of indices.
-The constructor checks the family of its whole enumeration once.  Keys of
+A group is its keys.  ``generate_group``, the one way to build a
+``FiniteGroup``, closes its generators in key space and hands over the keys,
+indexed by a dict, and no element object: ``element(i)`` builds one from its
+key on demand, so an element costs the memory of its key alone.  A group
+product or inverse multiplies or inverts keys, so it builds no element
+object and runs no Python-level ``__hash__`` or ``__eq__``; its derived
+tables (inverses, conjugation maps, classes) are tuples of indices.  Keys of
 different families or moduli can be equal (the identity matrices mod 4 and
 mod 8), so ``index_of`` and ``in`` check an element's family and degree or
-modulus before they look its key up.  Within one family keys sort as
-``element_key`` does, a bytes key as its image tuple.
+modulus before they look its key up.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ __all__ = [
     "inverse",
     "identity_like",
     "element_order",
-    "element_key",
     "parse_cycles",
     "cycle_string",
     "FiniteGroup",
@@ -177,11 +174,17 @@ _MAX_BYTES_DEGREE = 256
 
 
 def _key(e: Element):
-    """The key a group indexes and multiplies: the images as bytes of a
-    permutation up to ``_MAX_BYTES_DEGREE``, ``element_key`` otherwise."""
-    if isinstance(e, Perm) and len(e.images) <= _MAX_BYTES_DEGREE:
-        return bytes(e.images)
-    return element_key(e)
+    """The key a group indexes, multiplies and orders by: a permutation's
+    images, as bytes up to ``_MAX_BYTES_DEGREE``; a matrix's entry rows; a
+    pair's ``(u, v)``.  Within one family and degree or modulus keys sort
+    as the elements do, a bytes key as its image tuple."""
+    if isinstance(e, Perm):
+        return bytes(e.images) if len(e.images) <= _MAX_BYTES_DEGREE else e.images
+    if isinstance(e, Mat2):
+        return e.entries
+    if isinstance(e, SemiPair):
+        return (e.u, e.v)
+    raise UsageError(f"unsupported element type {type(e).__name__}")
 
 
 def _perm_key_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -322,17 +325,6 @@ def element_order(e: Element) -> int:
     return k
 
 
-def element_key(e: Element):
-    """Total order on one element family, used for canonical generator sorting."""
-    if isinstance(e, Perm):
-        return e.images
-    if isinstance(e, Mat2):
-        return e.entries
-    if isinstance(e, SemiPair):
-        return (e.u, e.v)
-    raise UsageError(f"unsupported element type {type(e).__name__}")
-
-
 # Well-formed cycle notation.  A str pattern's \s and \d are the characters
 # of str.isspace and str.isdecimal, which int() reads.
 _CYCLES = re.compile(r"\s*(?:\(\s*\d+\s*(?:,\s*\d+\s*)+\)\s*)*")
@@ -454,26 +446,18 @@ class FiniteGroup:
     """A finite group enumerated in a fixed order, stored as the keys of its
     elements.
 
-    The element order is the canonical closure order produced by
-    ``generate_group`` and every downstream ordering (conjugacy classes,
-    cosets, graph vertices) derives from it.  ``generators`` must generate
-    the whole group: conjugation orbits are closed under the generators only.
-    ``generate_group`` guarantees this.  The constructor checks once that
-    all elements share one family and degree or modulus, that none repeats
-    and that the identity is among them.  A group keeps only the ``_key`` of
-    each element, a dict from key to index, and one element standing for
-    its family and degree or modulus, which picks the key product and
-    inverse.  A permutation's key is its images as bytes up to degree 256,
-    so a product is one ``bytes.translate``, and its image tuple above,
-    where an image no longer fits in a byte; a matrix or pair is keyed by
-    ``element_key``.  So ``mul`` multiplies two keys and looks the product
-    up, with no family check and no element object built; products are
-    never cached.  ``element(i)`` builds the element of key i on demand;
-    ``elements`` is the tuple of all of them, built on first access, which
-    no algorithm of the package needs.  ``index_of`` and ``in`` reject an
-    element of another family, degree or modulus before the key lookup.
-    Three index tables are cached on first use, each built in key and index
-    space:
+    ``generate_group`` builds it from the ``_key`` of each element in the
+    canonical closure order, from which every downstream ordering (conjugacy
+    classes, cosets, graph vertices) derives, and one element standing for
+    the family and degree or modulus, which picks the key product and
+    inverse.  Its ``generators`` generate it, so orbits under them are whole.
+    ``mul`` multiplies two keys and looks the product up, with no family
+    check and no element object built; products are never cached.
+    ``element(i)`` builds the element of key i on demand; ``elements`` is
+    the tuple of all of them, built on first access, which no algorithm of
+    the package needs.  ``index_of`` and ``in`` reject an element of another
+    family, degree or modulus before the key lookup.  Three index tables are
+    cached on first use, each built in key and index space:
 
     * the inverse table, by inverting every key and looking it up;
     * one conjugation map per generator g, x -> g^-1 x g, from two key
@@ -481,37 +465,18 @@ class FiniteGroup:
     * the class partition, as the orbits of single indices under those maps.
 
     ``conjugation_orbit`` is the orbit walk for tuples of index sets
-    (subgroups and their pairs).  An enumeration that is not closed raises
-    ``UsageError`` from ``mul``, ``inv`` and the maps alike.  Caches are
-    write-once, so sharing an instance across threads is safe.
+    (subgroups and their pairs).  Caches are write-once, so sharing an
+    instance across threads is safe.
     """
 
-    def __init__(self, elements: Sequence[Element], generators: Sequence[int]):
-        elements = tuple(elements)
-        if not elements:
-            raise UsageError("a group needs at least one element")
-        first = elements[0]
-        for e in elements:
-            _require_same_family(first, e)
-        keys = tuple(map(_key, elements))
-        index = {k: i for i, k in enumerate(keys)}
-        if len(index) != len(keys):
-            raise UsageError("duplicate elements in enumeration")
-        self._setup(first, keys, index, generators)
-
-    def _setup(self, like: Element, keys: tuple, index: dict, generators: Sequence[int]) -> None:
-        """Adopt distinct ``keys`` of ``like``'s family, ``index`` mapping
-        each to its position; the identity must be among them."""
+    def __init__(self, like: Element, keys: tuple, index: dict, generators: Sequence[int]):
         self._like = like
         self._keys = keys
         self._index: dict[object, int] = index
         self._key_product = _key_product(like)
         self._key_inverse = _key_inverse(like)
         self.generators: tuple[int, ...] = tuple(generators)
-        ident = _key(identity_like(like))
-        if ident not in index:
-            raise UsageError("identity missing from enumeration")
-        self.identity: int = index[ident]
+        self.identity: int = index[_key(identity_like(like))]
         self._elements: tuple[Element, ...] | None = None
         self._inverses: tuple[int, ...] | None = None
         self._conjugation_maps: dict[int, tuple[int, ...]] = {}
@@ -558,19 +523,12 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j]."""
         keys = self._keys
-        try:
-            return self._index[self._key_product(keys[i], keys[j])]
-        except KeyError:
-            raise UsageError("element enumeration is not closed under the product") from None
+        return self._index[self._key_product(keys[i], keys[j])]
 
     def inv(self, i: int) -> int:
         """Index of elements[i]^-1; the table is built from keys on first use."""
         if self._inverses is None:
-            try:
-                self._inverses = tuple(map(self._index.__getitem__,
-                                           map(self._key_inverse, self._keys)))
-            except KeyError:
-                raise UsageError("element enumeration is not closed under the product") from None
+            self._inverses = tuple(map(self._index.__getitem__, map(self._key_inverse, self._keys)))
         return self._inverses[i]
 
     def conjugate(self, g: int, x: int) -> int:
@@ -584,17 +542,14 @@ class FiniteGroup:
             index, product = self._index, self._key_product
             k = self._keys[g]
             k_inv = self._key_inverse(k)
-            try:
-                if isinstance(k, bytes):
-                    # k_inv (x k) inline, with k's translate table built once
-                    # rather than once per element.
-                    kt = _translate_table(k)
-                    pad = kt[len(k):]
-                    row = tuple(index[k_inv.translate(x.translate(kt) + pad)] for x in self._keys)
-                else:
-                    row = tuple(index[product(product(k_inv, x), k)] for x in self._keys)
-            except KeyError:
-                raise UsageError("element enumeration is not closed under the product") from None
+            if isinstance(k, bytes):
+                # k_inv (x k) inline, with k's translate table built once
+                # rather than once per element.
+                kt = _translate_table(k)
+                pad = kt[len(k):]
+                row = tuple(index[k_inv.translate(x.translate(kt) + pad)] for x in self._keys)
+            else:
+                row = tuple(index[product(product(k_inv, x), k)] for x in self._keys)
             self._conjugation_maps[g] = row
         return row
 
@@ -650,34 +605,40 @@ class FiniteGroup:
         return self._class_of[i]
 
 
+def _element_cap(permutation: bool, parameter: int,
+                 max_elements: int = DEFAULT_ELEMENT_CAP) -> tuple[int, str]:
+    """The closure cap at a degree (``permutation``) or modulus, and where it
+    applies, for messages.  A key of degree d holds d bytes or images, so
+    for d > 16 the cap is ``max_elements * 16 // d``, which keeps the memory
+    bound of degree 16; likewise ``max_elements * 64 // b`` for a modulus of
+    b > 64 bits."""
+    if permutation and parameter > 16:
+        return max_elements * 16 // parameter, f" at degree {parameter}"
+    bits = parameter.bit_length()
+    if not permutation and bits > 64:
+        return max_elements * 64 // bits, f" at a {bits}-bit modulus"
+    return max_elements, ""
+
+
 def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
     """Close a generator list under the product into a FiniteGroup.
 
-    Enumeration order is canonical: the distinct generators sorted by
-    ``element_key`` come first, then new products in breadth-first discovery
-    order.  Raises ResourceError if the closure would exceed ``max_elements``.
-    The group stores each element as its key alone: a permutation of degree
-    d as d bytes up to ``_MAX_BYTES_DEGREE`` and a d-image tuple above, so
-    for d > 16 the cap is ``max_elements * 16 // d``: memory per element
-    grows at most linearly in d, so the bound stays that of degree 16.
-    Likewise the cap for a modulus of b > 64 bits is ``max_elements * 64 // b``.
-    The closure multiplies each new key on the right by every generator's
-    key, through one right multiplier per generator, and hands its keys and
-    their index to the group, which builds no element object.
+    Enumeration order is canonical: the distinct generators in ascending
+    order come first, then new products in breadth-first discovery order.
+    Raises ResourceError if the closure would exceed the cap that
+    ``_element_cap`` derives from ``max_elements``.  The closure multiplies
+    each new key on the right by every generator's key, through one right
+    multiplier per generator, and hands its keys and their index to the
+    group, which builds no element object.
     """
     gens = list(generators)
     if not gens:
         raise UsageError("at least one generator is required")
     for g in gens[1:]:
         _require_same_family(gens[0], g)
-    seeds = sorted(set(gens), key=element_key)
-    cap, where = max_elements, ""
-    if isinstance(seeds[0], Perm) and seeds[0].degree > 16:
-        cap, where = max_elements * 16 // seeds[0].degree, f" at degree {seeds[0].degree}"
-    elif not isinstance(seeds[0], Perm) and seeds[0].modulus.bit_length() > 64:
-        bits = seeds[0].modulus.bit_length()
-        cap, where = max_elements * 64 // bits, f" at a {bits}-bit modulus"
+    seeds = sorted(set(gens))
     like = seeds[0]
+    cap, where = _element_cap(isinstance(like, Perm), _parameter(like), max_elements)
     keys = [_key(g) for g in seeds]
     index = {k: i for i, k in enumerate(keys)}
     rights = [_key_right_multiplier(like, k) for k in keys]
@@ -689,9 +650,7 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
                     raise ResourceError(f"group closure exceeded the element cap of {cap}{where}")
                 index[p] = len(keys)
                 keys.append(p)
-    group = FiniteGroup.__new__(FiniteGroup)
-    group._setup(like, tuple(keys), index, range(len(seeds)))
-    return group
+    return FiniteGroup(like, tuple(keys), index, range(len(seeds)))
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:

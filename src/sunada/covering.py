@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import FiniteGroup, UsageError, element_order
-from .gassmann import Subgroup, check_parent, class_intersection_profile
+from .gassmann import Subgroup, class_intersection_profile
 
 if TYPE_CHECKING:  # fractions, with decimal, loads only where a Fraction is built
     from fractions import Fraction
@@ -33,7 +33,6 @@ __all__ = [
     "ConePoint",
     "CoveringReport",
     "smoothness",
-    "orbifold_euler",
     "cone_points",
     "covering_report",
     "covering_report_json",
@@ -80,18 +79,14 @@ class CoveringReport(NamedTuple):
     note: str | None
 
 
-def _check_cycles(group: FiniteGroup, spec: PolygonSpec) -> None:
-    for label, e in spec.cycles:
-        if not 0 <= e < group.order:
-            raise UsageError(f"cycle {label!r} refers to unknown element index {e}")
-
-
 def _cycle_orbits(group: FiniteGroup, profile: tuple[int, ...],
                   spec: PolygonSpec) -> list[tuple[int, dict[int, int]]]:
     """(m, {d: N_d}) per cycle of order m: the N_d > 0 orbits of size d < m
     on U\\G, by the formula of the module docstring, for the U with class
     intersection ``profile``."""
-    _check_cycles(group, spec)
+    for label, e in spec.cycles:
+        if not 0 <= e < group.order:
+            raise UsageError(f"cycle {label!r} refers to unknown element index {e}")
     classes = group.conjugacy_classes()
     index = group.order // sum(profile)
     orbits = []
@@ -117,11 +112,6 @@ def _cone_points(spec: PolygonSpec, orbits) -> tuple[ConePoint, ...]:
                  for d in sorted(counts, reverse=True))
 
 
-def _orbifold_euler(sub: Subgroup, spec: PolygonSpec, orders) -> Fraction:
-    from fractions import Fraction
-    return sub.index * (1 - spec.edge_pairs + sum(Fraction(1, m) for m in orders))
-
-
 def smoothness(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> tuple[bool, ...]:
     """Per-cycle smoothness of the quotient over each vertex cycle.
 
@@ -133,14 +123,6 @@ def smoothness(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> tuple[bo
     """
     orbits = _cycle_orbits(group, class_intersection_profile(group, sub), spec)
     return tuple(not counts for _, counts in orbits)
-
-
-def orbifold_euler(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> Fraction:
-    """Exact orbifold Euler characteristic of the quotient over the subgroup:
-    [G:U] * (1 - N + sum over cycles of 1/ord)."""
-    check_parent(group, sub)
-    _check_cycles(group, spec)
-    return _orbifold_euler(sub, spec, (element_order(group.element(e)) for _, e in spec.cycles))
 
 
 def cone_points(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> tuple[ConePoint, ...]:
@@ -156,6 +138,8 @@ def cone_points(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> tuple[C
 def covering_report(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> CoveringReport:
     """Assemble the combinatorial picture of the quotient over one subgroup.
 
+    The exact orbifold Euler characteristic is
+    chi_orb = [G:U] * (1 - N + sum over cycles of 1/ord), and
     chi_top = chi_orb + sum over cone points of (1 - 1/order) recovers the
     Euler characteristic of the underlying surface; the genus (2 - chi_top)/2
     is reported only when chi_top is an even integer.
@@ -165,7 +149,7 @@ def covering_report(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> Cov
     orders = tuple(order for order, _ in orbits)
     flags = tuple(not counts for _, counts in orbits)
     cones = _cone_points(spec, orbits)
-    chi_orb = _orbifold_euler(sub, spec, orders)
+    chi_orb = sub.index * (1 - spec.edge_pairs + sum(Fraction(1, m) for m in orders))
     chi_top = chi_orb
     for cone in cones:
         chi_top += cone.multiplicity * (1 - Fraction(1, cone.order))

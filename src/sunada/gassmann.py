@@ -161,7 +161,7 @@ def are_gassmann(group: FiniteGroup, u: Subgroup, v: Subgroup) -> bool:
 
 
 def are_conjugate_subgroups(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int | None:
-    """Index of the first g (in element key order) with g U g^-1 = V, or None.
+    """Index of the first g (in element order) with g U g^-1 = V, or None.
 
     Equal subgroups short-circuit to the identity.  V is conjugate to U iff it
     lies in U's conjugation orbit, which is computed exactly, so None is a
@@ -176,8 +176,7 @@ def are_conjugate_subgroups(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int
     target = v.member_set
     if len(u.members) != len(v.members) or (target,) not in group.conjugation_orbit([u.members]):
         return None
-    # Keys order as element_key does in every family (a bytes key as its
-    # image tuple), so no element is built to sort the candidates.
+    # ``_key`` orders as the elements do, so no element is built to sort.
     return next(g for g in sorted(range(group.order), key=group._keys.__getitem__)
                 if conjugate_members(group, u.members, g) == target)
 

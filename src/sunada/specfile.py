@@ -30,7 +30,7 @@ import json
 from typing import Any, NamedTuple
 
 from .algebra import (DEFAULT_ELEMENT_CAP, CycleParseError, Element, FiniteGroup,
-                      Mat2, Perm, SemiPair, UsageError, cycle_string,
+                      Mat2, Perm, SemiPair, UsageError, _element_cap, cycle_string,
                       generate_group, parse_cycles)
 from .covering import PolygonSpec
 from .gassmann import Subgroup, subgroup_from_members, subgroup_generate
@@ -136,6 +136,23 @@ def parse_polygon(body: Any, group: FiniteGroup, named: dict[str, int]) -> Polyg
         raise SpecError(f"polygon: {exc}") from exc
 
 
+def _listed_count(doc: dict) -> int:
+    """The generator entries, listed subgroup elements and subgroup and
+    polygon word tokens of a document; parts of the wrong shape count none."""
+    generators, bodies, polygon = doc.get("generators"), doc.get("subgroups"), doc.get("polygon")
+    count = len(generators) if isinstance(generators, dict) else 0
+    words = []
+    for body in bodies.values() if isinstance(bodies, dict) else ():
+        if isinstance(body, dict):
+            elements, gens = body.get("elements"), body.get("generators")
+            count += len(elements) if isinstance(elements, list) else 0
+            words += gens if isinstance(gens, list) else []
+    cycles = polygon.get("cycles") if isinstance(polygon, dict) else None
+    if isinstance(cycles, list):
+        words += [cyc["word"] for cyc in cycles if isinstance(cyc, dict) and "word" in cyc]
+    return count + sum(len(str(word).split()) for word in words)
+
+
 def parse_document(doc: Any) -> LoadedSpec:
     """Build the group, named subgroups, and polygon described by a document."""
     if not isinstance(doc, dict):
@@ -149,6 +166,13 @@ def parse_document(doc: Any) -> LoadedSpec:
     parameter = _integer(doc[param_key], repr(param_key))
     if kind == "permutation" and parameter > DEFAULT_ELEMENT_CAP:
         raise SpecError(f"'degree' {parameter} exceeds the bound of {DEFAULT_ELEMENT_CAP}")
+    # Each listed element, generator entry and word token costs O(degree) or
+    # O(bits of the modulus) to parse or multiply, so a document may list
+    # no more of them than the group it describes may have elements.
+    cap, where = _element_cap(kind == "permutation", parameter)
+    listed = _listed_count(doc)
+    if listed > cap:
+        raise SpecError(f"{listed} listed elements and word tokens exceed the cap of {cap}{where}")
 
     generators = doc.get("generators")
     if not isinstance(generators, dict) or not generators:
@@ -156,10 +180,7 @@ def parse_document(doc: Any) -> LoadedSpec:
     parsed: dict[str, Element] = {}
     for name, raw in generators.items():
         parsed[str(name)] = _parse_element(kind, parameter, raw, f"generator {name!r}")
-    try:
-        group = generate_group(list(parsed.values()))
-    except UsageError as exc:
-        raise SpecError(str(exc)) from exc
+    group = generate_group(list(parsed.values()))
     named = {name: group.index_of(e) for name, e in parsed.items()}
 
     subgroups: dict[str, Subgroup] = {}

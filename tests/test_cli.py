@@ -398,6 +398,25 @@ def test_huge_modulus_closure_exits_two_quickly(tmp_path, capsys):
     assert "element cap of 4816 at a 13288-bit modulus" in capsys.readouterr().err
 
 
+# At degree 10**6 each listed element or word token costs a million-entry
+# parse or product, so the document may list no more of them than the 16
+# elements the closure cap allows there.
+@pytest.mark.parametrize("subgroups, polygon", [
+    ({"U": {"elements": [""] * 100}}, None),
+    ({"U": {"generators": ["a " * 100]}}, None),
+    ({}, {"edge_pairs": 1, "cycles": [{"label": "a", "word": "a^-1 " * 100}]}),
+], ids=["element-list", "subgroup-word", "polygon-word"])
+def test_long_document_at_huge_degree_exits_two_quickly(tmp_path, capsys, subgroups, polygon):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"kind": "permutation", "degree": 10**6,
+                                "generators": {"a": "(0,1)"},
+                                "subgroups": subgroups, "polygon": polygon}))
+    start = time.perf_counter()
+    assert run(["verify", str(path), "--U", "U", "--V", "U"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "exceed the cap of 16 at degree 1000000" in capsys.readouterr().err
+
+
 def test_no_arguments_exits_two(capsys):
     assert run([]) == 2
 

@@ -19,7 +19,6 @@ from sunada import (
     element_order,
     enumerate_subgroups,
     find_sunada_pairs,
-    orbifold_euler,
     parse_cycles,
     smoothness,
     subgroup_generate,
@@ -110,17 +109,17 @@ def test_trivial_subgroup_cover_is_smooth(genus2):
 
 
 def test_orbifold_euler_exact_values(genus2, genus3, orbifold_h):
-    assert orbifold_euler(genus2.group, genus2.subgroup_u, genus2.polygon) == Fraction(-2)
-    assert orbifold_euler(genus2.group, genus2.subgroup_v, genus2.polygon) == Fraction(-2)
-    assert orbifold_euler(genus3.group, genus3.subgroup_u, genus3.polygon) == Fraction(-4)
-    assert orbifold_euler(orbifold_h.group, orbifold_h.subgroup_u, orbifold_h.polygon) == Fraction(-2)
+    for entry, sub, chi in ((genus2, genus2.subgroup_u, -2), (genus2, genus2.subgroup_v, -2),
+                            (genus3, genus3.subgroup_u, -4),
+                            (orbifold_h, orbifold_h.subgroup_u, -2)):
+        assert covering_report(entry.group, sub, entry.polygon).chi_orb == Fraction(chi)
 
 
 def test_orbifold_euler_scales_with_index(genus2, genus3, orbifold_h):
     for entry in (genus2, genus3, orbifold_h):
-        base = orbifold_euler(entry.group, full_subgroup(entry.group), entry.polygon)
+        base = covering_report(entry.group, full_subgroup(entry.group), entry.polygon).chi_orb
         for sub in (entry.subgroup_u, entry.subgroup_v, trivial_subgroup(entry.group)):
-            assert orbifold_euler(entry.group, sub, entry.polygon) == sub.index * base
+            assert covering_report(entry.group, sub, entry.polygon).chi_orb == sub.index * base
 
 
 # ---------------------------------------------------------------- cone points

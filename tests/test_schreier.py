@@ -13,6 +13,7 @@ from sunada import (
     UsageError,
     coset_action,
     coset_table,
+    enumerate_subgroups,
     graph_isomorphic,
     graph_json_dict,
     parse_cycles,
@@ -59,6 +60,19 @@ def test_coset_table_partitions_group(genus2):
         assert table.coset_of[rep] == k
         for m in u.members:
             assert table.coset_of[g.mul(m, rep)] == k
+
+
+@pytest.mark.parametrize("name", ["genus2", "genus3", "orbifold_h", "psl32"])
+def test_coset_table_reaches_every_coset(name, request):
+    """The generators generate the group, so the walk along them gives every
+    element a coset, for one subgroup of each class."""
+    fixture = request.getfixturevalue(name)
+    group = getattr(fixture, "group", fixture)
+    for order in (d for d in range(1, group.order + 1) if group.order % d == 0):
+        for sub in enumerate_subgroups(group, order, up_to_conjugacy=True):
+            table = coset_table(group, sub)
+            assert -1 not in table.coset_of
+            assert table.count * sub.order == group.order
 
 
 def test_coset_action_is_right_action(genus2):
