@@ -1,16 +1,18 @@
 """Right coset tables, Schreier coset graphs, and labeled digraph isomorphism.
 
 Cosets are right cosets U\\G with G acting by right multiplication; vertex 0 is
-the coset of the identity.  The covering module counts the orbits of this
-action without a coset table: it reads them off the class intersection profile.
+the coset of the identity.  A Schreier graph is stored as this action: one
+permutation of the cosets per label, from which its arcs are derived.  The
+covering module counts the orbits of this action without a coset table: it
+reads them off the class intersection profile.
 """
 
 from __future__ import annotations
 
 from typing import Literal, NamedTuple, Sequence
 
-from .algebra import FiniteGroup, UsageError
-from .gassmann import Subgroup, check_parent
+from .algebra import FiniteGroup, UsageError, _perm_key_inverse
+from .gassmann import Subgroup, _check_indices, check_parent
 
 __all__ = [
     "CosetTable",
@@ -67,56 +69,51 @@ def coset_table(group: FiniteGroup, sub: Subgroup) -> CosetTable:
 def coset_action(group: FiniteGroup, table: CosetTable, element_index: int) -> tuple[int, ...]:
     """Permutation of coset indices induced by right multiplication with the
     given element."""
+    _check_indices(group, (element_index,))
     return tuple(table.coset_of[group.mul(rep, element_index)]
                  for rep in table.transversal)
 
 
 class SchreierGraph(NamedTuple("SchreierGraph", [("vertex_count", int),
                                                  ("labels", tuple[str, ...]),
-                                                 ("arcs", tuple[tuple[int, int, str], ...])])):
-    """Labeled digraph on coset vertices; per label, every vertex has exactly
-    one outgoing and one incoming arc."""
+                                                 ("perms", tuple[tuple[int, ...], ...])])):
+    """Labeled digraph on coset vertices, stored as one permutation per label:
+    ``perms[i][v]`` is the head of the arc labeled ``labels[i]`` out of v."""
 
     __slots__ = ()
 
-    def __new__(cls, vertex_count: int, labels: tuple[str, ...],
-                arcs: tuple[tuple[int, int, str], ...]):
+    def __new__(cls, vertex_count: int, labels: Sequence[str],
+                perms: Sequence[Sequence[int]]):
+        labels, perms = tuple(labels), tuple(tuple(p) for p in perms)
         if len(set(labels)) != len(labels):
             raise UsageError("arc labels must be unique")
-        for label in labels:
-            outs = [dst for src, dst, lab in arcs if lab == label]
-            srcs = sorted(src for src, dst, lab in arcs if lab == label)
-            if srcs != list(range(vertex_count)) or sorted(outs) != list(range(vertex_count)):
+        if len(perms) != len(labels):
+            raise UsageError(f"{len(perms)} permutations given for {len(labels)} labels")
+        for label, perm in zip(labels, perms):
+            if sorted(perm) != list(range(vertex_count)):
                 raise UsageError(f"label {label!r} does not define a permutation of the vertices")
-        return super().__new__(cls, vertex_count, labels, arcs)
+        return super().__new__(cls, vertex_count, labels, perms)
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int, str], ...]:
+        """Every arc (source, head, label) in (source, label) order."""
+        by_label = sorted(zip(self.labels, self.perms))
+        return tuple((src, perm[src], label)
+                     for src in range(self.vertex_count) for label, perm in by_label)
 
     def out_map(self, label: str) -> tuple[int, ...]:
         """The permutation src -> dst of one label."""
-        out = [-1] * self.vertex_count
-        for src, dst, lab in self.arcs:
-            if lab == label:
-                out[src] = dst
-        return tuple(out)
+        if label not in self.labels:
+            raise UsageError(f"unknown label {label!r}")
+        return self.perms[self.labels.index(label)]
 
 
 def schreier_graph(group: FiniteGroup, sub: Subgroup,
                    labels: Sequence[tuple[str, int]]) -> SchreierGraph:
     """Schreier coset graph of U\\G with one arc family per (label, element)."""
     table = coset_table(group, sub)
-    names = tuple(name for name, _ in labels)
-    arcs: list[tuple[int, int, str]] = []
-    actions = {name: coset_action(group, table, e) for name, e in labels}
-    for src in range(table.count):
-        for name in names:
-            arcs.append((src, actions[name][src], name))
-    return SchreierGraph(table.count, names, tuple(arcs))
-
-
-def _inverse_perm(perm: Sequence[int]) -> list[int]:
-    inv = [0] * len(perm)
-    for i, img in enumerate(perm):
-        inv[img] = i
-    return inv
+    return SchreierGraph(table.count, tuple(name for name, _ in labels),
+                         tuple(coset_action(group, table, e) for _, e in labels))
 
 
 def _forced_map(root: int, image: int,
@@ -167,12 +164,13 @@ def graph_isomorphic(g1: SchreierGraph, g2: SchreierGraph,
     n = g1.vertex_count
     if n != g2.vertex_count or sorted(g1.labels) != sorted(g2.labels):
         return None
+    perms2 = dict(zip(g2.labels, g2.perms))
     moves = []
-    for lab in g1.labels:
-        out1, out2 = g1.out_map(lab), g2.out_map(lab)
+    for lab, out1 in zip(g1.labels, g1.perms):
+        out2 = perms2[lab]
         if mode == "reversed":
-            out2 = _inverse_perm(out2)
-        moves += [(out1, out2), (_inverse_perm(out1), _inverse_perm(out2))]
+            out2 = _perm_key_inverse(out2)
+        moves += [(out1, out2), (_perm_key_inverse(out1), _perm_key_inverse(out2))]
     phi = [-1] * n
     used = [False] * n
     free = 0  # every vertex of g2 below it is used
@@ -194,17 +192,13 @@ def graph_isomorphic(g1: SchreierGraph, g2: SchreierGraph,
     return tuple(phi)
 
 
-def _sorted_arcs(graph: SchreierGraph) -> list[tuple[int, int, str]]:
-    return sorted(graph.arcs, key=lambda arc: (arc[0], arc[2]))
-
-
 def to_dot(graph: SchreierGraph) -> str:
     """Graphviz text; vertices ascending, arcs in (source, label) order, so the
     output is byte-stable."""
     lines = ["digraph schreier {"]
     for v in range(graph.vertex_count):
         lines.append(f"  v{v};")
-    for src, dst, label in _sorted_arcs(graph):
+    for src, dst, label in graph.arcs:
         escaped = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  v{src} -> v{dst} [label="{escaped}"];')
     lines.append("}")
@@ -212,10 +206,10 @@ def to_dot(graph: SchreierGraph) -> str:
 
 
 def graph_json_dict(graph: SchreierGraph) -> dict:
-    """Adjacency listing in the same deterministic arc order as the dot text."""
+    """Adjacency listing in the same (source, label) arc order as the dot text."""
     return {
         "vertices": graph.vertex_count,
         "labels": list(graph.labels),
         "arcs": [{"src": src, "dst": dst, "label": label}
-                 for src, dst, label in _sorted_arcs(graph)],
+                 for src, dst, label in graph.arcs],
     }

@@ -60,7 +60,7 @@ class SpectrumReport(NamedTuple):
 
 
 def adjacency_matrix(graph: SchreierGraph) -> DenseSymMatrix:
-    """Sum of P + P^T over the per-label arc permutations P.
+    """Sum of P + P^T over the per-label permutation matrices P.
 
     A loop arc contributes 2 to its diagonal entry, so every label adds
     exactly 2 to each row sum.
@@ -69,10 +69,10 @@ def adjacency_matrix(graph: SchreierGraph) -> DenseSymMatrix:
 
     n = graph.vertex_count
     a = np.zeros((n, n), dtype=np.int64)
-    for src, dst, _ in graph.arcs:
-        a[src, dst] += 1
-        a[dst, src] += 1
-    return DenseSymMatrix(a)
+    rows = np.arange(n)
+    for perm in graph.perms:
+        a[rows, np.array(perm, dtype=np.intp)] += 1
+    return DenseSymMatrix(a + a.T)
 
 
 def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> SpectrumReport:

@@ -120,6 +120,40 @@ def test_cli_output_matches_golden_digest(tmp_path, capsys, name, command):
     assert digest == _GOLDEN_DIGESTS[name, command]
 
 
+# S4 on four points with its generators listed out of sorted label order; the
+# catalog documents all list theirs as a, b, c.
+_UNSORTED_LABELS_DOCUMENT = {
+    "kind": "permutation",
+    "degree": 4,
+    "generators": {"b": "(0,1)", "a": "(0,1,2,3)"},
+    "subgroups": {"U": {"generators": ["b"]}},
+}
+
+# sha256 of stdout for ``graph``, and of the JSON eigenvalue list alone for
+# ``spectrum`` (its residual is BLAS noise).
+_UNSORTED_LABELS_DIGESTS = {
+    "graph dot": "280ee0581eb77d6249922ed813cc43bfac437f372d7613f7c551056cf33258ba",
+    "graph json": "b715a93baaa3f1834a891b5a18e4b9cf098bce801e8455474f89223213f9eb6c",
+    "spectrum": "b5d6ece6b7e339815d676fedfb619036502c107afdfb878f91e33d7c30bc41ef",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_UNSORTED_LABELS_DIGESTS))
+def test_unsorted_labels_output_matches_golden_digest(tmp_path, capsys, command):
+    path = tmp_path / "unsorted.json"
+    path.write_text(json.dumps(_UNSORTED_LABELS_DOCUMENT))
+    argv = {
+        "graph dot": ["graph", str(path), "--U", "U", "--format", "dot"],
+        "graph json": ["graph", str(path), "--U", "U", "--format", "json"],
+        "spectrum": ["spectrum", str(path), "--U", "U"],
+    }[command]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    if command == "spectrum":
+        out = json.dumps(json.loads(out)["eigenvalues"])
+    assert hashlib.sha256(out.encode()).hexdigest() == _UNSORTED_LABELS_DIGESTS[command]
+
+
 def test_catalog_rejects_unknown_name(capsys):
     assert run(["catalog", "bogus"]) == 2
     assert capsys.readouterr().err != ""

@@ -84,9 +84,7 @@ def test_nonfinite_tolerance_is_rejected(genus2, tol):
 
 
 def test_adjacency_symmetrizes_and_counts_loops():
-    graph = SchreierGraph(vertex_count=2, labels=("a", "b"), arcs=(
-        (0, 1, "a"), (1, 0, "a"), (0, 0, "b"), (1, 1, "b"),
-    ))
+    graph = SchreierGraph(vertex_count=2, labels=("a", "b"), perms=((1, 0), (0, 1)))
     a = adjacency_matrix(graph).entries
     assert a.tolist() == [[2.0, 2.0], [2.0, 2.0]]
 
@@ -131,11 +129,19 @@ def test_relabeling_vertices_preserves_spectrum(genus2):
     rng = random.Random(23)
     perm = list(range(g.vertex_count))
     rng.shuffle(perm)
+    # relabel v as perm[v]: the arc s -> d becomes perm[s] -> perm[d]
+    shuffled_perms = []
+    for images in g.perms:
+        moved = [0] * g.vertex_count
+        for s, d in enumerate(images):
+            moved[perm[s]] = perm[d]
+        shuffled_perms.append(tuple(moved))
     shuffled = SchreierGraph(
         vertex_count=g.vertex_count,
         labels=g.labels,
-        arcs=tuple((perm[s], perm[d], lab) for s, d, lab in g.arcs),
+        perms=tuple(shuffled_perms),
     )
+    assert shuffled != g
     s1 = eigenvalues_symmetric(adjacency_matrix(g))
     s2 = eigenvalues_symmetric(adjacency_matrix(shuffled))
     assert spectra_equal(s1, s2, tol=TOL)

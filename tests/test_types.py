@@ -52,7 +52,7 @@ def values(genus2):
 
 @pytest.mark.parametrize("name, field", [
     ("Perm", "images"), ("Mat2", "entries"), ("SemiPair", "u"),
-    ("PolygonSpec", "cycles"), ("SchreierGraph", "arcs"), ("CosetTable", "coset_of"),
+    ("PolygonSpec", "cycles"), ("SchreierGraph", "perms"), ("CosetTable", "coset_of"),
     ("Subgroup", "members"), ("Subgroup", "member_set"), ("SunadaReport", "gassmann"),
     ("CoveringReport", "genus"), ("ConePoint", "order"), ("Expectations", "genus"),
     ("CatalogEntry", "polygon"), ("SearchConfig", "dedupe"),
@@ -97,8 +97,12 @@ def test_keyword_construction(genus2):
     lambda: SemiPair(modulus=8, u=2, v=0),
     lambda: PolygonSpec(edge_pairs=0, cycles=(("a", 0),)),
     lambda: PolygonSpec(edge_pairs=1, cycles=(("a", 0), ("a", 1))),
-    lambda: SchreierGraph(vertex_count=2, labels=("a",), arcs=((0, 0, "a"), (1, 0, "a"))),
-], ids=["perm", "mat2-modulus", "mat2-det", "pair", "polygon-pairs", "polygon-labels", "graph"])
+    lambda: SchreierGraph(vertex_count=2, labels=("a",), perms=((0, 0),)),
+    lambda: SchreierGraph(vertex_count=2, labels=("a",), perms=((1, 2),)),
+    lambda: SchreierGraph(vertex_count=2, labels=("a", "b"), perms=((1, 0),)),
+    lambda: SchreierGraph(vertex_count=2, labels=("a",), perms=((1, 0), (0, 1))),
+], ids=["perm", "mat2-modulus", "mat2-det", "pair", "polygon-pairs", "polygon-labels", "graph",
+        "graph-out-of-range", "graph-too-few-perms", "graph-too-many-perms"])
 def test_invalid_input_raises_usage_error(build):
     with pytest.raises(UsageError):
         build()
