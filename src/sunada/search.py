@@ -10,19 +10,29 @@ and every stage is a subgroup of it; conjugating such a chain moves its first
 stage onto a seed and each later stage onto a growth of the representative
 of the stage before, so every class is found.
 
-Two things keep the growth step cheap without losing a class:
+Three things keep the growth step cheap without losing a class:
 
 * For r, r' in R, <R, r e r'> = <R, e>.  So R is grown by e only when e lies
   in no double coset R f R of an element f already tried; every skipped
-  growth equals one already tried.  The elements are tried in index order,
-  and the first element of each double coset is never skipped, so each class
-  is first reached by the same growth, in the same order, as by trying every
-  element, and the ``max_subgroups`` cap trips at the same point.  R e R is
-  marked one right coset R e r at a time, skipping those already marked,
-  which costs |R| + |R e R| products rather than |R| + |R|^2.
+  growth equals one already tried.  R e R is marked one right coset R e r at
+  a time, skipping those already marked, which costs |R| + |R e R| products
+  rather than |R| + |R|^2.
+* The double coset D = R e R just marked decides most growths without a
+  closure.  <R, e> is not closed when |R| + |D| exceeds the target order,
+  since R and D are disjoint parts of it; nor when D holds an element whose
+  order does not divide the target, since a subgroup of that order has no
+  such element; nor when the union of R and D is a recorded subgroup, since
+  a subgroup holding R and e holds <R, e>, which holds that union, so it is
+  <R, e>.
 * The closure of <R, e> starts from R's members and adds whole right cosets
   of R (``gassmann._closure`` with R as its base).  The seeds are the
   growths of the trivial subgroup, its default base.
+
+No growth that would record a class is skipped: a growth skipped for its
+double coset equals one tried earlier, and one skipped for D would fail or
+find a recorded subgroup.  The elements are tried in index order, so each
+class is first reached by the same growth, in the same order, as by trying
+every element, and the ``max_subgroups`` cap trips at the same point.
 
 Closures that grow past the target order are abandoned.  The pair search
 pairs classes of equal class intersection profile (computed once per class;
@@ -62,17 +72,24 @@ class SearchConfig(NamedTuple):
     dedupe: bool = True
 
 
-def _mark_double_coset(group: FiniteGroup, rep: frozenset[int], e: int, tried: set[int]) -> None:
-    """Add R e R to ``tried``, a union of right cosets of R = ``rep``.
+def _mark_double_coset(group: FiniteGroup, rep: frozenset[int], e: int,
+                       tried: set[int]) -> list[int]:
+    """Add R e R to ``tried``, a union of right cosets of R = ``rep``, and
+    return the elements added.
 
     R e R is the union of the right cosets R (e r), r in R, so it is added
     one right coset at a time; a coset with e r already in ``tried`` lies in
-    it whole, so ``tried`` stays a union of right cosets.
+    it whole, so ``tried`` stays a union of right cosets.  When ``tried`` is
+    a union of double cosets without e, the elements added are R e R.
     """
+    added: list[int] = []
     for r in rep:
         y = group.mul(e, r)
         if y not in tried:
-            tried.update([group.mul(x, y) for x in rep])
+            coset = [group.mul(x, y) for x in rep]
+            tried.update(coset)
+            added.extend(coset)
+    return added
 
 
 def _subgroup_classes(group: FiniteGroup, order: int,
@@ -118,17 +135,21 @@ def _subgroup_classes(group: FiniteGroup, order: int,
         if grow(cls[:1]):
             usable.extend(cls)
     usable.sort()
+    usable_set = frozenset(usable)
     # The trivial subgroup is not grown: its one-element growths are the seeds.
     for gens, orbit in classes:
         rep = orbit[0]
         if not 1 < len(rep) < order:
             continue
-        # <R, r e r'> = <R, e> for r, r' in R: one growth per double coset R e R.
+        # <R, r e r'> = <R, e> for r, r' in R: one growth per double coset R e R,
+        # and none when R e R shows that <R, e> fails or is already recorded.
         tried = set(rep)
         for e in usable:
             if e not in tried:
-                grow(gens + (e,), rep)
-                _mark_double_coset(group, rep, e, tried)
+                double = _mark_double_coset(group, rep, e, tried)
+                if (len(rep) + len(double) <= order and usable_set.issuperset(double)
+                        and rep.union(double) not in seen):
+                    grow(gens + (e,), rep)
     return [orbit for _, orbit in classes]
 
 

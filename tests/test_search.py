@@ -16,6 +16,7 @@ from sunada import (
     subgroup_from_members,
     subgroup_generate,
 )
+from sunada import search
 from sunada.gassmann import _closure
 from sunada.search import _mark_double_coset, _subgroup_classes
 
@@ -139,17 +140,86 @@ def test_closure_from_a_base_matches_the_closure_oracle(genus3):
 @pytest.mark.parametrize("name", ["s4", "psl32"])
 def test_double_coset_marking_matches_the_square_construction(name, request):
     """The walk's marking, one right coset at a time, against R e R built
-    from all |R|^2 products r e r', after each growth of every class."""
+    from all |R|^2 products r e r', after each growth of every class; the
+    elements it returns are the ones it added, which are R e R."""
     group = request.getfixturevalue(name)
     for orbit in _subgroup_classes(group, group.order, 10**6):
         rep = orbit[0]
         tried, square = set(rep), set(rep)
         for e in range(group.order):
             if e not in tried:
-                _mark_double_coset(group, rep, e, tried)
+                before = set(tried)
+                added = _mark_double_coset(group, rep, e, tried)
                 left = [group.mul(r, e) for r in rep]
-                square.update(group.mul(x, r) for r in rep for x in left)
+                double = {group.mul(x, r) for r in rep for x in left}
+                assert len(added) == len(set(added))
+                assert set(added) == tried - before == double
+                square |= double
                 assert tried == square
+
+
+def _reference_walk(group, order):
+    """The subgroup walk without pruning: each representative R is grown by
+    every usable e outside the double cosets tried so far, and then R e R,
+    built from all |R|^2 products, is marked as tried."""
+    if order == 1:
+        return [[frozenset({group.identity})]]
+    classes, seen = [], set()
+
+    def grow(gens, base=None):
+        members = _closure(group, gens, cap=order, base=base)
+        if members is None or order % len(members) != 0:
+            return False
+        if members not in seen:
+            orbit = [conjugate for (conjugate,) in group.conjugation_orbit([members])]
+            seen.update(orbit)
+            classes.append((gens, orbit))
+        return True
+
+    usable = []
+    for cls in group.conjugacy_classes():
+        if grow(cls[:1]):
+            usable.extend(cls)
+    usable.sort()
+    for gens, orbit in classes:
+        rep = orbit[0]
+        if not 1 < len(rep) < order:
+            continue
+        tried = set(rep)
+        for e in usable:
+            if e not in tried:
+                grow(gens + (e,), rep)
+                left = [group.mul(r, e) for r in rep]
+                tried.update(group.mul(x, r) for r in rep for x in left)
+    return [orbit for _, orbit in classes]
+
+
+@pytest.mark.parametrize("name", ["s4", "psl32", "psl211", "genus2", "genus3", "orbifold-h"])
+def test_pruned_walk_reaches_the_classes_of_the_reference_walk_in_order(name, request):
+    """Growths skipped by the walk's double-coset tests would have failed or
+    found a recorded subgroup, so the classes, their order, representatives
+    and orbits are those of the unpruned walk."""
+    fixture = request.getfixturevalue(name.replace("-", "_"))
+    group = getattr(fixture, "group", fixture)
+    for order in range(1, 25):
+        if group.order % order == 0:
+            assert _subgroup_classes(group, order, 20000) == _reference_walk(group, order)
+
+
+@pytest.mark.parametrize("name, order, most", [("psl211", 12, 40), ("psl32", 24, 50)])
+def test_double_coset_tests_prune_the_growth_closures(name, order, most, request, monkeypatch):
+    """Most growths overflow the order or miss it; R e R shows that before
+    the closure (the unpruned walk makes 290 and 118 closures here)."""
+    group = request.getfixturevalue(name)
+    calls = []
+
+    def counting_closure(*args, **kwargs):
+        calls.append(args)
+        return _closure(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_closure", counting_closure)
+    assert _subgroup_classes(group, order, 20000)
+    assert len(calls) <= most
 
 
 def test_enumerate_subgroups_ordering_is_deterministic(s4):
