@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import FiniteGroup, UsageError, element_order
+from .algebra import FiniteGroup, UsageError
 from .gassmann import Subgroup, class_intersection_profile
 
 if TYPE_CHECKING:  # fractions, with decimal, loads only where a Fraction is built
@@ -91,17 +91,20 @@ def _cycle_orbits(group: FiniteGroup, profile: tuple[int, ...],
     index = group.order // sum(profile)
     orbits = []
     for _, e in spec.cycles:
-        order = element_order(group.element(e))
+        # powers[d - 1] is e^d; the list ends at the identity, so its length
+        # is the order of e.
+        powers = [e]
+        while powers[-1] != group.identity:
+            powers.append(group.mul(powers[-1], e))
+        order = len(powers)
         counts: dict[int, int] = {}
-        power = e
         for d in range(1, order):
             if order % d == 0:
-                c = group.class_index(power)
+                c = group.class_index(powers[d - 1])
                 fixed = index * profile[c] // len(classes[c])
                 n = (fixed - sum(k * counts[k] for k in counts if d % k == 0)) // d
                 if n:
                     counts[d] = n
-            power = group.mul(power, e)
         orbits.append((order, counts))
     return orbits
 

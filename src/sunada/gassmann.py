@@ -144,15 +144,19 @@ def subgroup_from_members(group: FiniteGroup, members: Iterable[int]) -> Subgrou
 
 
 def conjugate_members(group: FiniteGroup, members: Iterable[int], g: int) -> frozenset[int]:
-    """The set {g x g^-1 : x in members}."""
-    return frozenset(group.conjugate(g, x) for x in members)
+    """The set {g x g^-1 : x in members}, with g inverted once."""
+    mul, g_inv = group.mul, group.inv(g)
+    return frozenset(mul(mul(g, x), g_inv) for x in members)
 
 
 def class_intersection_profile(group: FiniteGroup, sub: Subgroup) -> tuple[int, ...]:
-    """Count of subgroup members in each conjugacy class, in class order."""
+    """Count of subgroup members in each conjugacy class, in class order,
+    from the group's cached class of each member: O(|U|), not O(|G|)."""
     check_parent(group, sub)
-    return tuple(sum(1 for x in cls if x in sub.member_set)
-                 for cls in group.conjugacy_classes())
+    counts = [0] * len(group.conjugacy_classes())
+    for c in map(group.class_index, sub.members):
+        counts[c] += 1
+    return tuple(counts)
 
 
 def are_gassmann(group: FiniteGroup, u: Subgroup, v: Subgroup) -> bool:

@@ -5,13 +5,34 @@ the coset of the identity.  A Schreier graph is stored as this action: one
 permutation of the cosets per label, from which its arcs are derived.  The
 covering module counts the orbits of this action without a coset table: it
 reads them off the class intersection profile.
+
+``schreier_graph`` has two producers of the action, chosen by size.  Both
+number the cosets breadth-first from U along the group generators: each
+representative t found so far, in order, is multiplied on the right by each
+generator, in order, and a product y in no known coset opens the next one.
+
+* ``coset_table`` marks every element of G with its coset, one product per
+  member of U for each new coset, so |G| products in all.
+* The coset walk marks nothing: y lies in coset j when y t_j^-1 is in U,
+  tested against each representative t_j found so far through one right
+  multiplier per inverse t_j^-1.  With n = [G:U] that is about n^2 / 2
+  products per generator, and as many again per label that is not one.
+
+So the walk is cheaper when n |gens| < 2 |U|, the rule ``schreier_graph``
+applies; it reads only the sizes.  As y lies in coset j of the table exactly
+when y t_j^-1 is in U, both producers open the same cosets with the same
+representatives, so they give the same numbering and the same graph.  Best
+of 5 on a 2-vCPU VM, walk against table: 0.05 against 0.23 ms for a point
+stabiliser of PSL(3,2) (index 7) and 0.10 against 0.82 ms for an A5 of
+PSL(2,11) (index 11), on the walk side; 126 against 4.0 ms for the trivial
+subgroup of PSL(2,11), on the table side with the catalog subgroups.
 """
 
 from __future__ import annotations
 
 from typing import Literal, NamedTuple, Sequence
 
-from .algebra import FiniteGroup, UsageError, _perm_key_inverse
+from .algebra import FiniteGroup, UsageError, _key_right_multiplier, _perm_key_inverse
 from .gassmann import Subgroup, _check_indices, check_parent
 
 __all__ = [
@@ -108,12 +129,59 @@ class SchreierGraph(NamedTuple("SchreierGraph", [("vertex_count", int),
         return self.perms[self.labels.index(label)]
 
 
+def _walk_is_cheaper(group: FiniteGroup, sub: Subgroup) -> bool:
+    """The size rule of the module docstring: walk the cosets when
+    [G:U] |gens| < 2 |U|, else build the coset table."""
+    return sub.index * len(group.generators) < 2 * sub.order
+
+
+def _coset_walk(group: FiniteGroup, sub: Subgroup,
+                elements: Sequence[int]) -> list[tuple[int, ...]]:
+    """The permutation of U\\G induced by each element, in ``coset_table``'s
+    numbering, found by testing y t_j^-1 in U in key space."""
+    keys, like, product = group._keys, group._like, group._key_product
+    inverse = group._key_inverse
+    members = frozenset(keys[u] for u in sub.members)
+    reps = [keys[group.identity]]
+    # rights[j] is x -> x t_j^-1, the one multiplier per representative.
+    rights = [_key_right_multiplier(like, reps[0])]
+
+    def coset(y) -> int:
+        for j, right in enumerate(rights):
+            if right(y) in members:
+                return j
+        return -1
+
+    gens = group.generators
+    images: list[list[int]] = [[] for _ in gens]
+    for t in reps:
+        for g, row in zip(gens, images):
+            y = product(t, keys[g])
+            c = coset(y)
+            if c < 0:
+                c = len(reps)
+                reps.append(y)
+                rights.append(_key_right_multiplier(like, inverse(y)))
+            row.append(c)
+    return [tuple(images[gens.index(e)]) if e in gens
+            else tuple(coset(product(t, keys[e])) for t in reps)
+            for e in elements]
+
+
 def schreier_graph(group: FiniteGroup, sub: Subgroup,
                    labels: Sequence[tuple[str, int]]) -> SchreierGraph:
-    """Schreier coset graph of U\\G with one arc family per (label, element)."""
-    table = coset_table(group, sub)
-    return SchreierGraph(table.count, tuple(name for name, _ in labels),
-                         tuple(coset_action(group, table, e) for _, e in labels))
+    """Schreier coset graph of U\\G with one arc family per (label, element),
+    from the coset walk or the coset table by ``_walk_is_cheaper``; both
+    give the same graph."""
+    check_parent(group, sub)
+    elements = [e for _, e in labels]
+    _check_indices(group, elements)
+    if _walk_is_cheaper(group, sub):
+        perms = _coset_walk(group, sub, elements)
+    else:
+        table = coset_table(group, sub)
+        perms = [coset_action(group, table, e) for e in elements]
+    return SchreierGraph(sub.index, tuple(name for name, _ in labels), perms)
 
 
 def _forced_map(root: int, image: int,

@@ -7,6 +7,7 @@ importing the package, and every command that computes no spectrum, skips it.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Sequence, Union
 
 from .algebra import UsageError
@@ -79,6 +80,12 @@ def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> S
     """All eigenvalues with multiplicity, ascending, plus the worst residual
     max |A v - lambda v| over the computed eigenpairs.
 
+    The solver returns each eigenvalue within a small multiple of
+    eps ||A||_2 of the exact one, so an exact 0 comes back as noise of that
+    size.  Eigenvalues within n eps ||A||_2 of 0 (for a symmetric A,
+    ||A||_2 is the largest |lambda|) are therefore returned as 0.0: at that
+    distance double precision cannot tell them from 0.
+
     Raises NumericError if the solver fails to converge or the residual ends
     up above tol.
     """
@@ -97,7 +104,9 @@ def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> S
         raise NumericError(
             f"eigenpair residual {residual:.3e} exceeds tolerance {tol:.3e}",
             residual=residual)
-    ordered = tuple(float(v) for v in np.sort(values))
+    ordered = np.sort(values).tolist()
+    bound = len(ordered) * sys.float_info.epsilon * max(-ordered[0], ordered[-1])
+    ordered = tuple(0.0 if abs(v) <= bound else v for v in ordered)
     return SpectrumReport(eigenvalues=ordered, residual=residual)
 
 

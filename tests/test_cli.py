@@ -283,6 +283,31 @@ def test_spectrum_pairs_agree(genus2_doc, capsys):
     assert first["eigenvalues"] == second["eigenvalues"]
 
 
+def test_spectrum_prints_an_exact_zero_eigenvalue(tmp_path, capsys):
+    """S5 over <(0,1,2,3,4)>, index 24: sympy finds the adjacency matrix
+    singular, and each zero eigenvalue prints as 0.0, not as solver noise."""
+    sympy = pytest.importorskip("sympy")
+    path = tmp_path / "s5.json"
+    path.write_text(json.dumps({
+        "kind": "permutation", "degree": 5,
+        "generators": {"a": "(0,1,2,3,4)", "b": "(0,1)"},
+        "subgroups": {"U": {"generators": ["a"]}},
+    }))
+    assert run(["graph", str(path), "--U", "U", "--format", "json"]) == 0
+    graph = json.loads(capsys.readouterr().out)
+    n = graph["vertices"]
+    adjacency = sympy.zeros(n, n)
+    for arc in graph["arcs"]:
+        adjacency[arc["src"], arc["dst"]] += 1
+        adjacency[arc["dst"], arc["src"]] += 1
+    nullity = n - adjacency.rank()
+    assert (n, nullity) == (24, 1)
+    assert run(["spectrum", str(path), "--U", "U"]) == 0
+    eigenvalues = json.loads(capsys.readouterr().out)["eigenvalues"]
+    assert eigenvalues.count(0.0) == nullity
+    assert all(v == 0.0 or abs(v) > 1e-6 for v in eigenvalues)
+
+
 def test_spectrum_unreachable_tolerance_exits_three(genus2_doc, capsys):
     assert run(["spectrum", str(genus2_doc), "--U", "U", "--tol", "1e-300"]) == 3
     assert "numeric failure" in capsys.readouterr().err

@@ -166,6 +166,18 @@ def test_full_subgroup_cone_points_are_cycle_orders(genus2):
     assert points == (ConePoint("a", 3, 1), ConePoint("b", 3, 1), ConePoint("c", 6, 1))
 
 
+@pytest.mark.parametrize("name", ["genus2", "orbifold_h", "psl32"])
+def test_cycle_orders_match_element_order(name, request):
+    """A polygon with every element of the group as a cycle: each reported
+    cycle order is the order of that element."""
+    fixture = request.getfixturevalue(name)
+    group = getattr(fixture, "group", fixture)
+    spec = PolygonSpec(2, [(f"e{i}", i) for i in range(group.order)])
+    report = covering_report(group, trivial_subgroup(group), spec)
+    assert report.cycle_orders == tuple(element_order(group.element(i))
+                                        for i in range(group.order))
+
+
 # --------------------------------------------------------------- full reports
 
 

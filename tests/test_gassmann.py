@@ -12,11 +12,15 @@ from sunada import (
     are_conjugate_subgroups,
     are_gassmann,
     class_intersection_profile,
+    compose,
     element_order,
+    enumerate_subgroups,
+    inverse,
     is_sunada_triple,
     subgroup_from_members,
     subgroup_generate,
 )
+from sunada.gassmann import conjugate_members
 from conftest import full_subgroup, trivial_subgroup
 
 
@@ -71,6 +75,41 @@ def test_profile_counts_sum_to_subgroup_order(s4):
         profile = class_intersection_profile(s4, sub)
         assert len(profile) == len(s4.conjugacy_classes())
         assert sum(profile) == sub.order
+
+
+def _brute_force_classes(group):
+    """Each class {g x g^-1 : g in G}, built from the element objects, in
+    order of least member index."""
+    elements = group.elements
+    seen: set[int] = set()
+    classes = []
+    for x in range(group.order):
+        if x not in seen:
+            cls = {group.index_of(compose(compose(g, elements[x]), inverse(g))) for g in elements}
+            seen |= cls
+            classes.append(cls)
+    return classes
+
+
+@pytest.mark.parametrize("name", ["genus2", "genus3", "orbifold_h", "psl32"])
+def test_profile_matches_brute_force_count(name, request):
+    fixture = request.getfixturevalue(name)
+    group = getattr(fixture, "group", fixture)
+    classes = _brute_force_classes(group)
+    for order in (d for d in range(1, group.order + 1) if group.order % d == 0):
+        for sub in enumerate_subgroups(group, order, up_to_conjugacy=True):
+            expected = tuple(sum(1 for x in sub.members if x in cls) for cls in classes)
+            assert class_intersection_profile(group, sub) == expected
+
+
+def test_conjugate_members_matches_definition(s4):
+    rng = random.Random(17)
+    members = rng.sample(range(s4.order), 6)
+    for g in range(s4.order):
+        x_g = s4.element(g)
+        expected = {s4.index_of(compose(compose(x_g, s4.element(x)), inverse(x_g)))
+                    for x in members}
+        assert conjugate_members(s4, members, g) == expected
 
 
 def test_profile_is_conjugation_invariant(s4):

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from sunada import schreier
 from sunada import (
     Perm,
     SchreierGraph,
@@ -22,7 +23,7 @@ from sunada import (
     subgroup_generate,
     to_dot,
 )
-from conftest import full_subgroup
+from conftest import full_subgroup, trivial_subgroup
 
 
 def _verify_bijection(g1, g2, phi, mode):
@@ -159,6 +160,73 @@ def test_full_quotient_is_single_vertex_with_loops(genus2):
     g = schreier_graph(genus2.group, full_subgroup(genus2.group), genus2.generator_labels)
     assert g.vertex_count == 1
     assert g.arcs == ((0, 0, "a"), (0, 0, "b"), (0, 0, "c"))
+
+
+# ------------------------------------------- the coset walk and the coset table
+
+# Point and line stabilisers of PSL(3,2); the two A5 classes of PSL(2,11).
+_PSL_PAIRS = {
+    "psl32": (7, ("(1,5)(2,6)", "(1,4,6)(2,3,5)"), ("(0,2)(4,6)", "(0,2,1)(3,5,6)")),
+    "psl211": (11, ("(1,9)(2,3)(4,8)(5,6)", "(1,7,4)(3,8,6)(5,10,9)"),
+               ("(1,9)(2,3)(4,8)(5,6)", "(0,4,6)(1,2,3)(7,9,10)")),
+}
+
+
+def _psl_pair(group, name):
+    degree, *gens = _PSL_PAIRS[name]
+    return [subgroup_generate(group, [group.index_of(parse_cycles(t, degree)) for t in words])
+            for words in gens]
+
+
+def _table_graph(group, sub, labels):
+    table = coset_table(group, sub)
+    return SchreierGraph(table.count, [name for name, _ in labels],
+                         [coset_action(group, table, e) for _, e in labels])
+
+
+@pytest.mark.parametrize("name", ["genus2", "genus3", "orbifold_h", "psl32", "psl211"])
+def test_both_producers_give_the_table_graph(name, request):
+    """For one subgroup of every class, ``schreier_graph`` and the coset walk
+    itself equal the graph read off ``coset_table``, with the generators as
+    labels in reversed order and a label that is not a generator."""
+    fixture = request.getfixturevalue(name)
+    group = getattr(fixture, "group", fixture)
+    extra = next(e for e in range(group.order) if e not in group.generators)
+    labels = [(f"g{k}", e) for k, e in enumerate(group.generators)][::-1] + [("x", extra)]
+    sides = set()
+    for order in (d for d in range(1, group.order + 1) if group.order % d == 0):
+        for sub in enumerate_subgroups(group, order, up_to_conjugacy=True):
+            expected = _table_graph(group, sub, labels)
+            assert schreier_graph(group, sub, labels) == expected
+            walked = schreier._coset_walk(group, sub, [e for _, e in labels])
+            assert SchreierGraph(sub.index, expected.labels, walked) == expected
+            sides.add(schreier._walk_is_cheaper(group, sub))
+    assert sides == {True, False}
+
+
+def test_size_rule_on_named_subgroups(genus2, genus3, orbifold_h, psl32, psl211):
+    """The PSL pairs (index 7 and 11) take the walk.  The catalog pairs and
+    every trivial subgroup take the table: on the trivial subgroup of
+    PSL(2,11) the walk is about 50 times slower."""
+    for group, name in ((psl32, "psl32"), (psl211, "psl211")):
+        for sub in _psl_pair(group, name):
+            assert schreier._walk_is_cheaper(group, sub)
+    for entry in (genus2, genus3, orbifold_h):
+        for sub in (entry.subgroup_u, entry.subgroup_v):
+            assert not schreier._walk_is_cheaper(entry.group, sub)
+    for group in (genus2.group, genus3.group, orbifold_h.group, psl32, psl211):
+        assert not schreier._walk_is_cheaper(group, trivial_subgroup(group))
+
+
+def test_walk_side_builds_no_coset_table(psl211, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("coset_table called on the walk side")
+
+    monkeypatch.setattr(schreier, "coset_table", no_table)
+    labels = [("a", psl211.generators[0]), ("b", psl211.generators[1])]
+    u, v = _psl_pair(psl211, "psl211")
+    assert schreier_graph(psl211, u, labels).vertex_count == 11
+    assert schreier_graph(psl211, v, labels).vertex_count == 11
 
 
 # ---------------------------------------------------------------- isomorphism
