@@ -7,22 +7,23 @@ and order as those tuples.  Products read left to right: ``compose(x, y)``
 applies x first for permutations, is the matrix product ``x y`` for
 matrices, and is ``(u, v)(u', v') = (u u', v + u v')`` for pairs.
 
-Each family's product and inverse are written once, on private element keys
-(``_key``).  A matrix key is its entry rows and a pair key is ``(u, v)``.  A
-permutation of degree <= 256 is keyed by its images as ``bytes``: the
-product is then one ``bytes.translate`` and the inverse one
-``bytes.maketrans``, both in C, about 8 times cheaper than building and
-hashing an int tuple, and the inner loop of every group algorithm here is
-that product and a dict lookup.  Above degree 256 an image no longer fits in
-a byte, so the key is the image tuple, multiplied by one
-``operator.itemgetter``.  ``_key_product`` and ``_key_inverse`` pick the
-product and inverse for a degree or modulus; ``compose`` and ``inverse`` wrap
-them and build the result from its key with ``tuple.__new__``, without
-re-validating it, since the product of two valid elements of one family, and
-the inverse of a valid element, are always valid.  ``compose`` first checks
-that its factors share one family and degree or modulus.  The element
-constructors (each class's ``__new__``) validate their input;
-``parse_cycles`` builds its permutation, valid by construction, without.
+Each family's arithmetic is written once, on private element keys (``_key``).
+A matrix key is its entry rows and a pair key is ``(u, v)``.  A permutation
+of degree <= 256 is keyed by its images as ``bytes``: the product is then
+one ``bytes.translate`` and the inverse one ``bytes.maketrans``, both in C,
+about 8 times cheaper than building and hashing an int tuple, and the inner
+loop of every group algorithm here is that product and a dict lookup.  Above
+degree 256 an image no longer fits in a byte, so the key is the image tuple,
+multiplied by one ``operator.itemgetter``.  ``_arithmetic`` picks, once per
+family and degree or modulus, an ``_Arithmetic`` record of the key product,
+inverse, right multiplier and identity.  ``compose``, ``inverse``,
+``identity_like`` and ``element_order`` build their result from its key with
+``tuple.__new__``, unvalidated: the product of two valid elements of one
+family, and the inverse of a valid element, are always valid.  ``compose``
+first checks that its factors share one family and degree or modulus.  The
+element constructors (each class's ``__new__``) validate their input, reading
+integers through ``operator.index``; ``parse_cycles`` builds its
+permutation, valid by construction, without.
 
 A group is its keys.  ``generate_group``, the one way to build a
 ``FiniteGroup``, closes its generators in key space and hands over the keys,
@@ -39,9 +40,9 @@ modulus before they look its key up.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Any, Callable, Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
     "UsageError",
@@ -82,13 +83,23 @@ class ResourceError(RuntimeError):
     """A closure or enumeration exceeded its configured cap."""
 
 
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as ints through ``operator.index``, which passes ints and
+    numpy ints; anything else raises UsageError, not truncated or parsed."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise UsageError(f"{what} must be integers, got {values!r}") from None
+
+
 class Perm(NamedTuple("Perm", [("images", tuple[int, ...])])):
     """Permutation of {0, ..., degree-1} stored as its image tuple."""
 
     __slots__ = ()
 
     def __new__(cls, images: Iterable[int]):
-        images = tuple(int(x) for x in images)
+        images = _integers(images, "permutation images")
         if sorted(images) != list(range(len(images))):
             raise UsageError(f"images {images!r} do not form a permutation of 0..{len(images) - 1}")
         return super().__new__(cls, images)
@@ -108,11 +119,11 @@ class Mat2(NamedTuple("Mat2", [("modulus", int),
     __slots__ = ()
 
     def __new__(cls, modulus: int, entries):
-        m = int(modulus)
+        (a, b), (c, d) = entries
+        m, a, b, c, d = _integers((modulus, a, b, c, d), "a matrix modulus and entries")
         if m < 2:
             raise UsageError(f"matrix modulus must be >= 2, got {m}")
-        (a, b), (c, d) = entries
-        ent = ((int(a) % m, int(b) % m), (int(c) % m, int(d) % m))
+        ent = ((a % m, b % m), (c % m, d % m))
         det = (ent[0][0] * ent[1][1] - ent[0][1] * ent[1][0]) % m
         if math.gcd(det, m) != 1:
             raise UsageError(f"determinant {det} is not a unit mod {m}")
@@ -133,11 +144,10 @@ class SemiPair(NamedTuple("SemiPair", [("modulus", int), ("u", int), ("v", int)]
     __slots__ = ()
 
     def __new__(cls, modulus: int, u: int, v: int):
-        m = int(modulus)
+        m, u, v = _integers((modulus, u, v), "a pair modulus and components")
         if m < 2:
             raise UsageError(f"pair modulus must be >= 2, got {m}")
-        u = int(u) % m
-        v = int(v) % m
+        u, v = u % m, v % m
         if math.gcd(u, m) != 1:
             raise UsageError(f"first component {u} is not a unit mod {m}")
         return super().__new__(cls, m, u, v)
@@ -165,11 +175,11 @@ def _require_same_family(e1: Element, e2: Element) -> None:
 def compose(e1: Element, e2: Element) -> Element:
     """Group product of two elements of the same family; e1 acts first for perms."""
     _require_same_family(e1, e2)
-    return _from_key(e1, _key_product(e1)(_key(e1), _key(e2)))
+    return _from_key(e1, _arithmetic(e1).product(_key(e1), _key(e2)))
 
 
 # A permutation up to this degree is keyed by its images as bytes, since each
-# image fits in a byte; the one size dispatch of ``_key`` and ``_key_product``.
+# image fits in a byte; the one size dispatch of ``_key`` and ``_arithmetic``.
 _MAX_BYTES_DEGREE = 256
 
 # The identity permutation of all 256 bytes.  Its slices are the identity key
@@ -192,80 +202,6 @@ def _key(e: Element):
     raise UsageError(f"unsupported element type {type(e).__name__}")
 
 
-def _perm_key_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # Only called above degree 256, where itemgetter always returns a tuple.
-    return itemgetter(*a)(b)
-
-
-def _perm_key_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(a)
-    for i, img in enumerate(a):
-        inv[img] = i
-    return tuple(inv)
-
-
-def _key_product(e: Element):
-    """The product on ``_key`` keys of e's family and degree or modulus."""
-    if isinstance(e, Perm):
-        if e.degree > _MAX_BYTES_DEGREE:
-            return _perm_key_product
-        # x acts first, so the product maps i to b[a[i]]: ``a.translate`` with
-        # b padded to the 256-byte table it requires.  The pad is never read,
-        # since every byte of a is below the degree.
-        pad = _BYTE_IDENTITY[e.degree:]
-
-        def bytes_perm_key_product(a, b):
-            return a.translate(b + pad)
-        return bytes_perm_key_product
-    if isinstance(e, Mat2):
-        m = e.modulus
-
-        def mat2_key_product(x, y):
-            (a, b), (c, d) = x
-            (q, r), (s, t) = y
-            return (((a * q + b * s) % m, (a * r + b * t) % m),
-                    ((c * q + d * s) % m, (c * r + d * t) % m))
-        return mat2_key_product
-    if isinstance(e, SemiPair):
-        m = e.modulus
-
-        def pair_key_product(x, y):
-            return (x[0] * y[0]) % m, (x[1] + x[0] * y[1]) % m
-        return pair_key_product
-    raise UsageError(f"unsupported element type {type(e).__name__}")
-
-
-def _key_inverse(e: Element):
-    """The inverse on ``_key`` keys of e's family and degree or modulus."""
-    if isinstance(e, Perm):
-        n = e.degree
-        if n > _MAX_BYTES_DEGREE:
-            return _perm_key_inverse
-        # maketrans(a, ident) maps byte a[i] to i, so its first n bytes are
-        # the inverse images; the rest of the 256-byte table is dropped.
-        ident = _BYTE_IDENTITY[:n]
-
-        def bytes_perm_key_inverse(a):
-            return bytes.maketrans(a, ident)[:n]
-        return bytes_perm_key_inverse
-    if isinstance(e, Mat2):
-        m = e.modulus
-
-        def mat2_key_inverse(x):
-            (a, b), (c, d) = x
-            w = pow((a * d - b * c) % m, -1, m)
-            return (((d * w) % m, (-b * w) % m), ((-c * w) % m, (a * w) % m))
-        return mat2_key_inverse
-    if isinstance(e, SemiPair):
-        m = e.modulus
-
-        def pair_key_inverse(x):
-            w = pow(x[0], -1, m)
-            return w, (-w * x[1]) % m
-        return pair_key_inverse
-    raise UsageError(f"unsupported element type {type(e).__name__}")
-
-
 def _from_key(like: Element, key) -> Element:
     """The element of ``like``'s family and degree or modulus with this
     ``_key``, built by ``tuple.__new__`` without the validating ``__new__``:
@@ -279,53 +215,106 @@ def _from_key(like: Element, key) -> Element:
     return tuple.__new__(type(like), (like.modulus, key[0], key[1]))
 
 
-def _translate_table(k: bytes) -> bytes:
-    """The 256-byte ``bytes.translate`` table of a bytes key k: x.translate
-    of it is the product x k.  The pad is never read, since every byte of x
-    is below the degree."""
-    return k + _BYTE_IDENTITY[len(k):]
+class _Arithmetic(NamedTuple):
+    """The arithmetic of the ``_key`` keys of one family and degree or
+    modulus: ``product(a, b)`` is the key of a b, ``inverse(a)`` that of
+    a^-1, ``right(k)`` the map x -> x k, built once per fixed factor k, and
+    ``identity`` the identity key."""
+
+    product: Callable[[Any, Any], Any]
+    inverse: Callable[[Any], Any]
+    right: Callable[[Any], Callable[[Any], Any]]
+    identity: Any
 
 
-def _key_right_multiplier(like: Element, k):
-    """The map x -> x k on ``_key`` keys of ``like``'s family and degree or
-    modulus.  For a bytes key the 256-byte ``translate`` table of k is built
-    here, once, rather than once per product."""
-    if isinstance(k, bytes):
-        table = _translate_table(k)
+def _perm_key_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for i, img in enumerate(a):
+        inv[img] = i
+    return tuple(inv)
 
-        def bytes_perm_right_multiplier(x):
-            return x.translate(table)
-        return bytes_perm_right_multiplier
-    product = _key_product(like)
 
-    def right_multiplier(x):
-        return product(x, k)
-    return right_multiplier
+def _arithmetic(like: Element) -> _Arithmetic:
+    """The key arithmetic of ``like``'s family and degree or modulus, the one
+    place that picks it."""
+    if isinstance(like, Perm):
+        n = like.degree
+        if n <= _MAX_BYTES_DEGREE:
+            # x acts first, so a b maps i to b[a[i]]: ``a.translate`` with b
+            # padded to the 256-byte table it requires, never read past the
+            # degree.  maketrans(a, ident) maps byte a[i] to i, so its first
+            # n bytes are the inverse images.
+            pad, ident = _BYTE_IDENTITY[n:], _BYTE_IDENTITY[:n]
+
+            def bytes_product(a, b):
+                return a.translate(b + pad)
+
+            def bytes_inverse(a):
+                return bytes.maketrans(a, ident)[:n]
+
+            def bytes_right(k):
+                table = k + pad  # built once here rather than once per product
+
+                def times_k(x):
+                    return x.translate(table)
+                return times_k
+            return _Arithmetic(bytes_product, bytes_inverse, bytes_right, ident)
+
+        def product(a, b):
+            # itemgetter of more than one index always returns a tuple.
+            return operator.itemgetter(*a)(b)
+        inverse, identity = _perm_key_inverse, tuple(range(n))
+    elif isinstance(like, Mat2):
+        m = like.modulus
+
+        def product(x, y):
+            (a, b), (c, d) = x
+            (q, r), (s, t) = y
+            return (((a * q + b * s) % m, (a * r + b * t) % m),
+                    ((c * q + d * s) % m, (c * r + d * t) % m))
+
+        def inverse(x):
+            (a, b), (c, d) = x
+            w = pow((a * d - b * c) % m, -1, m)
+            return (((d * w) % m, (-b * w) % m), ((-c * w) % m, (a * w) % m))
+        identity = ((1, 0), (0, 1))
+    elif isinstance(like, SemiPair):
+        m = like.modulus
+
+        def product(x, y):
+            return (x[0] * y[0]) % m, (x[1] + x[0] * y[1]) % m
+
+        def inverse(x):
+            w = pow(x[0], -1, m)
+            return w, (-w * x[1]) % m
+        identity = (1, 0)
+    else:
+        raise UsageError(f"unsupported element type {type(like).__name__}")
+
+    def right(k):
+        def times_k(x):
+            return product(x, k)
+        return times_k
+    return _Arithmetic(product, inverse, right, identity)
 
 
 def inverse(e: Element) -> Element:
     """Group inverse, built from the inverse of e's key."""
-    return _from_key(e, _key_inverse(e)(_key(e)))
+    return _from_key(e, _arithmetic(e).inverse(_key(e)))
 
 
 def identity_like(e: Element) -> Element:
     """Identity element of the same family and parameters as ``e``."""
-    if isinstance(e, Perm):
-        return Perm(tuple(range(e.degree)))
-    if isinstance(e, Mat2):
-        return Mat2(e.modulus, ((1, 0), (0, 1)))
-    if isinstance(e, SemiPair):
-        return SemiPair(e.modulus, 1, 0)
-    raise UsageError(f"unsupported element type {type(e).__name__}")
+    return _from_key(e, _arithmetic(e).identity)
 
 
 def element_order(e: Element) -> int:
-    """Smallest k >= 1 with e^k = identity."""
-    product, key = _key_product(e), _key(e)
-    ident = _key(identity_like(e))
+    """Smallest k >= 1 with e^k = identity, from key products alone."""
+    arithmetic, key = _arithmetic(e), _key(e)
+    times_e = arithmetic.right(key)
     k, x = 1, key
-    while x != ident:
-        x = product(x, key)
+    while x != arithmetic.identity:
+        x = times_e(x)
         k += 1
     return k
 
@@ -454,8 +443,9 @@ class FiniteGroup:
     ``generate_group`` builds it from the ``_key`` of each element in the
     canonical closure order, from which every downstream ordering (conjugacy
     classes, cosets, graph vertices) derives, and one element standing for
-    the family and degree or modulus, which picks the key product and
-    inverse.  Its ``generators`` generate it, so orbits under them are whole.
+    the family and degree or modulus, whose ``_Arithmetic`` it unpacks into
+    attributes, so ``mul`` and ``inv`` reach their key arithmetic in one
+    lookup.  Its ``generators`` generate it, so orbits under them are whole.
     ``mul`` multiplies two keys and looks the product up, with no family
     check and no element object built; products are never cached.
     ``element(i)`` builds the element of key i on demand; ``elements`` is
@@ -478,10 +468,9 @@ class FiniteGroup:
         self._like = like
         self._keys = keys
         self._index: dict[object, int] = index
-        self._key_product = _key_product(like)
-        self._key_inverse = _key_inverse(like)
+        self._product, self._inverse, self._right, identity = _arithmetic(like)
         self.generators: tuple[int, ...] = tuple(generators)
-        self.identity: int = index[_key(identity_like(like))]
+        self.identity: int = index[identity]
         self._elements: tuple[Element, ...] | None = None
         self._conjugation_maps: dict[int, tuple[int, ...]] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
@@ -527,11 +516,11 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j]."""
         keys = self._keys
-        return self._index[self._key_product(keys[i], keys[j])]
+        return self._index[self._product(keys[i], keys[j])]
 
     def inv(self, i: int) -> int:
         """Index of elements[i]^-1, from the inverse of its key alone."""
-        return self._index[self._key_inverse(self._keys[i])]
+        return self._index[self._inverse(self._keys[i])]
 
     def conjugate(self, g: int, x: int) -> int:
         """Index of g x g^-1."""
@@ -541,14 +530,14 @@ class FiniteGroup:
         """The index map x -> g^-1 x g, built from key products."""
         row = self._conjugation_maps.get(g)
         if row is None:
-            index, product = self._index, self._key_product
+            index, product = self._index, self._product
             k = self._keys[g]
-            k_inv = self._key_inverse(k)
+            k_inv = self._inverse(k)
             if isinstance(k, bytes):
-                # k_inv (x k) inline, with k's translate table built once
-                # rather than once per element.
-                kt = _translate_table(k)
-                pad = kt[len(k):]
+                # k_inv (x k) inline with k's translate table built once;
+                # a ``right(k)`` call per element is measurably slower.
+                pad = _BYTE_IDENTITY[len(k):]
+                kt = k + pad
                 row = tuple(index[k_inv.translate(x.translate(kt) + pad)] for x in self._keys)
             else:
                 row = tuple(index[product(product(k_inv, x), k)] for x in self._keys)
@@ -645,7 +634,7 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
     cap, where = _element_cap(isinstance(like, Perm), _parameter(like), max_elements)
     keys = [_key(g) for g in seeds]
     index = {k: i for i, k in enumerate(keys)}
-    rights = [_key_right_multiplier(like, k) for k in keys]
+    rights = list(map(_arithmetic(like).right, keys))
     for x in keys:
         for right in rights:
             p = right(x)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import FiniteGroup, UsageError
+from .algebra import FiniteGroup, UsageError, _integers
 from .gassmann import Subgroup, class_intersection_profile
 
 if TYPE_CHECKING:  # fractions, with decimal, loads only where a Fraction is built
@@ -47,7 +47,9 @@ class PolygonSpec(NamedTuple("PolygonSpec", [("edge_pairs", int),
     __slots__ = ()
 
     def __new__(cls, edge_pairs: int, cycles):
-        cycles = tuple((str(label), int(e)) for label, e in cycles)
+        cycles = tuple(cycles)
+        cycles = tuple(zip((str(label) for label, _ in cycles),
+                           _integers((e for _, e in cycles), "vertex cycle elements")))
         if not isinstance(edge_pairs, int) or isinstance(edge_pairs, bool):
             raise UsageError(f"edge pair count must be an integer, got {edge_pairs!r}")
         if edge_pairs < 1:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple, Sequence
 
-from .algebra import FiniteGroup, UsageError, _key_right_multiplier, _perm_key_inverse
+from .algebra import FiniteGroup, UsageError, _integers, _perm_key_inverse
 from .gassmann import Subgroup, _check_indices, check_parent
 
 __all__ = [
@@ -105,7 +105,7 @@ class SchreierGraph(NamedTuple("SchreierGraph", [("vertex_count", int),
 
     def __new__(cls, vertex_count: int, labels: Sequence[str],
                 perms: Sequence[Sequence[int]]):
-        labels, perms = tuple(labels), tuple(tuple(p) for p in perms)
+        labels, perms = tuple(labels), tuple(_integers(p, "arc heads") for p in perms)
         if len(set(labels)) != len(labels):
             raise UsageError("arc labels must be unique")
         if len(perms) != len(labels):
@@ -139,12 +139,12 @@ def _coset_walk(group: FiniteGroup, sub: Subgroup,
                 elements: Sequence[int]) -> list[tuple[int, ...]]:
     """The permutation of U\\G induced by each element, in ``coset_table``'s
     numbering, found by testing y t_j^-1 in U in key space."""
-    keys, like, product = group._keys, group._like, group._key_product
-    inverse = group._key_inverse
+    keys, product, inverse = group._keys, group._product, group._inverse
+    multiplier = group._right
     members = frozenset(keys[u] for u in sub.members)
     reps = [keys[group.identity]]
     # rights[j] is x -> x t_j^-1, the one multiplier per representative.
-    rights = [_key_right_multiplier(like, reps[0])]
+    rights = [multiplier(reps[0])]
 
     def coset(y) -> int:
         for j, right in enumerate(rights):
@@ -161,7 +161,7 @@ def _coset_walk(group: FiniteGroup, sub: Subgroup,
             if c < 0:
                 c = len(reps)
                 reps.append(y)
-                rights.append(_key_right_multiplier(like, inverse(y)))
+                rights.append(multiplier(inverse(y)))
             row.append(c)
     return [tuple(images[gens.index(e)]) if e in gens
             else tuple(coset(product(t, keys[e])) for t in reps)

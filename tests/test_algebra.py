@@ -34,6 +34,7 @@ from sunada import (
     schreier_graph,
     subgroup_generate,
 )
+from sunada.algebra import _arithmetic, _key
 
 A12_A = "(0,7,11)(1,5,6)(2,9,10)(3,4,8)"
 A12_B = "(0,4,2)(1,5,9)(3,7,11)(6,10,8)"
@@ -291,7 +292,9 @@ def test_compose_rejects_mixed_families():
 def same_family_pairs(draw):
     family = draw(st.sampled_from((Perm, Mat2, SemiPair)))
     if family is Perm:
-        imgs = st.permutations(tuple(range(draw(st.integers(1, 9)))))
+        # Bytes keys up to degree 256, image tuples above.
+        degree = draw(st.one_of(st.integers(1, 9), st.integers(257, 300)))
+        imgs = st.permutations(tuple(range(degree)))
         return Perm(tuple(draw(imgs))), Perm(tuple(draw(imgs)))
     m = draw(st.integers(2, 12))
     residue = st.integers(0, m - 1)
@@ -319,6 +322,8 @@ def test_trusted_product_matches_validated_compose(pair):
     assert type(p) is type(x)
     rebuilt = _revalidated(p)
     assert rebuilt == p and hash(rebuilt) == hash(p)
+    arithmetic = _arithmetic(x)
+    assert arithmetic.right(_key(y))(_key(x)) == arithmetic.product(_key(x), _key(y)) == _key(p)
 
 
 @settings(max_examples=200, deadline=None)

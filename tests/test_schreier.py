@@ -15,6 +15,7 @@ from sunada import (
     coset_action,
     coset_table,
     enumerate_subgroups,
+    generate_group,
     graph_isomorphic,
     graph_json_dict,
     parse_cycles,
@@ -202,6 +203,26 @@ def test_both_producers_give_the_table_graph(name, request):
             assert SchreierGraph(sub.index, expected.labels, walked) == expected
             sides.add(schreier._walk_is_cheaper(group, sub))
     assert sides == {True, False}
+
+
+def test_both_producers_give_the_table_graph_on_tuple_keys():
+    """At degree 257 permutations are keyed by image tuples.  In the dihedral
+    group of order 514, U = <257-cycle> (index 2) takes the walk and U = <a
+    reflection> (index 257) the table; both give the table graph.  Not every
+    subgroup class is tried: the walk on the trivial one is slow."""
+    n = 257
+    rotation = Perm(tuple(range(1, n)) + (0,))
+    reflection = Perm(tuple(-i % n for i in range(n)))
+    group = generate_group([rotation, reflection])
+    assert group.order == 2 * n
+    r, s = group.index_of(rotation), group.index_of(reflection)
+    labels = [("r", r), ("s", s), ("x", group.mul(r, s))]
+    sides = []
+    for gen in (r, s):
+        sub = subgroup_generate(group, [gen])
+        assert schreier_graph(group, sub, labels) == _table_graph(group, sub, labels)
+        sides.append(schreier._walk_is_cheaper(group, sub))
+    assert sides == [True, False]
 
 
 def test_size_rule_on_named_subgroups(genus2, genus3, orbifold_h, psl32, psl211):

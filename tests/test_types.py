@@ -3,6 +3,7 @@ tuples, ``Subgroup`` an immutable slotted class."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from sunada import (
@@ -101,11 +102,41 @@ def test_keyword_construction(genus2):
     lambda: SchreierGraph(vertex_count=2, labels=("a",), perms=((1, 2),)),
     lambda: SchreierGraph(vertex_count=2, labels=("a", "b"), perms=((1, 0),)),
     lambda: SchreierGraph(vertex_count=2, labels=("a",), perms=((1, 0), (0, 1))),
+    # Integers are read through operator.index, not truncated or parsed.
+    lambda: Perm([1.5, 0.5]),
+    lambda: Perm(["1", "0"]),
+    lambda: Mat2(4, ((1.5, 0), (0, 1))),
+    lambda: SemiPair(8, 3.7, "2"),
+    lambda: PolygonSpec(2, [("a", 1.9)]),
+    lambda: SchreierGraph(2, ["a"], [[1.0, 0.0]]),
 ], ids=["perm", "mat2-modulus", "mat2-det", "pair", "polygon-pairs", "polygon-labels", "graph",
-        "graph-out-of-range", "graph-too-few-perms", "graph-too-many-perms"])
+        "graph-out-of-range", "graph-too-few-perms", "graph-too-many-perms",
+        "perm-floats", "perm-strings", "mat2-float", "pair-float-and-string",
+        "polygon-float", "graph-floats"])
 def test_invalid_input_raises_usage_error(build):
     with pytest.raises(UsageError):
         build()
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    elif not isinstance(value, str):
+        yield value
+
+
+# Bools and numpy ints are integers to operator.index, and are stored as ints.
+@pytest.mark.parametrize("build", [
+    lambda: SchreierGraph(2, ["a"], [[True, False]]),
+    lambda: Perm(np.array([1, 0])),
+    lambda: Mat2(np.int64(4), np.array([[1, 1], [0, 3]])),
+    lambda: SemiPair(np.int64(8), np.int32(3), np.uint8(2)),
+    lambda: PolygonSpec(2, [("a", np.int64(1))]),
+], ids=["graph-bools", "perm-numpy", "mat2-numpy", "pair-numpy", "polygon-numpy"])
+def test_integer_values_are_stored_as_ints(build):
+    values = list(_leaves(build()))
+    assert values and all(type(v) is int for v in values)
 
 
 def test_subgroup_equality_is_over_parent_and_members(genus2, genus3):
