@@ -9,49 +9,19 @@ modes, compares symmetrized adjacency spectra, searches small groups for
 Sunada pairs, and ships three verified example constructions.
 """
 
-from .algebra import (CycleParseError, Element, FiniteGroup, Mat2, Perm,
-                      ResourceError, SemiPair, UsageError, compose,
-                      conjugacy_classes, cycle_string, element_order,
-                      generate_group, identity_like, inverse, parse_cycles)
-from .catalog import (CatalogEntry, CatalogError, Expectations, catalog_entry,
-                      catalog_names)
-from .covering import (ConePoint, CoveringReport, PolygonSpec, cone_points,
-                       covering_report, covering_report_json, smoothness)
-from .gassmann import (Subgroup, SunadaReport, are_conjugate_subgroups,
-                       are_gassmann, class_intersection_profile,
-                       is_sunada_triple, subgroup_from_members,
-                       subgroup_generate)
-from .schreier import (CosetTable, SchreierGraph, coset_action, coset_table,
-                       graph_isomorphic, graph_json_dict, schreier_graph,
-                       to_dot)
-from .search import (SearchConfig, enumerate_subgroups, find_sunada_pairs,
-                     simultaneous_conjugator)
-from .spectra import (DenseSymMatrix, NumericError, SpectrumReport,
-                      adjacency_matrix, eigenvalues_symmetric, spectra_equal,
-                      spectrum_report_json)
-from .specfile import (LoadedSpec, SpecError, document_from_catalog,
-                       load_text, parse_document, render_element)
+from . import algebra, catalog, covering, gassmann, schreier, search, spectra, specfile
+from .algebra import *
+from .catalog import *
+from .covering import *
+from .gassmann import *
+from .schreier import *
+from .search import *
+from .spectra import *
+from .specfile import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CycleParseError", "Element", "FiniteGroup", "Mat2", "Perm",
-    "ResourceError", "SemiPair", "UsageError", "compose", "conjugacy_classes",
-    "cycle_string", "element_order", "generate_group", "identity_like",
-    "inverse", "parse_cycles",
-    "CatalogEntry", "CatalogError", "Expectations", "catalog_entry",
-    "catalog_names",
-    "ConePoint", "CoveringReport", "PolygonSpec", "cone_points",
-    "covering_report", "covering_report_json", "smoothness",
-    "Subgroup", "SunadaReport", "are_conjugate_subgroups", "are_gassmann",
-    "class_intersection_profile", "is_sunada_triple",
-    "subgroup_from_members", "subgroup_generate",
-    "CosetTable", "SchreierGraph", "coset_action", "coset_table",
-    "graph_isomorphic", "graph_json_dict", "schreier_graph", "to_dot",
-    "SearchConfig", "enumerate_subgroups", "find_sunada_pairs",
-    "simultaneous_conjugator",
-    "DenseSymMatrix", "NumericError", "SpectrumReport", "adjacency_matrix",
-    "eigenvalues_symmetric", "spectra_equal", "spectrum_report_json",
-    "LoadedSpec", "SpecError", "document_from_catalog", "load_text",
-    "parse_document", "render_element",
-]
+# Each module's ``__all__`` is the one declaration of its public names.
+__all__ = [name for module in (algebra, catalog, covering, gassmann, schreier, search,
+                               spectra, specfile)
+           for name in module.__all__]

@@ -33,8 +33,9 @@ product or inverse multiplies or inverts keys, so it builds no element
 object and runs no Python-level ``__hash__`` or ``__eq__``; its derived
 tables (conjugation maps, classes) are tuples of indices.  Keys of
 different families or moduli can be equal (the identity matrices mod 4 and
-mod 8), so ``index_of`` and ``in`` check an element's family and degree or
-modulus before they look its key up.
+mod 8), so ``index_of`` checks an element's family and degree or modulus
+before it looks its key up, and raises UsageError for an element of
+another.
 """
 
 from __future__ import annotations
@@ -86,11 +87,11 @@ class ResourceError(RuntimeError):
 def _integers(values: Iterable, what: str) -> tuple[int, ...]:
     """The values as ints through ``operator.index``, which passes ints and
     numpy ints; anything else raises UsageError, not truncated or parsed."""
-    values = tuple(values)
     try:
+        values = tuple(values)
         return tuple(map(operator.index, values))
     except TypeError:
-        raise UsageError(f"{what} must be integers, got {values!r}") from None
+        raise UsageError(f"{what}: each value must be an integer, got {values!r}") from None
 
 
 class Perm(NamedTuple("Perm", [("images", tuple[int, ...])])):
@@ -119,7 +120,10 @@ class Mat2(NamedTuple("Mat2", [("modulus", int),
     __slots__ = ()
 
     def __new__(cls, modulus: int, entries):
-        (a, b), (c, d) = entries
+        try:
+            (a, b), (c, d) = entries
+        except (TypeError, ValueError):
+            raise UsageError(f"matrix entries must be two rows of two, got {entries!r}") from None
         m, a, b, c, d = _integers((modulus, a, b, c, d), "a matrix modulus and entries")
         if m < 2:
             raise UsageError(f"matrix modulus must be >= 2, got {m}")
@@ -404,6 +408,10 @@ def parse_cycles(text: str, degree: int) -> Perm:
     points, or out-of-range points.  Well-formed text is read in bulk, the
     rest, which includes every error, a character at a time.
     """
+    try:  # not through _integers, whose tuples cost 0.5 us per document element
+        degree = operator.index(degree)
+    except TypeError:
+        raise UsageError(f"degree must be an integer, got {degree!r}") from None
     if degree < 1:
         raise UsageError(f"degree must be >= 1, got {degree}")
     cycles = _read_cycles(text, degree) if _CYCLES.fullmatch(text) else None
@@ -448,12 +456,12 @@ class FiniteGroup:
     lookup.  Its ``generators`` generate it, so orbits under them are whole.
     ``mul`` multiplies two keys and looks the product up, with no family
     check and no element object built; products are never cached.
-    ``element(i)`` builds the element of key i on demand; ``elements`` is
-    the tuple of all of them, built on first access, which no algorithm of
-    the package needs.  ``index_of`` and ``in`` reject an element of another
-    family, degree or modulus before the key lookup.  ``inv`` inverts one
-    key and looks it up.  Two index tables are cached on first use, each
-    built in key and index space:
+    ``element(i)`` builds the element of key i on demand, so the group never
+    holds an element object; the elements are ``element(i)`` for i in
+    ``range(order)``.  ``index_of`` rejects an element of another family,
+    degree or modulus before the key lookup.  ``inv`` inverts one key and
+    looks it up.  Two index tables are cached on first use, each built in
+    key and index space:
 
     * one conjugation map per generator g, x -> g^-1 x g, from two key
       products per element and the inverse of g's key alone;
@@ -471,7 +479,6 @@ class FiniteGroup:
         self._product, self._inverse, self._right, identity = _arithmetic(like)
         self.generators: tuple[int, ...] = tuple(generators)
         self.identity: int = index[identity]
-        self._elements: tuple[Element, ...] | None = None
         self._conjugation_maps: dict[int, tuple[int, ...]] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
         self._class_of: tuple[int, ...] | None = None
@@ -480,51 +487,29 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self._keys)
 
-    def __len__(self) -> int:
-        return len(self._keys)
-
     def element(self, i: int) -> Element:
         """The element of index i, built from its key."""
         return _from_key(self._like, self._keys[i])
 
-    @property
-    def elements(self) -> tuple[Element, ...]:
-        """Every element in index order, built from the keys on first access."""
-        if self._elements is None:
-            like = self._like
-            self._elements = tuple(_from_key(like, k) for k in self._keys)
-        return self._elements
-
-    def _find(self, e: Element) -> int | None:
-        """Index of e, or None.  Keys of different families or moduli can
-        be equal, so only an element of this group's family and degree or
-        modulus is looked up."""
-        like = self._like
-        if type(e) is not type(like) or _parameter(e) != _parameter(like):
-            return None
-        return self._index.get(_key(e))
-
     def index_of(self, e: Element) -> int:
-        i = self._find(e)
-        if i is None:
-            raise UsageError(f"element {e} is not in the group")
-        return i
-
-    def __contains__(self, e: Element) -> bool:
-        return self._find(e) is not None
+        """The index of e.  Keys of different families or moduli can be
+        equal, so only an element of this group's family and degree or
+        modulus is looked up; any other raises UsageError."""
+        like = self._like
+        if type(e) is type(like) and _parameter(e) == _parameter(like):
+            i = self._index.get(_key(e))
+            if i is not None:
+                return i
+        raise UsageError(f"element {e} is not in the group")
 
     def mul(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j]."""
+        """Index of the product of elements i and j."""
         keys = self._keys
         return self._index[self._product(keys[i], keys[j])]
 
     def inv(self, i: int) -> int:
-        """Index of elements[i]^-1, from the inverse of its key alone."""
+        """Index of the inverse of element i, from the inverse of its key alone."""
         return self._index[self._inverse(self._keys[i])]
-
-    def conjugate(self, g: int, x: int) -> int:
-        """Index of g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
 
     def _conjugation_map(self, g: int) -> tuple[int, ...]:
         """The index map x -> g^-1 x g, built from key products."""

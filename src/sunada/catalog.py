@@ -57,13 +57,6 @@ class CatalogEntry(NamedTuple):
     # The stored document itself: read it, or copy it with document_from_catalog.
     document: dict[str, Any]
 
-    def __hash__(self) -> int:  # without the document, a dict
-        return hash(self[:-1])
-
-    @property
-    def subgroups(self) -> dict[str, Subgroup]:
-        return {self.u_name: self.subgroup_u, self.v_name: self.subgroup_v}
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:

@@ -28,7 +28,7 @@ from .catalog import CatalogError, catalog_entry, catalog_names
 from .covering import covering_report, covering_report_json
 from .gassmann import is_sunada_triple
 from .schreier import graph_json_dict, schreier_graph, to_dot
-from .search import SearchConfig, _sunada_pairs
+from .search import DEFAULT_SUBGROUP_CAP, SearchConfig, _sunada_pairs
 from .spectra import (NumericError, adjacency_matrix, eigenvalues_symmetric,
                       spectrum_report_json)
 from .specfile import (LoadedSpec, SpecError, decode_json, document_from_catalog,
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_positive_int, required=True)
     p.add_argument("--smooth", action="store_true",
                    help="keep only pairs whose quotients are smooth under the document polygon")
-    p.add_argument("--max-subgroups", type=_positive_int, default=None)
+    p.add_argument("--max-subgroups", type=_positive_int, default=DEFAULT_SUBGROUP_CAP)
     p.add_argument("--no-dedupe", action="store_true",
                    help="report all pairs instead of one per simultaneous conjugacy orbit")
 
@@ -177,7 +177,7 @@ def _cmd_search(args) -> int:
     config = SearchConfig(
         order=args.order,
         require_smooth=spec.polygon if args.smooth else None,
-        **({} if args.max_subgroups is None else {"max_subgroups": args.max_subgroups}),
+        max_subgroups=args.max_subgroups,
         dedupe=not args.no_dedupe,
     )
     # Lines are flushed as each pair is verified, so a kill keeps those written;

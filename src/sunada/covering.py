@@ -47,11 +47,10 @@ class PolygonSpec(NamedTuple("PolygonSpec", [("edge_pairs", int),
     __slots__ = ()
 
     def __new__(cls, edge_pairs: int, cycles):
+        (edge_pairs,) = _integers((edge_pairs,), "the edge pair count")
         cycles = tuple(cycles)
         cycles = tuple(zip((str(label) for label, _ in cycles),
                            _integers((e for _, e in cycles), "vertex cycle elements")))
-        if not isinstance(edge_pairs, int) or isinstance(edge_pairs, bool):
-            raise UsageError(f"edge pair count must be an integer, got {edge_pairs!r}")
         if edge_pairs < 1:
             raise UsageError(f"edge pair count must be >= 1, got {edge_pairs}")
         if not cycles:

@@ -65,9 +65,6 @@ class Subgroup:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, element_index: int) -> bool:
-        return element_index in self.member_set
-
 
 def _check_indices(group: FiniteGroup, indices: Iterable[int]) -> None:
     n = group.order

@@ -55,7 +55,6 @@ class CosetTable(NamedTuple):
     coset containing element e.
     """
 
-    subgroup: Subgroup
     transversal: tuple[int, ...]
     coset_of: tuple[int, ...]
 
@@ -84,7 +83,7 @@ def coset_table(group: FiniteGroup, sub: Subgroup) -> CosetTable:
                 transversal.append(e)
                 for u in sub.members:
                     coset_of[group.mul(u, e)] = cid
-    return CosetTable(sub, tuple(transversal), tuple(coset_of))
+    return CosetTable(tuple(transversal), tuple(coset_of))
 
 
 def coset_action(group: FiniteGroup, table: CosetTable, element_index: int) -> tuple[int, ...]:
@@ -121,12 +120,6 @@ class SchreierGraph(NamedTuple("SchreierGraph", [("vertex_count", int),
         by_label = sorted(zip(self.labels, self.perms))
         return tuple((src, perm[src], label)
                      for src in range(self.vertex_count) for label, perm in by_label)
-
-    def out_map(self, label: str) -> tuple[int, ...]:
-        """The permutation src -> dst of one label."""
-        if label not in self.labels:
-            raise UsageError(f"unknown label {label!r}")
-        return self.perms[self.labels.index(label)]
 
 
 def _walk_is_cheaper(group: FiniteGroup, sub: Subgroup) -> bool:

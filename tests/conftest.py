@@ -1,5 +1,5 @@
-"""Shared fixtures (catalog entries and small symmetric groups) and the
-whole and trivial subgroup helpers."""
+"""Shared fixtures (catalog entries and small symmetric groups), the whole
+and trivial subgroup helpers and the element list of a group."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from sunada import FiniteGroup, Perm, Subgroup, catalog_entry, generate_group, parse_cycles
+from sunada import (Element, FiniteGroup, Perm, Subgroup, catalog_entry, generate_group,
+                    parse_cycles)
 
 # Subprocesses started by the tests (``python -m sunada``) import the same
 # package as the tests do, also from a checkout that is not installed.
@@ -24,6 +25,11 @@ def full_subgroup(group: FiniteGroup) -> Subgroup:
 
 def trivial_subgroup(group: FiniteGroup) -> Subgroup:
     return Subgroup(group, (group.identity,))
+
+
+def elements(group: FiniteGroup) -> list[Element]:
+    """Every element of the group in index order, each built from its key."""
+    return [group.element(i) for i in range(group.order)]
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ from sunada import (
     ResourceError,
     SearchConfig,
     are_gassmann,
+    conjugate_members,
     covering_report,
     enumerate_subgroups,
     find_sunada_pairs,
@@ -236,12 +237,12 @@ def test_simultaneous_conjugator_finds_witness(s4):
     u = subgroup_generate(s4, [s4.index_of(Perm((1, 0, 2, 3)))])
     v = subgroup_generate(s4, [s4.index_of(Perm((0, 1, 3, 2)))])
     g = 5
-    u2 = subgroup_from_members(s4, [s4.conjugate(g, x) for x in u.members])
-    v2 = subgroup_from_members(s4, [s4.conjugate(g, x) for x in v.members])
+    u2 = subgroup_from_members(s4, conjugate_members(s4, u.members, g))
+    v2 = subgroup_from_members(s4, conjugate_members(s4, v.members, g))
     h = simultaneous_conjugator(s4, (u, v), (u2, v2))
     assert h is not None
-    hu = {s4.conjugate(h, x) for x in u.members}
-    hv = {s4.conjugate(h, x) for x in v.members}
+    hu = conjugate_members(s4, u.members, h)
+    hv = conjugate_members(s4, v.members, h)
     assert (hu, hv) == (u2.member_set, v2.member_set) or (
         hu, hv) == (v2.member_set, u2.member_set)
 

@@ -21,6 +21,7 @@ from sunada import (
     covering_report,
     document_from_catalog,
     is_sunada_triple,
+    parse_cycles,
     parse_document,
     schreier_graph,
 )
@@ -109,10 +110,17 @@ def test_keyword_construction(genus2):
     lambda: SemiPair(8, 3.7, "2"),
     lambda: PolygonSpec(2, [("a", 1.9)]),
     lambda: SchreierGraph(2, ["a"], [[1.0, 0.0]]),
+    lambda: parse_cycles("(0,1)", 2.5),
+    lambda: parse_cycles("(0,1)", "3"),
+    # Misshapen input is a UsageError too, not a TypeError or ValueError.
+    lambda: Perm(5),
+    lambda: Mat2(4, 7),
+    lambda: Mat2(4, ((1, 0, 0), (0, 1))),
 ], ids=["perm", "mat2-modulus", "mat2-det", "pair", "polygon-pairs", "polygon-labels", "graph",
         "graph-out-of-range", "graph-too-few-perms", "graph-too-many-perms",
         "perm-floats", "perm-strings", "mat2-float", "pair-float-and-string",
-        "polygon-float", "graph-floats"])
+        "polygon-float", "graph-floats", "cycles-float-degree", "cycles-string-degree",
+        "perm-not-iterable", "mat2-not-iterable", "mat2-misshapen"])
 def test_invalid_input_raises_usage_error(build):
     with pytest.raises(UsageError):
         build()
@@ -132,8 +140,10 @@ def _leaves(value):
     lambda: Perm(np.array([1, 0])),
     lambda: Mat2(np.int64(4), np.array([[1, 1], [0, 3]])),
     lambda: SemiPair(np.int64(8), np.int32(3), np.uint8(2)),
-    lambda: PolygonSpec(2, [("a", np.int64(1))]),
-], ids=["graph-bools", "perm-numpy", "mat2-numpy", "pair-numpy", "polygon-numpy"])
+    lambda: PolygonSpec(np.int64(2), [("a", np.int64(1))]),
+    lambda: PolygonSpec(True, [("a", 1)]),
+], ids=["graph-bools", "perm-numpy", "mat2-numpy", "pair-numpy", "polygon-numpy",
+        "polygon-bool"])
 def test_integer_values_are_stored_as_ints(build):
     values = list(_leaves(build()))
     assert values and all(type(v) is int for v in values)
