@@ -324,8 +324,12 @@ def element_order(e: Element) -> int:
 
 
 # Well-formed cycle notation.  A str pattern's \s and \d are the characters
-# of str.isspace and str.isdecimal, which int() reads.
+# of str.isspace and str.isdecimal, which int() reads, and a test pins this.
+# The error scanner reads with the same classes: the space between cycles,
+# and after a '(' or ',' one point's digits and the character after them.
 _CYCLES = re.compile(r"\s*(?:\(\s*\d+\s*(?:,\s*\d+\s*)+\)\s*)*")
+_SPACE = re.compile(r"\s*")
+_POINT = re.compile(r"\s*(\d*)\s*(.?)", re.DOTALL)
 
 
 def _read_cycles(text: str, degree: int) -> list[list[int]] | None:
@@ -343,59 +347,42 @@ def _read_cycles(text: str, degree: int) -> list[list[int]] | None:
 
 
 def _scan_cycles(text: str, degree: int) -> list[list[int]]:
-    """The cycles of the text, read a character at a time, so that an error
+    """The cycles of the text, read a point at a time, so that an error
     carries its position."""
     cycles: list[list[int]] = []
     seen: set[int] = set()
-    n = len(text)
-    # A point has at most this many significant digits, so a longer run is
-    # out of range before int() sees it, which refuses over 4300 digits.
+    # A point has at most this many digits besides leading zeros, so a longer
+    # run is out of range before int(), which refuses over 4300 digits, sees
+    # it.  A run that looks out of range is read again without leading zeros.
     width = len(str(degree - 1))
-
-    def skip_ws(p: int) -> int:
-        while p < n and text[p].isspace():
-            p += 1
-        return p
-
-    pos = skip_ws(0)
-    while pos < n:
+    pos = _SPACE.match(text).end()
+    while pos < len(text):
         if text[pos] != "(":
             raise CycleParseError("expected '('", pos)
-        pos += 1
         cycle: list[int] = []
-        while True:
-            point_pos = skip_ws(pos)
-            pos = point_pos
-            while pos < n and text[pos].isdecimal():
-                pos += 1
-            if pos == point_pos:
-                raise CycleParseError("expected a point number", point_pos)
-            digits = text[point_pos:pos]
-            if len(digits) > width:
-                # Leading zeros, of any script int() reads, do not count.
+        sep = ","
+        while sep == ",":
+            match = _POINT.match(text, pos + 1)
+            digits, sep = match.groups()
+            pos = match.start(1)
+            if not digits:
+                raise CycleParseError("expected a point number", pos)
+            if len(digits) > width or int(digits) >= degree:
                 digits = "".join(str(int(d)) for d in digits).lstrip("0") or "0"
-                if len(digits) > width:
-                    raise CycleParseError(f"point {digits} out of range for degree {degree}",
-                                          point_pos)
+                if len(digits) > width or int(digits) >= degree:
+                    raise CycleParseError(f"point {digits} out of range for degree {degree}", pos)
             point = int(digits)
-            if point >= degree:
-                raise CycleParseError(f"point {point} out of range for degree {degree}", point_pos)
             if point in seen:
-                raise CycleParseError(f"point {point} repeated", point_pos)
+                raise CycleParseError(f"point {point} repeated", pos)
             seen.add(point)
             cycle.append(point)
-            pos = skip_ws(pos)
-            if pos < n and text[pos] == ",":
-                pos += 1
-                continue
-            if pos < n and text[pos] == ")":
-                pos += 1
-                break
-            raise CycleParseError("expected ',' or ')'", pos)
+            pos = match.start(2)
+            if sep not in (",", ")"):
+                raise CycleParseError("expected ',' or ')'", pos)
         if len(cycle) < 2:
-            raise CycleParseError("a cycle needs at least two points", pos - 1)
+            raise CycleParseError("a cycle needs at least two points", pos)
         cycles.append(cycle)
-        pos = skip_ws(pos)
+        pos = _SPACE.match(text, pos + 1).end()
     return cycles
 
 
@@ -405,9 +392,12 @@ def parse_cycles(text: str, degree: int) -> Perm:
     Points are 0-based and must be below ``degree``; points not listed stay
     fixed; whitespace is ignored; the empty string is the identity.  Raises
     CycleParseError (carrying a text position) for malformed input, repeated
-    points, or out-of-range points.  Well-formed text is read in bulk, the
-    rest, which includes every error, a character at a time.
+    points, or out-of-range points, and UsageError for a text that is not a
+    str.  Well-formed text is read in bulk, the rest, which includes every
+    error, a point at a time.
     """
+    if not isinstance(text, str):
+        raise UsageError(f"cycle text must be a string, got {text!r}")
     try:  # not through _integers, whose tuples cost 0.5 us per document element
         degree = operator.index(degree)
     except TypeError:

@@ -48,8 +48,11 @@ class PolygonSpec(NamedTuple("PolygonSpec", [("edge_pairs", int),
 
     def __new__(cls, edge_pairs: int, cycles):
         (edge_pairs,) = _integers((edge_pairs,), "the edge pair count")
-        cycles = tuple(cycles)
-        cycles = tuple(zip((str(label) for label, _ in cycles),
+        try:
+            cycles = [(str(label), e) for label, e in cycles]
+        except (TypeError, ValueError):
+            raise UsageError(f"vertex cycles must be (label, element) pairs: {cycles!r}") from None
+        cycles = tuple(zip((label for label, _ in cycles),
                            _integers((e for _, e in cycles), "vertex cycle elements")))
         if edge_pairs < 1:
             raise UsageError(f"edge pair count must be >= 1, got {edge_pairs}")

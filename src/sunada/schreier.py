@@ -104,7 +104,11 @@ class SchreierGraph(NamedTuple("SchreierGraph", [("vertex_count", int),
 
     def __new__(cls, vertex_count: int, labels: Sequence[str],
                 perms: Sequence[Sequence[int]]):
-        labels, perms = tuple(labels), tuple(_integers(p, "arc heads") for p in perms)
+        (vertex_count,) = _integers((vertex_count,), "the vertex count")
+        try:
+            labels, perms = tuple(labels), tuple(_integers(p, "arc heads") for p in perms)
+        except TypeError:
+            raise UsageError(f"labels {labels!r} and perms {perms!r} must be sequences") from None
         if len(set(labels)) != len(labels):
             raise UsageError("arc labels must be unique")
         if len(perms) != len(labels):
@@ -218,7 +222,10 @@ def graph_isomorphic(g1: SchreierGraph, g2: SchreierGraph,
     earlier matches but sends this component to another free component,
     exchanging the two (isomorphic) target components in it gives one that
     extends this match too.  So the first match of each root is the one a
-    backtracking search over root candidates would return.
+    backtracking search over root candidates would return.  Labels are
+    followed forward only: a permutation of finitely many vertices reaches
+    the whole component forward, and a bijection that commutes with a
+    permutation commutes with its inverse.
     """
     if mode not in ("direct", "reversed"):
         raise UsageError(f"unknown isomorphism mode {mode!r}")
@@ -226,12 +233,8 @@ def graph_isomorphic(g1: SchreierGraph, g2: SchreierGraph,
     if n != g2.vertex_count or sorted(g1.labels) != sorted(g2.labels):
         return None
     perms2 = dict(zip(g2.labels, g2.perms))
-    moves = []
-    for lab, out1 in zip(g1.labels, g1.perms):
-        out2 = perms2[lab]
-        if mode == "reversed":
-            out2 = _perm_key_inverse(out2)
-        moves += [(out1, out2), (_perm_key_inverse(out1), _perm_key_inverse(out2))]
+    moves = [(out1, perms2[lab] if mode == "direct" else _perm_key_inverse(perms2[lab]))
+             for lab, out1 in zip(g1.labels, g1.perms)]
     phi = [-1] * n
     used = [False] * n
     free = 0  # every vertex of g2 below it is used

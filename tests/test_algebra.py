@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -62,15 +64,41 @@ def test_parse_cycles_ignores_whitespace():
     assert parse_cycles(" ( 0 , 1 ) ( 2 , 3 ) ", 4) == parse_cycles("(0,1)(2,3)", 4)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["(0,1", "(0,0)", "(0,99)", "(5)", "0,1", "(a,b)", "(0,1)x", "(0,1)(1,2)",
-     pytest.param("(0," + "9" * 5000 + ")", id="overlong-point")],
-)
-def test_parse_cycles_rejects_malformed_text(text):
+OVERLONG_POINT = "(0," + "9" * 5000 + ")"
+MALFORMED_CYCLES = [  # (text, message, position) at degree 12
+    ("(0,1", "expected ',' or ')'", 4),
+    ("(0,0)", "point 0 repeated", 3),
+    ("(0,99)", "point 99 out of range for degree 12", 3),
+    ("(5)", "a cycle needs at least two points", 2),
+    ("0,1", "expected '('", 0),
+    ("(a,b)", "expected a point number", 1),
+    ("(0,1)x", "expected '('", 5),
+    ("(0,1)(1,2)", "point 1 repeated", 6),
+    (OVERLONG_POINT, f"point {'9' * 5000} out of range for degree 12", 3),
+    ("(0,)", "expected a point number", 3),
+    ("(0,1))", "expected '('", 5),
+    ("(0,\u0661\u0662)", "point 12 out of range for degree 12", 3),  # Arabic-Indic 12
+    ("(0\u30001)", "expected ',' or ')'", 3),  # an ideographic space is no separator
+    ("(0,1)\u3000(2", "expected ',' or ')'", 8),
+]
+
+
+@pytest.mark.parametrize("text, message, position", MALFORMED_CYCLES,
+                         ids=["overlong-point" if text == OVERLONG_POINT else text
+                              for text, _, _ in MALFORMED_CYCLES])
+def test_parse_cycles_rejects_malformed_text(text, message, position):
     with pytest.raises(CycleParseError) as excinfo:
         parse_cycles(text, 12)
-    assert 0 <= excinfo.value.position <= len(text)
+    assert excinfo.value.position == position
+    assert str(excinfo.value) == f"{message} (at position {position})"
+
+
+def test_regex_classes_are_the_str_predicates():
+    """Cycle notation is matched with \\s and \\d, then read by int(): their
+    characters must be exactly those of str.isspace and str.isdecimal."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(re.findall(r"\s", every)) == "".join(filter(str.isspace, every))
+    assert "".join(re.findall(r"\d", every)) == "".join(filter(str.isdecimal, every))
 
 
 def test_parse_cycles_reads_leading_zeros_and_other_scripts():

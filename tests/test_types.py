@@ -116,11 +116,20 @@ def test_keyword_construction(genus2):
     lambda: Perm(5),
     lambda: Mat2(4, 7),
     lambda: Mat2(4, ((1, 0, 0), (0, 1))),
+    lambda: PolygonSpec(2, [("a",)]),
+    lambda: PolygonSpec(2, 5),
+    lambda: SchreierGraph(2, ["a"], 5),
+    lambda: SchreierGraph(2, 5, [[1, 0]]),
+    lambda: SchreierGraph(2.0, ["a"], [[1, 0]]),
+    lambda: parse_cycles(5, 3),
+    lambda: parse_cycles(b"(0,1)", 3),
 ], ids=["perm", "mat2-modulus", "mat2-det", "pair", "polygon-pairs", "polygon-labels", "graph",
         "graph-out-of-range", "graph-too-few-perms", "graph-too-many-perms",
         "perm-floats", "perm-strings", "mat2-float", "pair-float-and-string",
         "polygon-float", "graph-floats", "cycles-float-degree", "cycles-string-degree",
-        "perm-not-iterable", "mat2-not-iterable", "mat2-misshapen"])
+        "perm-not-iterable", "mat2-not-iterable", "mat2-misshapen", "polygon-misshapen",
+        "polygon-not-iterable", "graph-perms-not-iterable", "graph-labels-not-iterable",
+        "graph-float-vertex-count", "cycles-int-text", "cycles-bytes-text"])
 def test_invalid_input_raises_usage_error(build):
     with pytest.raises(UsageError):
         build()
