@@ -165,6 +165,8 @@ Element = Union[Perm, Mat2, SemiPair]
 
 def _parameter(e: Element) -> int:
     """The degree of a permutation, the modulus of a matrix or pair."""
+    if not isinstance(e, (Perm, Mat2, SemiPair)):
+        raise UsageError(f"unsupported element type {type(e).__name__}")
     return e.degree if isinstance(e, Perm) else e.modulus
 
 

@@ -175,6 +175,6 @@ def catalog_entry(name: str) -> CatalogEntry:
         check(spec)
     return CatalogEntry(
         name=name, group=group, u_name=u_name, v_name=v_name, subgroup_u=u, subgroup_v=v,
-        generator_labels=tuple((n, spec.named_elements[n]) for n in spec.generator_names),
+        generator_labels=tuple(spec.named_elements.items()),
         polygon=spec.polygon,
         expected=expected, document=document)

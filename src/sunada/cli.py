@@ -53,31 +53,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verify, analyse, and search for Sunada triples of finite groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_subgroup: bool = True) -> None:
+    def command(name: str, handler, help: str, with_subgroup: bool = True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("file", metavar="FILE", help="group spec document, or - for stdin")
         if with_subgroup:
             p.add_argument("--U", required=True, metavar="NAME", help="subgroup name")
         p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
+        return p
 
-    p = sub.add_parser("verify", help="check whether (G, U, V) is a Sunada triple")
-    add_common(p)
+    p = command("verify", _cmd_verify, "check whether (G, U, V) is a Sunada triple")
     p.add_argument("--V", required=True, metavar="NAME", help="second subgroup name")
 
-    p = sub.add_parser("report", help="covering report for one subgroup")
-    add_common(p)
+    p = command("report", _cmd_report, "covering report for one subgroup")
     p.add_argument("--polygon", metavar="FILE",
                    help="standalone polygon JSON overriding the document's polygon")
 
-    p = sub.add_parser("graph", help="Schreier coset graph")
-    add_common(p)
+    p = command("graph", _cmd_graph, "Schreier coset graph")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
 
-    p = sub.add_parser("spectrum", help="symmetrized adjacency spectrum")
-    add_common(p)
+    p = command("spectrum", _cmd_spectrum, "symmetrized adjacency spectrum")
     p.add_argument("--tol", type=float, default=1e-9)
 
-    p = sub.add_parser("search", help="search Sunada pairs of a given subgroup order")
-    add_common(p, with_subgroup=False)
+    p = command("search", _cmd_search, "search Sunada pairs of a given subgroup order",
+                with_subgroup=False)
     p.add_argument("--order", type=_positive_int, required=True)
     p.add_argument("--smooth", action="store_true",
                    help="keep only pairs whose quotients are smooth under the document polygon")
@@ -86,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="report all pairs instead of one per simultaneous conjugacy orbit")
 
     p = sub.add_parser("catalog", help="emit a bundled construction")
+    p.set_defaults(handler=_cmd_catalog)
     p.add_argument("name", metavar="NAME", choices=catalog_names())
     p.add_argument("--out", metavar="FILE")
 
@@ -126,10 +126,6 @@ def _subgroup(spec: LoadedSpec, name: str):
         raise SpecError(f"unknown subgroup {name!r} (document defines: {known})") from None
 
 
-def _generator_labels(spec: LoadedSpec) -> list[tuple[str, int]]:
-    return [(name, spec.named_elements[name]) for name in spec.generator_names]
-
-
 def _cmd_verify(args) -> int:
     spec = _load_spec(args.file)
     report = is_sunada_triple(spec.group, _subgroup(spec, args.U), _subgroup(spec, args.V))
@@ -152,9 +148,14 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_graph(args) -> int:
+def _graph(args):
+    """The Schreier graph of ``--U``, its arcs labeled by the document's generators."""
     spec = _load_spec(args.file)
-    graph = schreier_graph(spec.group, _subgroup(spec, args.U), _generator_labels(spec))
+    return schreier_graph(spec.group, _subgroup(spec, args.U), list(spec.named_elements.items()))
+
+
+def _cmd_graph(args) -> int:
+    graph = _graph(args)
     if args.format == "dot":
         _emit(to_dot(graph), args.out)
     else:
@@ -163,9 +164,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    spec = _load_spec(args.file)
-    graph = schreier_graph(spec.group, _subgroup(spec, args.U), _generator_labels(spec))
-    report = eigenvalues_symmetric(adjacency_matrix(graph), tol=args.tol)
+    report = eigenvalues_symmetric(adjacency_matrix(_graph(args)), tol=args.tol)
     _emit(_json_text(spectrum_report_json(report)), args.out)
     return 0
 
@@ -186,8 +185,8 @@ def _cmd_search(args) -> int:
           else contextlib.nullcontext(sys.stdout)) as out:
         for u, v, report in _sunada_pairs(spec.group, config):
             out.write(json.dumps({
-                "u": [render_element(spec.kind, spec.group.element(i)) for i in u.members],
-                "v": [render_element(spec.kind, spec.group.element(i)) for i in v.members],
+                "u": [render_element(spec.group.element(i)) for i in u.members],
+                "v": [render_element(spec.group.element(i)) for i in v.members],
                 "report": report.to_json_dict(),
             }, separators=(",", ":")) + "\n")
             out.flush()
@@ -200,16 +199,6 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "report": _cmd_report,
-    "graph": _cmd_graph,
-    "spectrum": _cmd_spectrum,
-    "search": _cmd_search,
-    "catalog": _cmd_catalog,
-}
-
-
 def run(argv: list[str]) -> int:
     """Parse arguments, dispatch, and map errors to exit codes."""
     parser = _build_parser()
@@ -218,7 +207,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (SpecError, UsageError, CycleParseError, ResourceError, CatalogError, OSError) as exc:
         print(f"sunada: error: {exc}", file=sys.stderr)
         return 2

@@ -72,10 +72,7 @@ def coset_table(group: FiniteGroup, sub: Subgroup) -> CosetTable:
     transversal = [group.identity]
     for u in sub.members:
         coset_of[u] = 0
-    head = 0
-    while head < len(transversal):
-        rep = transversal[head]
-        head += 1
+    for rep in transversal:
         for g in group.generators:
             e = group.mul(rep, g)
             if coset_of[e] < 0:

@@ -89,18 +89,13 @@ def _parse_element(kind: str, parameter: int, raw: Any, where: str) -> Element:
     raise SpecError(f"unknown kind {kind!r}")
 
 
-def render_element(kind: str, element: Element) -> Any:
+def render_element(element: Element) -> Any:
     """The JSON form of one element, inverse of ``_parse_element``."""
-    if kind == "permutation":
-        assert isinstance(element, Perm)
+    if isinstance(element, Perm):
         return cycle_string(element)
-    if kind == "matrix2":
-        assert isinstance(element, Mat2)
+    if isinstance(element, Mat2):
         return [list(row) for row in element.entries]
-    if kind == "semidirect":
-        assert isinstance(element, SemiPair)
-        return [element.u, element.v]
-    raise SpecError(f"unknown kind {kind!r}")
+    return [element.u, element.v]
 
 
 def _evaluate_word(group: FiniteGroup, named: dict[str, int], word: str, where: str) -> int:

@@ -104,7 +104,7 @@ def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> S
         raise NumericError(
             f"eigenpair residual {residual:.3e} exceeds tolerance {tol:.3e}",
             residual=residual)
-    ordered = np.sort(values).tolist()
+    ordered = values.tolist()
     bound = len(ordered) * sys.float_info.epsilon * max(-ordered[0], ordered[-1])
     ordered = tuple(0.0 if abs(v) <= bound else v for v in ordered)
     return SpectrumReport(eigenvalues=ordered, residual=residual)

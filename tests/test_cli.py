@@ -480,6 +480,30 @@ def test_no_arguments_exits_two(capsys):
     assert run([]) == 2
 
 
+# The options each subcommand's help names.
+_COMMAND_OPTIONS = {
+    "verify": ("--U", "--V", "--out"),
+    "report": ("--U", "--polygon", "--out"),
+    "graph": ("--U", "--format", "--out"),
+    "spectrum": ("--U", "--tol", "--out"),
+    "search": ("--order", "--smooth", "--max-subgroups", "--no-dedupe", "--out"),
+    "catalog": ("--out",),
+}
+
+
+def test_help_names_every_command_and_option(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in _COMMAND_OPTIONS), out
+    for command, options in _COMMAND_OPTIONS.items():
+        assert run([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(option in out for option in options), (command, out)
+    assert run(["bogus"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_handwritten_document_with_word_subgroups(tmp_path, capsys):
     doc = {
         "kind": "semidirect",

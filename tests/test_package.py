@@ -1,5 +1,6 @@
 """The package surface: ``sunada.__all__`` is the modules' ``__all__`` lists,
-and every name the benchmark in ``perfbench/`` reaches by name resolves."""
+every name the benchmark in ``perfbench/`` reaches by name resolves, and one
+pass of each benchmark workload passes its own checks."""
 
 from __future__ import annotations
 
@@ -7,11 +8,20 @@ import ast
 import functools
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
+import pytest
+
 import sunada
+import sunada.cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+try:
+    import workloads
+finally:
+    sys.path.remove(str(PERFBENCH))
 MODULES = ("algebra", "catalog", "covering", "gassmann", "schreier", "search", "spectra",
            "specfile")
 
@@ -44,3 +54,16 @@ def test_workload_reads_are_exported():
              and node.value.id in ("s", "sunada")
              and node.attr != "cli" and not node.attr.startswith("__")}
     assert reads and reads <= set(sunada.__all__), sorted(reads - set(sunada.__all__))
+
+
+@pytest.mark.parametrize("name", sorted(workloads.IN_PROCESS))
+def test_workload_pass_meets_its_checks(name, tmp_path):
+    """The benchmark also reads attributes of returned values (``len`` of a
+    subgroup, a report's indices), which no name check above can see."""
+    workload = workloads.IN_PROCESS[name](sunada, 1, tmp_path)
+    tally = workloads.Tally()
+    if workload.setup_every:
+        workload.setup(tally)
+    workload.run_pass(tally)
+    workloads.layer_probe(sunada, tally, tmp_path)
+    assert tally.attempted > 0 and tally.failed == 0, tally.errors

@@ -167,7 +167,7 @@ def test_polygon_requires_label_and_word():
 def test_render_element_inverts_parsing():
     spec = parse_document(S3_DOC)
     for name, idx in spec.named_elements.items():
-        rendered = render_element("permutation", spec.group.element(idx))
+        rendered = render_element(spec.group.element(idx))
         assert rendered == S3_DOC["generators"][name]
-    assert render_element("matrix2", Mat2(4, ((1, 2), (0, 1)))) == [[1, 2], [0, 1]]
-    assert render_element("semidirect", SemiPair(8, 3, 7)) == [3, 7]
+    assert render_element(Mat2(4, ((1, 2), (0, 1)))) == [[1, 2], [0, 1]]
+    assert render_element(SemiPair(8, 3, 7)) == [3, 7]

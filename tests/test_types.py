@@ -17,9 +17,11 @@ from sunada import (
     SpectrumReport,
     Subgroup,
     UsageError,
+    compose,
     coset_table,
     covering_report,
     document_from_catalog,
+    generate_group,
     is_sunada_triple,
     parse_cycles,
     parse_document,
@@ -123,13 +125,18 @@ def test_keyword_construction(genus2):
     lambda: SchreierGraph(2.0, ["a"], [[1, 0]]),
     lambda: parse_cycles(5, 3),
     lambda: parse_cycles(b"(0,1)", 3),
+    # So is a value that is not an element at all.
+    lambda: generate_group([5]),
+    lambda: generate_group([(1, 0)]),
+    lambda: compose((1, 0), (1, 0)),
 ], ids=["perm", "mat2-modulus", "mat2-det", "pair", "polygon-pairs", "polygon-labels", "graph",
         "graph-out-of-range", "graph-too-few-perms", "graph-too-many-perms",
         "perm-floats", "perm-strings", "mat2-float", "pair-float-and-string",
         "polygon-float", "graph-floats", "cycles-float-degree", "cycles-string-degree",
         "perm-not-iterable", "mat2-not-iterable", "mat2-misshapen", "polygon-misshapen",
         "polygon-not-iterable", "graph-perms-not-iterable", "graph-labels-not-iterable",
-        "graph-float-vertex-count", "cycles-int-text", "cycles-bytes-text"])
+        "graph-float-vertex-count", "cycles-int-text", "cycles-bytes-text",
+        "generate-int", "generate-tuple", "compose-tuples"])
 def test_invalid_input_raises_usage_error(build):
     with pytest.raises(UsageError):
         build()
