@@ -88,6 +88,8 @@ def _cycle_orbits(group: FiniteGroup, profile: tuple[int, ...],
     """(m, {d: N_d}) per cycle of order m: the N_d > 0 orbits of size d < m
     on U\\G, by the formula of the module docstring, for the U with class
     intersection ``profile``."""
+    if not isinstance(spec, PolygonSpec):
+        raise UsageError(f"expected a PolygonSpec, got {spec!r}")
     for label, e in spec.cycles:
         if not 0 <= e < group.order:
             raise UsageError(f"cycle {label!r} refers to unknown element index {e}")

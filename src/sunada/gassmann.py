@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .algebra import FiniteGroup, UsageError
+from .algebra import FiniteGroup, UsageError, _integers
 
 __all__ = [
     "Subgroup",
@@ -66,15 +66,21 @@ class Subgroup:
         return len(self.members)
 
 
-def _check_indices(group: FiniteGroup, indices: Iterable[int]) -> None:
+def _check_indices(group: FiniteGroup, indices: Iterable[int]) -> tuple[int, ...]:
+    """The indices as ints, read through ``operator.index`` before anything
+    sorts or compares them; UsageError unless each indexes an element."""
+    indices = _integers(indices, "element indices")
     n = group.order
     for i in indices:
         if not 0 <= i < n:
             raise UsageError(f"element index {i} out of range for a group of order {n}")
+    return indices
 
 
 def check_parent(group: FiniteGroup, sub: Subgroup) -> None:
-    """Raise unless ``sub`` was built over exactly this group instance."""
+    """Raise unless ``sub`` is a subgroup built over exactly this group instance."""
+    if not isinstance(sub, Subgroup):
+        raise UsageError(f"expected a Subgroup, got {sub!r}")
     if sub.parent is not group:
         raise UsageError("subgroup belongs to a different group instance")
 
@@ -112,8 +118,7 @@ def _closure(group: FiniteGroup, generators: Iterable[int], cap: int | None = No
 def subgroup_generate(group: FiniteGroup, generators: Iterable[int]) -> Subgroup:
     """Subgroup generated by the given element indices (empty list gives the
     trivial subgroup)."""
-    gens = list(generators)
-    _check_indices(group, gens)
+    gens = _check_indices(group, generators)
     return Subgroup(group, tuple(sorted(_closure(group, gens))))
 
 
@@ -125,8 +130,7 @@ def subgroup_from_members(group: FiniteGroup, members: Iterable[int]) -> Subgrou
     many elements; the list is therefore closed exactly when the cap never
     trips, and then the closure is the list.
     """
-    sorted_members = tuple(sorted(set(members)))
-    _check_indices(group, sorted_members)
+    sorted_members = tuple(sorted(set(_check_indices(group, members))))
     if group.identity not in sorted_members:
         raise UsageError("member list does not contain the identity")
     gens: list[int] = []

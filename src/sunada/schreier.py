@@ -168,8 +168,11 @@ def schreier_graph(group: FiniteGroup, sub: Subgroup,
     from the coset walk or the coset table by ``_walk_is_cheaper``; both
     give the same graph."""
     check_parent(group, sub)
-    elements = [e for _, e in labels]
-    _check_indices(group, elements)
+    try:
+        elements = [e for _, e in labels]
+    except (TypeError, ValueError):
+        raise UsageError(f"labels must be (label, element index) pairs, got {labels!r}") from None
+    elements = _check_indices(group, elements)
     if _walk_is_cheaper(group, sub):
         perms = _coset_walk(group, sub, elements)
     else:
@@ -224,6 +227,8 @@ def graph_isomorphic(g1: SchreierGraph, g2: SchreierGraph,
     the whole component forward, and a bijection that commutes with a
     permutation commutes with its inverse.
     """
+    if not (isinstance(g1, SchreierGraph) and isinstance(g2, SchreierGraph)):
+        raise UsageError(f"expected two SchreierGraphs, got {g1!r} and {g2!r}")
     if mode not in ("direct", "reversed"):
         raise UsageError(f"unknown isomorphism mode {mode!r}")
     n = g1.vertex_count

@@ -55,6 +55,15 @@ class DenseSymMatrix:
         return self.entries.shape[0]
 
 
+def _check_tolerance(tol: float) -> None:
+    try:
+        if 0 < tol < math.inf:
+            return
+    except (TypeError, ValueError):  # not a number, or an array
+        pass
+    raise UsageError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 class SpectrumReport(NamedTuple):
     eigenvalues: tuple[float, ...]
     residual: float
@@ -89,10 +98,11 @@ def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> S
     Raises NumericError if the solver fails to converge or the residual ends
     up above tol.
     """
+    if not isinstance(matrix, DenseSymMatrix):
+        raise UsageError(f"expected a DenseSymMatrix, got {matrix!r}")
     if matrix.dimension < 1:
         raise UsageError("spectrum of an empty matrix is undefined")
-    if not 0 < tol < math.inf:
-        raise UsageError(f"tolerance must be positive and finite, got {tol}")
+    _check_tolerance(tol)
     import numpy as np
 
     try:
@@ -121,8 +131,7 @@ def _eigenvalue_list(spectrum: Spectrum) -> list[float]:
 
 def spectra_equal(s1: Spectrum, s2: Spectrum, tol: float = DEFAULT_TOL) -> bool:
     """Entrywise comparison after ascending sort; different sizes are unequal."""
-    if not 0 < tol < math.inf:
-        raise UsageError(f"tolerance must be positive and finite, got {tol}")
+    _check_tolerance(tol)
     v1 = sorted(_eigenvalue_list(s1))
     v2 = sorted(_eigenvalue_list(s2))
     if len(v1) != len(v2):

@@ -530,6 +530,31 @@ def test_keys_sort_in_element_key_order(family_gens):
     assert by_key == sorted(range(group.order), key=group.element)
 
 
+# Generator lists of four shapes; the group has one generator, and one
+# conjugation map, per distinct element of the list, in sorted order.
+GENERATOR_LISTS = {
+    "three": lambda a, b: [a, b, compose(a, b)],
+    "with-identity": lambda a, b: [a, identity_like(a), b],
+    "duplicate": lambda a, b: [a, b, a],
+    "unsorted": lambda a, b: sorted([a, b], reverse=True),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GENERATOR_LISTS))
+def test_conjugation_maps_match_element_arithmetic(family_gens, shape):
+    gens = GENERATOR_LISTS[shape](*family_gens[:2])
+    group = generate_group(gens)
+    maps = group._conjugation_maps()
+    assert len(maps) == len(group.generators) == len(set(gens))
+    every = elements(group)
+    for g, row in zip(group.generators, maps):
+        g_element = group.element(g)
+        g_inverse = inverse(g_element)
+        assert [group.element(y) for y in row] == [
+            compose(compose(g_inverse, x), g_element) for x in every]
+    assert group._conjugation_maps() is maps and group._cayley is None
+
+
 def test_pipeline_builds_no_element_tuple(psl211):
     def members(gens):
         sub = subgroup_generate(psl211, [psl211.index_of(parse_cycles(t, 11)) for t in gens])
@@ -638,6 +663,15 @@ def test_conjugacy_classes_match_sympy(name):
     perms = [parse_cycles(text, degree) for text in cycles]
     group = generate_group(perms)
     assert sorted(len(c) for c in group.conjugacy_classes()) == sizes
+    _assert_classes_match_sympy(group, perms)
+
+
+def test_dihedral_257_classes_match_sympy():
+    """D_257, keyed by image tuples: the identity, 128 classes of rotation
+    pairs and one of the 257 reflections."""
+    perms = _dihedral(257)
+    group = generate_group(perms)
+    assert len(group.conjugacy_classes()) == (257 + 3) // 2
     _assert_classes_match_sympy(group, perms)
 
 

@@ -3,6 +3,8 @@ tuples, ``Subgroup`` an immutable slotted class."""
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -17,15 +19,23 @@ from sunada import (
     SpectrumReport,
     Subgroup,
     UsageError,
+    adjacency_matrix,
+    catalog_entry,
+    class_intersection_profile,
     compose,
     coset_table,
     covering_report,
     document_from_catalog,
+    eigenvalues_symmetric,
+    find_sunada_pairs,
     generate_group,
+    graph_isomorphic,
     is_sunada_triple,
     parse_cycles,
     parse_document,
     schreier_graph,
+    subgroup_from_members,
+    subgroup_generate,
 )
 from sunada.algebra import _from_key, _key
 from sunada.search import DEFAULT_SUBGROUP_CAP
@@ -94,6 +104,13 @@ def test_keyword_construction(genus2):
     assert Subgroup(parent=u.parent, members=u.members) == u
 
 
+@cache
+def _genus2():
+    """The genus2 entry, for the cases below that need a group; parametrize
+    builds its cases before any fixture exists."""
+    return catalog_entry("genus2")
+
+
 @pytest.mark.parametrize("build", [
     lambda: Perm(images=(0, 0)),
     lambda: Mat2(modulus=1, entries=((1, 0), (0, 1))),
@@ -129,6 +146,18 @@ def test_keyword_construction(genus2):
     lambda: generate_group([5]),
     lambda: generate_group([(1, 0)]),
     lambda: compose((1, 0), (1, 0)),
+    # Library calls on a group: indices are read through operator.index before
+    # any sort, and each argument's type is checked before it is used.
+    lambda: subgroup_generate(_genus2().group, [1.5]),
+    lambda: subgroup_from_members(_genus2().group, [0, "a"]),
+    lambda: schreier_graph(_genus2().group, _genus2().subgroup_u, [1]),
+    lambda: find_sunada_pairs(_genus2().group, SearchConfig(order="2")),
+    lambda: eigenvalues_symmetric(adjacency_matrix(
+        schreier_graph(_genus2().group, _genus2().subgroup_u, _genus2().generator_labels)),
+        tol="x"),
+    lambda: graph_isomorphic(5, 5),
+    lambda: covering_report(_genus2().group, _genus2().subgroup_u, 5),
+    lambda: class_intersection_profile(_genus2().group, 5),
 ], ids=["perm", "mat2-modulus", "mat2-det", "pair", "polygon-pairs", "polygon-labels", "graph",
         "graph-out-of-range", "graph-too-few-perms", "graph-too-many-perms",
         "perm-floats", "perm-strings", "mat2-float", "pair-float-and-string",
@@ -136,7 +165,9 @@ def test_keyword_construction(genus2):
         "perm-not-iterable", "mat2-not-iterable", "mat2-misshapen", "polygon-misshapen",
         "polygon-not-iterable", "graph-perms-not-iterable", "graph-labels-not-iterable",
         "graph-float-vertex-count", "cycles-int-text", "cycles-bytes-text",
-        "generate-int", "generate-tuple", "compose-tuples"])
+        "generate-int", "generate-tuple", "compose-tuples", "subgroup-float-index",
+        "members-string-index", "graph-labels-not-pairs", "search-string-order",
+        "spectrum-string-tol", "isomorphic-ints", "covering-int-polygon", "profile-int-subgroup"])
 def test_invalid_input_raises_usage_error(build):
     with pytest.raises(UsageError):
         build()
