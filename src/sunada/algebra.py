@@ -620,6 +620,7 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
     and the row it was found in.  It builds no element object.
     """
     gens = list(generators)
+    (max_elements,) = _integers((max_elements,), "the element cap")
     if not gens:
         raise UsageError("at least one generator is required")
     for g in gens[1:]:

@@ -9,21 +9,22 @@ Three classical Sunada triples ship with the package:
 * ``orbifold-h``: the order-32 semidirect product of the units mod 8 acting on
   Z/8, whose quotients are orbifolds with cone points of order 2.
 
-Each entry is stored as the literal document that ``sunada catalog NAME``
-prints.  ``catalog_entry`` builds the entry with ``specfile.parse_document``
-and cross-checks derived facts (group order, subgroup orders, cycle orders and
-the entry's own relations), so a transcription slip fails fast as a
-CatalogError.
+Each entry is data: the document that ``sunada catalog NAME`` prints, its
+expectations, and relations among its generators; a new entry needs no code.
+``catalog_entry`` parses the document with ``specfile.parse_document`` and
+checks every entry alike: group and subgroup orders, the relations, the
+Sunada verdict of ``sunada verify``, and the cycle orders and smoothness of
+the quotients, so a transcription slip fails fast as a CatalogError.
 """
 
 from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from .algebra import FiniteGroup, Mat2, element_order
-from .covering import PolygonSpec, smoothness
-from .gassmann import Subgroup, are_gassmann
-from .specfile import LoadedSpec, SpecError, parse_document
+from .algebra import FiniteGroup
+from .covering import PolygonSpec, _cycle_orbits
+from .gassmann import Subgroup, is_sunada_triple
+from .specfile import SpecError, _evaluate_word, parse_document
 
 __all__ = ["CatalogError", "Expectations", "CatalogEntry", "catalog_names", "catalog_entry"]
 
@@ -33,7 +34,9 @@ class CatalogError(RuntimeError):
 
 
 class Expectations(NamedTuple):
-    """Reference values carried with each entry for tests and reporting."""
+    """Reference values carried with each entry.  ``catalog_entry`` checks
+    the group and subgroup orders, the cycle orders and ``smooth`` whenever
+    it loads the entry; only tests read the index, ``chi_orb`` and the genus."""
 
     group_order: int
     subgroup_order: int
@@ -84,12 +87,6 @@ GENUS2_DOCUMENT = {
 GENUS2_EXPECTED = Expectations(96, 8, 12, (3, 3, 6), -2, smooth=True, genus=2)
 
 
-def _check_genus2(spec: LoadedSpec) -> None:
-    group = spec.group
-    a, b, c = (spec.named_elements[n] for n in "abc")
-    _require(group.inv(group.mul(a, b)) == c, "genus2 third generator is not (a b)^-1")
-
-
 GENUS3_DOCUMENT = {
     "kind": "matrix2",
     "modulus": 4,
@@ -108,19 +105,6 @@ GENUS3_DOCUMENT = {
 GENUS3_EXPECTED = Expectations(96, 8, 12, (4, 4, 6), -4, smooth=True, genus=3)
 
 
-def _check_genus3(spec: LoadedSpec) -> None:
-    group = spec.group
-    a, b, c = (spec.named_elements[n] for n in "abc")
-    u1, u2 = spec.subgroups["U1"], spec.subgroups["U2"]
-    _require(group.mul(a, b) == c, "genus3 third generator is not a b")
-    transposed = {group.index_of(Mat2(spec.parameter, tuple(zip(*group.element(i).entries))))
-                  for i in u1.members}
-    _require(transposed == u2.member_set, "genus3 second subgroup is not the transpose image")
-    _require(are_gassmann(group, u1, u2), "genus3 subgroups are not Gassmann equivalent")
-    _require(all(smoothness(group, u1, spec.polygon)) and all(smoothness(group, u2, spec.polygon)),
-             "genus3 quotients are not smooth")
-
-
 ORBIFOLD_H_DOCUMENT = {
     "kind": "semidirect",
     "modulus": 8,
@@ -136,11 +120,11 @@ ORBIFOLD_H_DOCUMENT = {
 ORBIFOLD_H_EXPECTED = Expectations(32, 4, 8, (2, 2, 2, 4), -2, smooth=False, genus=None)
 
 
-# name -> (stored document, expectations, entry-specific check or None)
+# name -> (stored document, expectations, words that evaluate to the identity)
 _ENTRIES = {
-    "genus2": (GENUS2_DOCUMENT, GENUS2_EXPECTED, _check_genus2),
-    "genus3": (GENUS3_DOCUMENT, GENUS3_EXPECTED, _check_genus3),
-    "orbifold-h": (ORBIFOLD_H_DOCUMENT, ORBIFOLD_H_EXPECTED, None),
+    "genus2": (GENUS2_DOCUMENT, GENUS2_EXPECTED, ("a b c",)),
+    "genus3": (GENUS3_DOCUMENT, GENUS3_EXPECTED, ("a b c^-1",)),
+    "orbifold-h": (ORBIFOLD_H_DOCUMENT, ORBIFOLD_H_EXPECTED, ()),
 }
 
 
@@ -150,9 +134,9 @@ def catalog_names() -> tuple[str, ...]:
 
 def catalog_entry(name: str) -> CatalogEntry:
     """Parse the stored document of one entry and check it against its
-    expectations."""
+    expectations, its relations and the Sunada verdict."""
     try:
-        document, expected, check = _ENTRIES[name]
+        document, expected, relations = _ENTRIES[name]
     except KeyError:
         known = ", ".join(_ENTRIES)
         raise CatalogError(f"unknown catalog entry {name!r} (known: {known})") from None
@@ -168,11 +152,19 @@ def catalog_entry(name: str) -> CatalogEntry:
     (u_name, u), (v_name, v) = spec.subgroups.items()
     _require(u.order == v.order == expected.subgroup_order,
              f"{name} subgroups must have order {expected.subgroup_order}")
-    orders = tuple(element_order(group.element(e)) for _, e in spec.polygon.cycles)
+    for word in relations:
+        _require(_evaluate_word(group, spec.named_elements, word, name) == group.identity,
+                 f"{name} relation {word!r} does not hold")
+    verdict = is_sunada_triple(group, u, v)
+    _require(verdict.is_sunada_triple, f"{name} is not a Sunada triple: {u_name} and {v_name} are "
+             + ("conjugate" if verdict.gassmann else "not Gassmann equivalent"))
+    # Gassmann equivalent subgroups share their cycle orbits, so U's serve V.
+    orbits = _cycle_orbits(group, verdict.profile_u, spec.polygon)
+    orders = tuple(order for order, _ in orbits)
     _require(orders == expected.cycle_orders,
              f"{name} cycle orders {orders}, expected {expected.cycle_orders}")
-    if check is not None:
-        check(spec)
+    smooth = not any(counts for _, counts in orbits)
+    _require(smooth == expected.smooth, f"{name} quotients smooth {smooth}, expected {expected.smooth}")
     return CatalogEntry(
         name=name, group=group, u_name=u_name, v_name=v_name, subgroup_u=u, subgroup_v=v,
         generator_labels=tuple(spec.named_elements.items()),

@@ -17,7 +17,6 @@ __all__ = [
     "subgroup_from_members",
     "conjugate_members",
     "class_intersection_profile",
-    "are_gassmann",
     "are_conjugate_subgroups",
     "SunadaReport",
     "is_sunada_triple",
@@ -158,11 +157,6 @@ def class_intersection_profile(group: FiniteGroup, sub: Subgroup) -> tuple[int, 
     for c in map(group.class_index, sub.members):
         counts[c] += 1
     return tuple(counts)
-
-
-def are_gassmann(group: FiniteGroup, u: Subgroup, v: Subgroup) -> bool:
-    """True iff U and V meet every conjugacy class in the same count."""
-    return class_intersection_profile(group, u) == class_intersection_profile(group, v)
 
 
 def are_conjugate_subgroups(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int | None:

@@ -123,6 +123,11 @@ class SchreierGraph(NamedTuple("SchreierGraph", [("vertex_count", int),
                      for src in range(self.vertex_count) for label, perm in by_label)
 
 
+def _check_graph(graph) -> None:
+    if not isinstance(graph, SchreierGraph):
+        raise UsageError(f"expected a SchreierGraph, got {graph!r}")
+
+
 def _walk_is_cheaper(group: FiniteGroup, sub: Subgroup) -> bool:
     """The size rule of the module docstring: walk the cosets when
     [G:U] |gens| < 2 |U|, else build the coset table."""
@@ -227,8 +232,8 @@ def graph_isomorphic(g1: SchreierGraph, g2: SchreierGraph,
     the whole component forward, and a bijection that commutes with a
     permutation commutes with its inverse.
     """
-    if not (isinstance(g1, SchreierGraph) and isinstance(g2, SchreierGraph)):
-        raise UsageError(f"expected two SchreierGraphs, got {g1!r} and {g2!r}")
+    _check_graph(g1)
+    _check_graph(g2)
     if mode not in ("direct", "reversed"):
         raise UsageError(f"unknown isomorphism mode {mode!r}")
     n = g1.vertex_count
@@ -261,6 +266,7 @@ def graph_isomorphic(g1: SchreierGraph, g2: SchreierGraph,
 def to_dot(graph: SchreierGraph) -> str:
     """Graphviz text; vertices ascending, arcs in (source, label) order, so the
     output is byte-stable."""
+    _check_graph(graph)
     lines = ["digraph schreier {"]
     for v in range(graph.vertex_count):
         lines.append(f"  v{v};")
@@ -273,6 +279,7 @@ def to_dot(graph: SchreierGraph) -> str:
 
 def graph_json_dict(graph: SchreierGraph) -> dict:
     """Adjacency listing in the same (source, label) arc order as the dot text."""
+    _check_graph(graph)
     return {
         "vertices": graph.vertex_count,
         "labels": list(graph.labels),

@@ -61,8 +61,6 @@ def _integer(value: Any, what: str) -> int:
 
 
 class LoadedSpec(NamedTuple):
-    kind: str
-    parameter: int
     group: FiniteGroup
     generator_names: tuple[str, ...]
     named_elements: dict[str, int]
@@ -208,8 +206,6 @@ def parse_document(doc: Any) -> LoadedSpec:
     polygon = None if doc.get("polygon") is None else parse_polygon(doc["polygon"], group, named)
 
     return LoadedSpec(
-        kind=kind,
-        parameter=parameter,
         group=group,
         generator_names=tuple(parsed),
         named_elements=named,

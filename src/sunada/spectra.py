@@ -11,7 +11,7 @@ import sys
 from typing import NamedTuple, Sequence, Union
 
 from .algebra import UsageError
-from .schreier import SchreierGraph
+from .schreier import SchreierGraph, _check_graph
 
 __all__ = [
     "NumericError",
@@ -42,7 +42,10 @@ class DenseSymMatrix:
     def __init__(self, entries):
         import numpy as np
 
-        a = np.array(entries, dtype=float)
+        try:
+            a = np.array(entries, dtype=float)
+        except (TypeError, ValueError):
+            raise UsageError(f"expected a square matrix of numbers, got {entries!r}") from None
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise UsageError(f"expected a square matrix, got shape {a.shape}")
         if not (a == a.T).all():
@@ -75,6 +78,7 @@ def adjacency_matrix(graph: SchreierGraph) -> DenseSymMatrix:
     A loop arc contributes 2 to its diagonal entry, so every label adds
     exactly 2 to each row sum.
     """
+    _check_graph(graph)
     import numpy as np
 
     n = graph.vertex_count
@@ -126,7 +130,10 @@ Spectrum = Union[SpectrumReport, Sequence[float]]
 def _eigenvalue_list(spectrum: Spectrum) -> list[float]:
     if isinstance(spectrum, SpectrumReport):
         return list(spectrum.eigenvalues)
-    return [float(v) for v in spectrum]
+    try:
+        return [float(v) for v in spectrum]
+    except (TypeError, ValueError):
+        raise UsageError(f"expected a spectrum of numbers, got {spectrum!r}") from None
 
 
 def spectra_equal(s1: Spectrum, s2: Spectrum, tol: float = DEFAULT_TOL) -> bool:

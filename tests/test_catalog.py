@@ -127,21 +127,37 @@ def _inverse_matrix(rows):
 
 @pytest.mark.parametrize("name, corrupt, message", [
     # c replaced by its inverse keeps the group and the cycle orders, so only
-    # the entry's own relation check can catch it
-    ("genus2", lambda doc: doc["generators"].update(
+    # the entry's relation can catch it
+    pytest.param("genus2", lambda doc: doc["generators"].update(
         c=cycle_string(inverse(parse_cycles(doc["generators"]["c"], 12)))),
-     "third generator"),
-    ("genus3", lambda doc: doc["generators"].update(c=_inverse_matrix(doc["generators"]["c"])),
-     "third generator"),
-    ("genus3", lambda doc: doc["subgroups"].update(U2=doc["subgroups"]["U1"]), "transpose image"),
+        "genus2 relation 'a b c' does not hold", id="genus2-relation"),
+    pytest.param("genus3", lambda doc: doc["generators"].update(
+        c=_inverse_matrix(doc["generators"]["c"])),
+        r"genus3 relation 'a b c\^-1' does not hold", id="genus3-relation"),
+    # a second subgroup equal to the first is Gassmann equivalent to it, but conjugate
+    pytest.param("genus2", lambda doc: doc["subgroups"].update(V=doc["subgroups"]["U"]),
+                 "genus2 is not a Sunada triple: U and V are conjugate", id="genus2-verdict"),
+    pytest.param("genus3", lambda doc: doc["subgroups"].update(U2=doc["subgroups"]["U1"]),
+                 "genus3 is not a Sunada triple: U1 and U2 are conjugate", id="genus3-verdict"),
+    pytest.param("orbifold-h", lambda doc: doc["subgroups"].update(U2=doc["subgroups"]["U1"]),
+                 "orbifold-h is not a Sunada triple: U1 and U2 are conjugate",
+                 id="orbifold-h-verdict"),
     ("genus2", lambda doc: doc["subgroups"]["U"]["elements"].pop(), "does not parse"),
     ("orbifold-h", lambda doc: doc["polygon"]["cycles"][3].update(word="a b"), "cycle orders"),
     ("orbifold-h", lambda doc: doc.update(modulus=16), "document does not parse"),
 ])
 def test_corrupted_stored_document_raises(monkeypatch, name, corrupt, message):
-    stored, expected, check = catalog._ENTRIES[name]
+    stored, expected, relations = catalog._ENTRIES[name]
     broken = copy.deepcopy(stored)
     corrupt(broken)
-    monkeypatch.setitem(catalog._ENTRIES, name, (broken, expected, check))
+    monkeypatch.setitem(catalog._ENTRIES, name, (broken, expected, relations))
     with pytest.raises(CatalogError, match=message):
         catalog_entry(name)
+
+
+def test_smoothness_expectation_is_checked(monkeypatch):
+    stored, expected, relations = catalog._ENTRIES["orbifold-h"]
+    monkeypatch.setitem(catalog._ENTRIES, "orbifold-h",
+                        (stored, expected._replace(smooth=True), relations))
+    with pytest.raises(CatalogError, match="orbifold-h quotients smooth False, expected True"):
+        catalog_entry("orbifold-h")

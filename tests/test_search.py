@@ -8,7 +8,7 @@ from sunada import (
     Perm,
     ResourceError,
     SearchConfig,
-    are_gassmann,
+    class_intersection_profile,
     conjugate_members,
     covering_report,
     enumerate_subgroups,
@@ -275,7 +275,7 @@ def test_search_finds_the_orbifold_pair(orbifold_h):
     assert any({u.member_set, v.member_set} == target for u, v, _ in raw)
     for u, v, report in raw:
         assert report.is_sunada_triple
-        assert are_gassmann(g, u, v)
+        assert class_intersection_profile(g, u) == class_intersection_profile(g, v)
 
     deduped = find_sunada_pairs(g, SearchConfig(order=4))
     assert 0 < len(deduped) <= len(raw)

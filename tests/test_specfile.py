@@ -22,8 +22,6 @@ S3_DOC = {
 
 def test_permutation_document_happy_path():
     spec = parse_document(S3_DOC)
-    assert spec.kind == "permutation"
-    assert spec.parameter == 3
     assert spec.group.order == 6
     assert spec.generator_names == ("t", "r")
     assert spec.group.element(spec.named_elements["t"]) == Perm((1, 0, 2))

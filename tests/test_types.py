@@ -10,6 +10,7 @@ import pytest
 
 from sunada import (
     ConePoint,
+    DenseSymMatrix,
     Mat2,
     Perm,
     PolygonSpec,
@@ -30,12 +31,15 @@ from sunada import (
     find_sunada_pairs,
     generate_group,
     graph_isomorphic,
+    graph_json_dict,
     is_sunada_triple,
     parse_cycles,
     parse_document,
     schreier_graph,
+    spectra_equal,
     subgroup_from_members,
     subgroup_generate,
+    to_dot,
 )
 from sunada.algebra import _from_key, _key
 from sunada.search import DEFAULT_SUBGROUP_CAP
@@ -158,6 +162,14 @@ def _genus2():
     lambda: graph_isomorphic(5, 5),
     lambda: covering_report(_genus2().group, _genus2().subgroup_u, 5),
     lambda: class_intersection_profile(_genus2().group, 5),
+    # Each graph function checks that it was given a SchreierGraph.
+    lambda: to_dot(5),
+    lambda: graph_json_dict(5),
+    lambda: adjacency_matrix(5),
+    # Numbers that do not convert are refused before numpy or float sees them.
+    lambda: DenseSymMatrix("x"),
+    lambda: spectra_equal([1.0], ["a"]),
+    lambda: generate_group([Perm((1, 0))], max_elements="x"),
 ], ids=["perm", "mat2-modulus", "mat2-det", "pair", "polygon-pairs", "polygon-labels", "graph",
         "graph-out-of-range", "graph-too-few-perms", "graph-too-many-perms",
         "perm-floats", "perm-strings", "mat2-float", "pair-float-and-string",
@@ -167,7 +179,9 @@ def _genus2():
         "graph-float-vertex-count", "cycles-int-text", "cycles-bytes-text",
         "generate-int", "generate-tuple", "compose-tuples", "subgroup-float-index",
         "members-string-index", "graph-labels-not-pairs", "search-string-order",
-        "spectrum-string-tol", "isomorphic-ints", "covering-int-polygon", "profile-int-subgroup"])
+        "spectrum-string-tol", "isomorphic-ints", "covering-int-polygon", "profile-int-subgroup",
+        "dot-int", "graph-json-int", "adjacency-int", "matrix-string", "spectra-strings",
+        "generate-string-cap"])
 def test_invalid_input_raises_usage_error(build):
     with pytest.raises(UsageError):
         build()
