@@ -94,6 +94,13 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
         raise UsageError(f"{what}: each value must be an integer, got {values!r}") from None
 
 
+def _expect(value, kind: type) -> None:
+    """UsageError unless ``value`` is a ``kind``: the one type check of a
+    library call's arguments."""
+    if not isinstance(value, kind):
+        raise UsageError(f"expected a {kind.__name__}, got {value!r}")
+
+
 class Perm(NamedTuple("Perm", [("images", tuple[int, ...])])):
     """Permutation of {0, ..., degree-1} stored as its image tuple."""
 
@@ -422,6 +429,7 @@ def parse_cycles(text: str, degree: int) -> Perm:
 def cycle_string(perm: Perm) -> str:
     """Disjoint cycle notation, least point first in each cycle, cycles ordered
     by least point, fixed points omitted.  The identity renders as ""."""
+    _expect(perm, Perm)
     parts: list[str] = []
     seen: set[int] = set()
     for start in range(perm.degree):
@@ -473,6 +481,8 @@ class FiniteGroup:
 
     def __init__(self, like: Element, keys: tuple, index: dict, rows: list[list[int]],
                  tree: tuple[list[int], list[list[int]]]):
+        _expect(index, dict)
+        _expect(rows, list)
         self._like = like
         self._keys = keys
         self._index: dict[object, int] = index
@@ -619,7 +629,10 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
     index of x g_j, and the discovery edge of each new element, its parent
     and the row it was found in.  It builds no element object.
     """
-    gens = list(generators)
+    try:
+        gens = list(generators)
+    except TypeError:
+        raise UsageError(f"generators must be iterable, got {generators!r}") from None
     (max_elements,) = _integers((max_elements,), "the element cap")
     if not gens:
         raise UsageError("at least one generator is required")
@@ -654,4 +667,5 @@ def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_EL
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes of ``group``; see FiniteGroup.conjugacy_classes."""
+    _expect(group, FiniteGroup)
     return group.conjugacy_classes()

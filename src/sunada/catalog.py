@@ -7,7 +7,7 @@ Three classical Sunada triples ship with the package:
 * ``genus3``: GL(2, Z/4) (order 96) with an order-8 subgroup and its image
   under transposition; the quotients are smooth genus-3 surfaces.
 * ``orbifold-h``: the order-32 semidirect product of the units mod 8 acting on
-  Z/8, whose quotients are orbifolds with cone points of order 2.
+  Z/8, whose quotients are tori with four cone points of order 2.
 
 Each entry is data: the document that ``sunada catalog NAME`` prints, its
 expectations, and relations among its generators; a new entry needs no code.
@@ -44,7 +44,7 @@ class Expectations(NamedTuple):
     cycle_orders: tuple[int, ...]
     chi_orb: int  # equal to the Fraction a covering report gives
     smooth: bool
-    genus: int | None
+    genus: int
 
 
 class CatalogEntry(NamedTuple):
@@ -117,7 +117,7 @@ ORBIFOLD_H_DOCUMENT = {
         {"label": "a", "word": "a"}, {"label": "b", "word": "b"}, {"label": "c", "word": "c"},
         {"label": "abc", "word": "a b c"}]},
 }
-ORBIFOLD_H_EXPECTED = Expectations(32, 4, 8, (2, 2, 2, 4), -2, smooth=False, genus=None)
+ORBIFOLD_H_EXPECTED = Expectations(32, 4, 8, (2, 2, 2, 4), -2, smooth=False, genus=1)
 
 
 # name -> (stored document, expectations, words that evaluate to the identity)

@@ -25,12 +25,11 @@ import sys
 
 from .algebra import CycleParseError, ResourceError, UsageError
 from .catalog import CatalogError, catalog_entry, catalog_names
-from .covering import covering_report, covering_report_json
+from .covering import covering_report
 from .gassmann import is_sunada_triple
-from .schreier import graph_json_dict, schreier_graph, to_dot
+from .schreier import schreier_graph
 from .search import DEFAULT_SUBGROUP_CAP, SearchConfig, _sunada_pairs
-from .spectra import (NumericError, adjacency_matrix, eigenvalues_symmetric,
-                      spectrum_report_json)
+from .spectra import NumericError, adjacency_matrix, eigenvalues_symmetric
 from .specfile import (LoadedSpec, SpecError, decode_json, document_from_catalog,
                        load_text, parse_polygon, render_element)
 
@@ -144,7 +143,7 @@ def _cmd_report(args) -> int:
     else:
         raise SpecError("the document has no polygon; provide one with --polygon")
     report = covering_report(spec.group, sub, polygon)
-    _emit(_json_text(covering_report_json(report)), args.out)
+    _emit(_json_text(report.to_json_dict()), args.out)
     return 0
 
 
@@ -157,15 +156,15 @@ def _graph(args):
 def _cmd_graph(args) -> int:
     graph = _graph(args)
     if args.format == "dot":
-        _emit(to_dot(graph), args.out)
+        _emit(graph.to_dot(), args.out)
     else:
-        _emit(_json_text(graph_json_dict(graph)), args.out)
+        _emit(_json_text(graph.to_json_dict()), args.out)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     report = eigenvalues_symmetric(adjacency_matrix(_graph(args)), tol=args.tol)
-    _emit(_json_text(spectrum_report_json(report)), args.out)
+    _emit(_json_text(report.to_json_dict()), args.out)
     return 0
 
 

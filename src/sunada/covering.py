@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import FiniteGroup, UsageError, _integers
+from .algebra import FiniteGroup, UsageError, _expect, _integers
 from .gassmann import Subgroup, class_intersection_profile
 
 if TYPE_CHECKING:  # fractions, with decimal, loads only where a Fraction is built
@@ -35,7 +35,6 @@ __all__ = [
     "smoothness",
     "cone_points",
     "covering_report",
-    "covering_report_json",
 ]
 
 
@@ -82,14 +81,36 @@ class CoveringReport(NamedTuple):
     genus: int | None
     note: str | None
 
+    def to_json_dict(self) -> dict:
+        return {
+            "index": self.index,
+            "cycles": [
+                {"label": label, "order": order, "smooth": smooth}
+                for label, order, smooth in zip(
+                    self.cycle_labels, self.cycle_orders, self.smooth_cycles)
+            ],
+            "smooth": self.smooth,
+            "cone_points": [
+                {"label": c.label, "order": c.order, "multiplicity": c.multiplicity}
+                for c in self.cone_points
+            ],
+            "chi_orb": _fraction_json(self.chi_orb),
+            "chi_top": _fraction_json(self.chi_top),
+            "genus": self.genus,
+            "note": self.note,
+        }
+
+
+def _fraction_json(value: Fraction) -> dict:
+    return {"num": value.numerator, "den": value.denominator}
+
 
 def _cycle_orbits(group: FiniteGroup, profile: tuple[int, ...],
                   spec: PolygonSpec) -> list[tuple[int, dict[int, int]]]:
     """(m, {d: N_d}) per cycle of order m: the N_d > 0 orbits of size d < m
     on U\\G, by the formula of the module docstring, for the U with class
     intersection ``profile``."""
-    if not isinstance(spec, PolygonSpec):
-        raise UsageError(f"expected a PolygonSpec, got {spec!r}")
+    _expect(spec, PolygonSpec)
     for label, e in spec.cycles:
         if not 0 <= e < group.order:
             raise UsageError(f"cycle {label!r} refers to unknown element index {e}")
@@ -181,27 +202,3 @@ def covering_report(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> Cov
         genus=genus,
         note=note,
     )
-
-
-def _fraction_json(value: Fraction) -> dict:
-    return {"num": value.numerator, "den": value.denominator}
-
-
-def covering_report_json(report: CoveringReport) -> dict:
-    return {
-        "index": report.index,
-        "cycles": [
-            {"label": label, "order": order, "smooth": smooth}
-            for label, order, smooth in zip(
-                report.cycle_labels, report.cycle_orders, report.smooth_cycles)
-        ],
-        "smooth": report.smooth,
-        "cone_points": [
-            {"label": c.label, "order": c.order, "multiplicity": c.multiplicity}
-            for c in report.cone_points
-        ],
-        "chi_orb": _fraction_json(report.chi_orb),
-        "chi_top": _fraction_json(report.chi_top),
-        "genus": report.genus,
-        "note": report.note,
-    }

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .algebra import FiniteGroup, UsageError, _integers
+from .algebra import FiniteGroup, UsageError, _expect, _integers
 
 __all__ = [
     "Subgroup",
@@ -33,6 +33,7 @@ class Subgroup:
     __slots__ = ("parent", "members", "member_set")
 
     def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
+        _expect(members, tuple)
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "member_set", frozenset(members))
@@ -68,6 +69,7 @@ class Subgroup:
 def _check_indices(group: FiniteGroup, indices: Iterable[int]) -> tuple[int, ...]:
     """The indices as ints, read through ``operator.index`` before anything
     sorts or compares them; UsageError unless each indexes an element."""
+    _expect(group, FiniteGroup)
     indices = _integers(indices, "element indices")
     n = group.order
     for i in indices:
@@ -78,8 +80,7 @@ def _check_indices(group: FiniteGroup, indices: Iterable[int]) -> tuple[int, ...
 
 def check_parent(group: FiniteGroup, sub: Subgroup) -> None:
     """Raise unless ``sub`` is a subgroup built over exactly this group instance."""
-    if not isinstance(sub, Subgroup):
-        raise UsageError(f"expected a Subgroup, got {sub!r}")
+    _expect(sub, Subgroup)
     if sub.parent is not group:
         raise UsageError("subgroup belongs to a different group instance")
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple, Sequence
 
-from .algebra import FiniteGroup, UsageError, _integers, _perm_key_inverse
+from .algebra import FiniteGroup, UsageError, _expect, _integers, _perm_key_inverse
 from .gassmann import Subgroup, _check_indices, check_parent
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "SchreierGraph",
     "schreier_graph",
     "graph_isomorphic",
-    "to_dot",
-    "graph_json_dict",
 ]
 
 
@@ -87,6 +85,7 @@ def coset_action(group: FiniteGroup, table: CosetTable, element_index: int) -> t
     """Permutation of coset indices induced by right multiplication with the
     given element."""
     _check_indices(group, (element_index,))
+    _expect(table, CosetTable)
     return tuple(table.coset_of[group.mul(rep, element_index)]
                  for rep in table.transversal)
 
@@ -122,10 +121,26 @@ class SchreierGraph(NamedTuple("SchreierGraph", [("vertex_count", int),
         return tuple((src, perm[src], label)
                      for src in range(self.vertex_count) for label, perm in by_label)
 
+    def to_dot(self) -> str:
+        """Graphviz text; vertices ascending, arcs in (source, label) order, so
+        the output is byte-stable."""
+        lines = ["digraph schreier {"]
+        for v in range(self.vertex_count):
+            lines.append(f"  v{v};")
+        for src, dst, label in self.arcs:
+            escaped = label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  v{src} -> v{dst} [label="{escaped}"];')
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
-def _check_graph(graph) -> None:
-    if not isinstance(graph, SchreierGraph):
-        raise UsageError(f"expected a SchreierGraph, got {graph!r}")
+    def to_json_dict(self) -> dict:
+        """Adjacency listing in the same (source, label) arc order as the dot text."""
+        return {
+            "vertices": self.vertex_count,
+            "labels": list(self.labels),
+            "arcs": [{"src": src, "dst": dst, "label": label}
+                     for src, dst, label in self.arcs],
+        }
 
 
 def _walk_is_cheaper(group: FiniteGroup, sub: Subgroup) -> bool:
@@ -232,8 +247,8 @@ def graph_isomorphic(g1: SchreierGraph, g2: SchreierGraph,
     the whole component forward, and a bijection that commutes with a
     permutation commutes with its inverse.
     """
-    _check_graph(g1)
-    _check_graph(g2)
+    _expect(g1, SchreierGraph)
+    _expect(g2, SchreierGraph)
     if mode not in ("direct", "reversed"):
         raise UsageError(f"unknown isomorphism mode {mode!r}")
     n = g1.vertex_count
@@ -261,28 +276,3 @@ def graph_isomorphic(g1: SchreierGraph, g2: SchreierGraph,
             phi[v] = w
             used[w] = True
     return tuple(phi)
-
-
-def to_dot(graph: SchreierGraph) -> str:
-    """Graphviz text; vertices ascending, arcs in (source, label) order, so the
-    output is byte-stable."""
-    _check_graph(graph)
-    lines = ["digraph schreier {"]
-    for v in range(graph.vertex_count):
-        lines.append(f"  v{v};")
-    for src, dst, label in graph.arcs:
-        escaped = label.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  v{src} -> v{dst} [label="{escaped}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_json_dict(graph: SchreierGraph) -> dict:
-    """Adjacency listing in the same (source, label) arc order as the dot text."""
-    _check_graph(graph)
-    return {
-        "vertices": graph.vertex_count,
-        "labels": list(graph.labels),
-        "arcs": [{"src": src, "dst": dst, "label": label}
-                 for src, dst, label in graph.arcs],
-    }

@@ -46,7 +46,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .algebra import FiniteGroup, ResourceError, UsageError, _integers
+from .algebra import FiniteGroup, ResourceError, _expect, _integers
 from .covering import PolygonSpec, _cycle_orbits
 from .gassmann import (SunadaReport, Subgroup, _closure, class_intersection_profile,
                        conjugate_members, is_sunada_triple)
@@ -101,6 +101,7 @@ def _subgroup_classes(group: FiniteGroup, order: int,
     ``max_subgroups`` distinct subgroups; its message gives the classes and
     subgroups recorded until then.
     """
+    _expect(group, FiniteGroup)
     order, max_subgroups = _integers((order, max_subgroups), "a subgroup order and cap")
     if order < 1 or group.order % order != 0:
         return []
@@ -211,8 +212,7 @@ def find_sunada_pairs(group: FiniteGroup,
 def _sunada_pairs(group: FiniteGroup,
                   config: SearchConfig) -> Iterator[tuple[Subgroup, Subgroup, SunadaReport]]:
     """The pairs of ``find_sunada_pairs``, yielded as each one is verified."""
-    if not isinstance(config, SearchConfig):
-        raise UsageError(f"expected a SearchConfig, got {config!r}")
+    _expect(config, SearchConfig)
     # Profiles and smoothness are conjugation invariants: one test per class.
     buckets: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {}
     for cls in _classes_of_order(group, config.order, config.max_subgroups):

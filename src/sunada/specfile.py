@@ -30,8 +30,8 @@ import json
 from typing import Any, NamedTuple
 
 from .algebra import (DEFAULT_ELEMENT_CAP, CycleParseError, Element, FiniteGroup,
-                      Mat2, Perm, SemiPair, UsageError, _element_cap, cycle_string,
-                      generate_group, parse_cycles)
+                      Mat2, Perm, SemiPair, UsageError, _element_cap, _expect, _key,
+                      cycle_string, generate_group, parse_cycles)
 from .covering import PolygonSpec
 from .gassmann import Subgroup, subgroup_from_members, subgroup_generate
 
@@ -93,7 +93,7 @@ def render_element(element: Element) -> Any:
         return cycle_string(element)
     if isinstance(element, Mat2):
         return [list(row) for row in element.entries]
-    return [element.u, element.v]
+    return list(_key(element))  # a pair's (u, v); UsageError for a non-element
 
 
 def _evaluate_word(group: FiniteGroup, named: dict[str, int], word: str, where: str) -> int:
@@ -113,6 +113,8 @@ def _evaluate_word(group: FiniteGroup, named: dict[str, int], word: str, where: 
 
 def parse_polygon(body: Any, group: FiniteGroup, named: dict[str, int]) -> PolygonSpec:
     """A polygon object, its cycle words evaluated over the named generators."""
+    _expect(group, FiniteGroup)
+    _expect(named, dict)
     if (not isinstance(body, dict) or "edge_pairs" not in body
             or not isinstance(body.get("cycles"), list)):
         raise SpecError("'polygon' needs 'edge_pairs' and a list of 'cycles'")
@@ -219,7 +221,7 @@ def decode_json(text: str, what: str = "JSON") -> Any:
     integer past Python's digit limit, is a SpecError naming ``what``."""
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise SpecError(f"invalid {what}: {exc}") from exc
 
 

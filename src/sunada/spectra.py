@@ -10,8 +10,8 @@ import math
 import sys
 from typing import NamedTuple, Sequence, Union
 
-from .algebra import UsageError
-from .schreier import SchreierGraph, _check_graph
+from .algebra import UsageError, _expect
+from .schreier import SchreierGraph
 
 __all__ = [
     "NumericError",
@@ -20,7 +20,6 @@ __all__ = [
     "adjacency_matrix",
     "eigenvalues_symmetric",
     "spectra_equal",
-    "spectrum_report_json",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -45,9 +44,9 @@ class DenseSymMatrix:
         try:
             a = np.array(entries, dtype=float)
         except (TypeError, ValueError):
-            raise UsageError(f"expected a square matrix of numbers, got {entries!r}") from None
+            raise UsageError(f"matrix entries must be numbers, got {entries!r}") from None
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise UsageError(f"expected a square matrix, got shape {a.shape}")
+            raise UsageError(f"a matrix must be square, got shape {a.shape}")
         if not (a == a.T).all():
             raise UsageError("matrix is not exactly symmetric")
         a.setflags(write=False)
@@ -67,9 +66,22 @@ def _check_tolerance(tol: float) -> None:
     raise UsageError(f"tolerance must be positive and finite, got {tol!r}")
 
 
+def _round_sig(value: float) -> float:
+    rounded = float(f"{value:.12g}")
+    return 0.0 if rounded == 0.0 else rounded
+
+
 class SpectrumReport(NamedTuple):
     eigenvalues: tuple[float, ...]
     residual: float
+
+    def to_json_dict(self) -> dict:
+        """JSON form with eigenvalues at 12 significant digits for byte-stable output."""
+        return {
+            "dimension": len(self.eigenvalues),
+            "eigenvalues": [_round_sig(v) for v in self.eigenvalues],
+            "residual": _round_sig(self.residual),
+        }
 
 
 def adjacency_matrix(graph: SchreierGraph) -> DenseSymMatrix:
@@ -78,7 +90,7 @@ def adjacency_matrix(graph: SchreierGraph) -> DenseSymMatrix:
     A loop arc contributes 2 to its diagonal entry, so every label adds
     exactly 2 to each row sum.
     """
-    _check_graph(graph)
+    _expect(graph, SchreierGraph)
     import numpy as np
 
     n = graph.vertex_count
@@ -102,8 +114,7 @@ def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> S
     Raises NumericError if the solver fails to converge or the residual ends
     up above tol.
     """
-    if not isinstance(matrix, DenseSymMatrix):
-        raise UsageError(f"expected a DenseSymMatrix, got {matrix!r}")
+    _expect(matrix, DenseSymMatrix)
     if matrix.dimension < 1:
         raise UsageError("spectrum of an empty matrix is undefined")
     _check_tolerance(tol)
@@ -133,7 +144,7 @@ def _eigenvalue_list(spectrum: Spectrum) -> list[float]:
     try:
         return [float(v) for v in spectrum]
     except (TypeError, ValueError):
-        raise UsageError(f"expected a spectrum of numbers, got {spectrum!r}") from None
+        raise UsageError(f"a spectrum must be a sequence of numbers, got {spectrum!r}") from None
 
 
 def spectra_equal(s1: Spectrum, s2: Spectrum, tol: float = DEFAULT_TOL) -> bool:
@@ -144,17 +155,3 @@ def spectra_equal(s1: Spectrum, s2: Spectrum, tol: float = DEFAULT_TOL) -> bool:
     if len(v1) != len(v2):
         return False
     return all(abs(a - b) <= tol for a, b in zip(v1, v2))
-
-
-def _round_sig(value: float) -> float:
-    rounded = float(f"{value:.12g}")
-    return 0.0 if rounded == 0.0 else rounded
-
-
-def spectrum_report_json(report: SpectrumReport) -> dict:
-    """JSON form with eigenvalues at 12 significant digits for byte-stable output."""
-    return {
-        "dimension": len(report.eigenvalues),
-        "eigenvalues": [_round_sig(v) for v in report.eigenvalues],
-        "residual": _round_sig(report.residual),
-    }

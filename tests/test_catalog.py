@@ -68,8 +68,7 @@ def test_expectations_match_computation():
             report = covering_report(entry.group, sub, entry.polygon)
             assert report.chi_orb == exp.chi_orb
             assert report.smooth == exp.smooth
-            if exp.genus is not None:
-                assert report.genus == exp.genus
+            assert report.genus == exp.genus
 
 
 def test_expected_constants_pinned():
@@ -80,7 +79,7 @@ def test_expected_constants_pinned():
     h = catalog_entry("orbifold-h").expected
     assert h.chi_orb == Fraction(-2)
     assert h.smooth is False
-    assert h.genus is None
+    assert h.genus == 1
 
 
 def test_generator_labels_resolve(genus2, genus3, orbifold_h):

@@ -15,7 +15,6 @@ from sunada import (
     UsageError,
     cone_points,
     covering_report,
-    covering_report_json,
     element_order,
     enumerate_subgroups,
     find_sunada_pairs,
@@ -257,9 +256,8 @@ def test_covering_report_flags_odd_characteristic(s3):
 
 
 def test_covering_report_json_shape(orbifold_h):
-    d = covering_report_json(
-        covering_report(orbifold_h.group, orbifold_h.subgroup_u, orbifold_h.polygon)
-    )
+    d = covering_report(
+        orbifold_h.group, orbifold_h.subgroup_u, orbifold_h.polygon).to_json_dict()
     assert d["index"] == 8
     assert d["chi_orb"] == {"num": -2, "den": 1}
     assert d["chi_top"] == {"num": 0, "den": 1}

@@ -18,12 +18,10 @@ from sunada import (
     enumerate_subgroups,
     generate_group,
     graph_isomorphic,
-    graph_json_dict,
     parse_cycles,
     schreier_graph,
     subgroup_from_members,
     subgroup_generate,
-    to_dot,
 )
 from conftest import full_subgroup, trivial_subgroup
 
@@ -373,12 +371,12 @@ def test_graph_isomorphic_matches_many_components_without_search():
 
 def test_to_dot_single_vertex_exact_bytes(genus2):
     g = schreier_graph(genus2.group, full_subgroup(genus2.group), genus2.generator_labels[:1])
-    assert to_dot(g) == 'digraph schreier {\n  v0;\n  v0 -> v0 [label="a"];\n}\n'
+    assert g.to_dot() == 'digraph schreier {\n  v0;\n  v0 -> v0 [label="a"];\n}\n'
 
 
 def test_to_dot_genus2_structure(genus2):
     g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
-    dot = to_dot(g)
+    dot = g.to_dot()
     lines = dot.splitlines()
     assert lines[0] == "digraph schreier {"
     assert lines[-1] == "}"
@@ -392,12 +390,12 @@ def test_to_dot_genus2_structure(genus2):
 def test_to_dot_escapes_label_text(s3):
     sub = full_subgroup(s3)
     g = schreier_graph(s3, sub, [('q"\\', s3.generators[0])])
-    assert '[label="q\\"\\\\"];' in to_dot(g)
+    assert '[label="q\\"\\\\"];' in g.to_dot()
 
 
 def test_graph_json_dict_round_trip(genus2):
     g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
-    d = graph_json_dict(g)
+    d = g.to_json_dict()
     assert d["vertices"] == 12
     assert d["labels"] == ["a", "b", "c"]
     assert len(d["arcs"]) == 36

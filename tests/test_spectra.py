@@ -18,7 +18,6 @@ from sunada import (
     eigenvalues_symmetric,
     schreier_graph,
     spectra_equal,
-    spectrum_report_json,
     subgroup_from_members,
     subgroup_generate,
 )
@@ -168,7 +167,7 @@ def test_spectra_equal_tolerance_semantics():
 
 def test_spectrum_report_json(genus2):
     g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
-    d = spectrum_report_json(eigenvalues_symmetric(adjacency_matrix(g)))
+    d = eigenvalues_symmetric(adjacency_matrix(g)).to_json_dict()
     assert d["dimension"] == 12
     assert len(d["eigenvalues"]) == 12
     assert d["residual"] < 1e-9

@@ -3,13 +3,18 @@ tuples, ``Subgroup`` an immutable slotted class."""
 
 from __future__ import annotations
 
+import inspect
+import json
 from functools import cache
 
 import numpy as np
 import pytest
 
+import sunada
 from sunada import (
+    CatalogError,
     ConePoint,
+    CycleParseError,
     DenseSymMatrix,
     Mat2,
     Perm,
@@ -17,6 +22,7 @@ from sunada import (
     SchreierGraph,
     SearchConfig,
     SemiPair,
+    SpecError,
     SpectrumReport,
     Subgroup,
     UsageError,
@@ -31,7 +37,6 @@ from sunada import (
     find_sunada_pairs,
     generate_group,
     graph_isomorphic,
-    graph_json_dict,
     is_sunada_triple,
     parse_cycles,
     parse_document,
@@ -39,7 +44,6 @@ from sunada import (
     spectra_equal,
     subgroup_from_members,
     subgroup_generate,
-    to_dot,
 )
 from sunada.algebra import _from_key, _key
 from sunada.search import DEFAULT_SUBGROUP_CAP
@@ -162,9 +166,7 @@ def _genus2():
     lambda: graph_isomorphic(5, 5),
     lambda: covering_report(_genus2().group, _genus2().subgroup_u, 5),
     lambda: class_intersection_profile(_genus2().group, 5),
-    # Each graph function checks that it was given a SchreierGraph.
-    lambda: to_dot(5),
-    lambda: graph_json_dict(5),
+    # A graph function checks that it was given a SchreierGraph.
     lambda: adjacency_matrix(5),
     # Numbers that do not convert are refused before numpy or float sees them.
     lambda: DenseSymMatrix("x"),
@@ -180,11 +182,69 @@ def _genus2():
         "generate-int", "generate-tuple", "compose-tuples", "subgroup-float-index",
         "members-string-index", "graph-labels-not-pairs", "search-string-order",
         "spectrum-string-tol", "isomorphic-ints", "covering-int-polygon", "profile-int-subgroup",
-        "dot-int", "graph-json-int", "adjacency-int", "matrix-string", "spectra-strings",
+        "adjacency-int", "matrix-string", "spectra-strings",
         "generate-string-cap"])
 def test_invalid_input_raises_usage_error(build):
     with pytest.raises(UsageError):
         build()
+
+
+# The public calls that take a non-value argument unchecked, and why.
+_UNCHECKED = {
+    "conjugate_members": "runs in the hot loops of the conjugator scans, where a check costs",
+    "simultaneous_conjugator": "has no caller but perfbench and is to be deleted (ROADMAP item 8)",
+    "document_from_catalog": "specfile cannot import CatalogEntry without an import cycle",
+}
+
+
+def test_public_calls_refuse_a_non_value_argument(values, genus2):
+    """Every public function and value type, given the int 5 for one required
+    parameter and valid genus2 values for the others, raises one of the
+    package's documented errors or returns, never a bare AttributeError or
+    TypeError.  The valid arguments alone must make a good call."""
+    group, u, v = genus2.group, genus2.subgroup_u, genus2.subgroup_v
+    graph, element = values["SchreierGraph"], group.element(1)
+    # A closure whose generator rows and tree are not yet dropped.
+    fresh = generate_group(map(group.element, group.generators))
+    rows, tree = fresh._cayley
+    document = document_from_catalog(genus2)
+    # Arguments by parameter name; "function.parameter" where one function
+    # reads a name differently.  A value type's arguments are the fields of
+    # its instance in ``values``.
+    table = {
+        "e": element, "e1": element, "e2": element, "perm": element, "element": element,
+        "like": element, "keys": fresh._keys, "index": fresh._index, "rows": rows,
+        "tree": tree, "text": json.dumps(document), "parse_cycles.text": "(0,1)",
+        "degree": 12, "generators": [1], "generate_group.generators": [element],
+        "group": group, "sub": u, "u": u, "v": v, "members": u.members, "g": 1,
+        "spec": genus2.polygon, "table": values["CosetTable"], "element_index": 1,
+        "labels": genus2.generator_labels, "graph": graph, "g1": graph, "g2": graph,
+        "order": 8, "config": SearchConfig(order=8), "pair1": (u, v), "pair2": (v, u),
+        "entries": [[2, 1], [1, 2]], "matrix": DenseSymMatrix([[2, 1], [1, 2]]),
+        "s1": (1.0, 3.0), "s2": (1.0, 3.0), "name": "genus2", "entry": genus2,
+        "doc": document, "body": document["polygon"], "named": dict(genus2.generator_labels),
+    }
+    failures = []
+    for name in sunada.__all__:
+        call = getattr(sunada, name)
+        if name in _UNCHECKED or not (inspect.isfunction(call) or inspect.isclass(call)) \
+                or (inspect.isclass(call) and issubclass(call, Exception)):
+            continue
+        required = [p.name for p in inspect.signature(call).parameters.values()
+                    if p.default is p.empty]
+        if name in values:
+            valid = {p: getattr(values[name], p) for p in required}
+        else:
+            valid = {p: table.get(f"{name}.{p}") or table[p] for p in required}
+        call(**valid)
+        for param in required:
+            try:
+                call(**{**valid, param: 5})
+            except (UsageError, SpecError, CycleParseError, CatalogError):
+                pass
+            except Exception as exc:
+                failures.append(f"{name}({param}=5): {type(exc).__name__}: {exc}")
+    assert failures == []
 
 
 def _leaves(value):
