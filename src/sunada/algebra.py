@@ -16,7 +16,12 @@ loop of every group algorithm here is that product and a dict lookup.  Above
 degree 256 an image no longer fits in a byte, so the key is the image tuple,
 multiplied by one ``operator.itemgetter``.  ``_arithmetic`` picks, once per
 family and degree or modulus, an ``_Arithmetic`` record of the key product,
-inverse, right multiplier and identity.  ``compose``, ``inverse``,
+inverse, right multiplier and identity.  A loop whose right factor stays
+fixed over many products builds that factor's right multiplier once: the
+closure of ``generate_group``, the coset walk of ``schreier`` and the
+double-coset marking of ``search``; ``gassmann``'s closure forms plain key
+products.  Loops outside this module reach the keys through
+``FiniteGroup._key_space``.  ``compose``, ``inverse``,
 ``identity_like`` and ``element_order`` build their result from its key with
 ``tuple.__new__``, unvalidated: the product of two valid elements of one
 family, and the inverse of a valid element, are always valid.  ``compose``
@@ -81,7 +86,7 @@ class CycleParseError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """A closure or enumeration exceeded its configured cap."""
+    """A closure, enumeration or dense matrix exceeded its configured cap."""
 
 
 def _integers(values: Iterable, what: str) -> tuple[int, ...]:
@@ -486,7 +491,8 @@ class FiniteGroup:
         self._like = like
         self._keys = keys
         self._index: dict[object, int] = index
-        self._product, self._inverse, self._right, identity = _arithmetic(like)
+        self._arithmetic = arithmetic = _arithmetic(like)
+        self._product, self._inverse, _, identity = arithmetic
         self._family = (type(like), _parameter(like))
         self.generators: tuple[int, ...] = tuple(range(len(rows)))
         self.identity: int = index[identity]
@@ -523,6 +529,12 @@ class FiniteGroup:
         """Index of the inverse of element i, from the inverse of its key alone."""
         return self._index[self._inverse(self._keys[i])]
 
+    def _key_space(self) -> tuple[tuple, dict, _Arithmetic]:
+        """``(keys, index, arithmetic)``, the one way in for loops that
+        multiply in key space: they read each key once and look up only the
+        products, where ``mul`` reads both keys and makes two calls."""
+        return self._keys, self._index, self._arithmetic
+
     def _conjugation_maps(self) -> tuple[tuple[int, ...], ...]:
         """The index maps x -> g^-1 x g of the generators g, in generator order."""
         maps = self._maps
@@ -556,7 +568,8 @@ class FiniteGroup:
         orbit = [start]
         for item in orbit:
             for row in maps:
-                image = tuple(frozenset(row[x] for x in s) for s in item)
+                # Python 3.11: lists beat generators and map(row.__getitem__, s).
+                image = tuple([frozenset([row[x] for x in s]) for s in item])
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)

@@ -95,23 +95,33 @@ def _closure(group: FiniteGroup, generators: Iterable[int], cap: int | None = No
     generated by every generator but the last; by default the trivial
     subgroup.  The base is closed, so only coset representatives are
     multiplied by the generators, and each new coset costs one product per
-    base member.
+    base member.  The products are formed in key space
+    (``FiniteGroup._key_space``), from keys read once: the generators' and
+    the base's per closure, a representative's as it is found.  No right
+    multiplier is built: in the subgroup walk a base averages about 5
+    members and a closure makes few products per generator, so building
+    one costs more than it saves.
     """
-    gens = sorted(set(generators))
+    keys, index, (product, _, _, _) = group._key_space()
+    gens = list(map(keys.__getitem__, sorted(set(generators))))
     members = {group.identity} if base is None else set(base)
     size = len(members)
-    others = [b for b in members if b != group.identity]
-    reps = [group.identity]
+    if cap is not None and size > cap:
+        return None
+    others = [keys[b] for b in members if b != group.identity]
+    reps = [keys[group.identity]]  # the representatives' keys
     for y in reps:
         for g in gens:
-            z = group.mul(y, g)
+            yg = product(y, g)
+            z = index[yg]
             if z not in members:
                 # Right cosets of the base are disjoint: all of B z is new.
                 if cap is not None and len(members) + size > cap:
                     return None
                 members.add(z)
-                members.update([group.mul(b, z) for b in others])
-                reps.append(z)
+                if others:
+                    members.update([index[product(b, yg)] for b in others])
+                reps.append(yg)
     return frozenset(members)
 
 
@@ -177,7 +187,8 @@ def are_conjugate_subgroups(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int
     if len(u.members) != len(v.members) or (target,) not in group.conjugation_orbit([u.members]):
         return None
     # ``_key`` orders as the elements do, so no element is built to sort.
-    return next(g for g in sorted(range(group.order), key=group._keys.__getitem__)
+    keys = group._key_space()[0]
+    return next(g for g in sorted(range(group.order), key=keys.__getitem__)
                 if conjugate_members(group, u.members, g) == target)
 
 

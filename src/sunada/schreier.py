@@ -90,6 +90,11 @@ def coset_action(group: FiniteGroup, table: CosetTable, element_index: int) -> t
                  for rep in table.transversal)
 
 
+def _check_labels(labels: tuple[str, ...]) -> None:
+    if len(set(labels)) != len(labels):
+        raise UsageError("arc labels must be unique")
+
+
 class SchreierGraph(NamedTuple("SchreierGraph", [("vertex_count", int),
                                                  ("labels", tuple[str, ...]),
                                                  ("perms", tuple[tuple[int, ...], ...])])):
@@ -105,8 +110,7 @@ class SchreierGraph(NamedTuple("SchreierGraph", [("vertex_count", int),
             labels, perms = tuple(labels), tuple(_integers(p, "arc heads") for p in perms)
         except TypeError:
             raise UsageError(f"labels {labels!r} and perms {perms!r} must be sequences") from None
-        if len(set(labels)) != len(labels):
-            raise UsageError("arc labels must be unique")
+        _check_labels(labels)
         if len(perms) != len(labels):
             raise UsageError(f"{len(perms)} permutations given for {len(labels)} labels")
         for label, perm in zip(labels, perms):
@@ -153,8 +157,7 @@ def _coset_walk(group: FiniteGroup, sub: Subgroup,
                 elements: Sequence[int]) -> list[tuple[int, ...]]:
     """The permutation of U\\G induced by each element, in ``coset_table``'s
     numbering, found by testing y t_j^-1 in U in key space."""
-    keys, product, inverse = group._keys, group._product, group._inverse
-    multiplier = group._right
+    keys, _, (product, inverse, multiplier, _) = group._key_space()
     members = frozenset(keys[u] for u in sub.members)
     reps = [keys[group.identity]]
     # rights[j] is x -> x t_j^-1, the one multiplier per representative.
@@ -193,12 +196,16 @@ def schreier_graph(group: FiniteGroup, sub: Subgroup,
     except (TypeError, ValueError):
         raise UsageError(f"labels must be (label, element index) pairs, got {labels!r}") from None
     elements = _check_indices(group, elements)
+    names = tuple(name for name, _ in labels)
+    _check_labels(names)
     if _walk_is_cheaper(group, sub):
         perms = _coset_walk(group, sub, elements)
     else:
         table = coset_table(group, sub)
         perms = [coset_action(group, table, e) for e in elements]
-    return SchreierGraph(sub.index, tuple(name for name, _ in labels), perms)
+    # Each is a permutation of the cosets by construction, so the
+    # constructor's per-label sort is skipped.
+    return tuple.__new__(SchreierGraph, (sub.index, names, tuple(perms)))
 
 
 def _forced_map(root: int, image: int,

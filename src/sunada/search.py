@@ -16,7 +16,10 @@ Three things keep the growth step cheap without losing a class:
   in no double coset R f R of an element f already tried; every skipped
   growth equals one already tried.  R e R is marked one right coset R e r at
   a time, skipping those already marked, which costs |R| + |R e R| products
-  rather than |R| + |R|^2.
+  rather than |R| + |R|^2.  Each r in R is a fixed right factor of every
+  e r, so the marking builds its right multiplier once per representative
+  (``_double_coset_marker``), and forms the few products of each coset
+  from keys read once.
 * The double coset D = R e R just marked decides most growths without a
   closure.  <R, e> is not closed when |R| + |D| exceeds the target order,
   since R and D are disjoint parts of it; nor when D holds an element whose
@@ -44,7 +47,7 @@ the least member of each N_G(m)-orbit on the other class, the orbit's least pair
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .algebra import FiniteGroup, ResourceError, _expect, _integers
 from .covering import PolygonSpec, _cycle_orbits
@@ -72,24 +75,37 @@ class SearchConfig(NamedTuple):
     dedupe: bool = True
 
 
-def _mark_double_coset(group: FiniteGroup, rep: frozenset[int], e: int,
-                       tried: set[int]) -> list[int]:
-    """Add R e R to ``tried``, a union of right cosets of R = ``rep``, and
-    return the elements added.
+def _double_coset_marker(group: FiniteGroup,
+                         rep: frozenset[int]) -> Callable[[int, set[int]], list[int]]:
+    """The map ``mark(e, tried)`` that adds R e R to ``tried``, a union of
+    right cosets of R = ``rep``, and returns the elements added.
 
     R e R is the union of the right cosets R (e r), r in R, so it is added
     one right coset at a time; a coset with e r already in ``tried`` lies in
     it whole, so ``tried`` stays a union of right cosets.  When ``tried`` is
     a union of double cosets without e, the elements added are R e R.
+
+    Each r in R is a fixed right factor for every e tried against R, so its
+    right multiplier is built here once, and R's keys are read here once.
+    A coset R (e r) is formed by plain key products: a right multiplier of
+    e r would serve only its |R| products, and costs more than it saves
+    when R has 2 to 6 members, as in the search ladder.
     """
-    added: list[int] = []
-    for r in rep:
-        y = group.mul(e, r)
-        if y not in tried:
-            coset = [group.mul(x, y) for x in rep]
-            tried.update(coset)
-            added.extend(coset)
-    return added
+    keys, index, (product, _, right, _) = group._key_space()
+    rep_keys = [keys[r] for r in rep]
+    times_rep = list(map(right, rep_keys))
+
+    def mark(e: int, tried: set[int]) -> list[int]:
+        added: list[int] = []
+        e_key = keys[e]
+        for times_r in times_rep:
+            y = times_r(e_key)
+            if index[y] not in tried:
+                coset = [index[product(x, y)] for x in rep_keys]
+                tried.update(coset)
+                added.extend(coset)
+        return added
+    return mark
 
 
 def _subgroup_classes(group: FiniteGroup, order: int,
@@ -146,9 +162,10 @@ def _subgroup_classes(group: FiniteGroup, order: int,
         # <R, r e r'> = <R, e> for r, r' in R: one growth per double coset R e R,
         # and none when R e R shows that <R, e> fails or is already recorded.
         tried = set(rep)
+        mark = _double_coset_marker(group, rep)
         for e in usable:
             if e not in tried:
-                double = _mark_double_coset(group, rep, e, tried)
+                double = mark(e, tried)
                 if (len(rep) + len(double) <= order and usable_set.issuperset(double)
                         and rep.union(double) not in seen):
                     grow(gens + (e,), rep)

@@ -231,4 +231,7 @@ def load_text(text: str) -> LoadedSpec:
 
 def document_from_catalog(entry) -> dict:
     """The stored group document of a ``catalog.CatalogEntry``, as a fresh copy."""
+    from .catalog import CatalogEntry  # catalog imports this module
+
+    _expect(entry, CatalogEntry)
     return copy.deepcopy(entry.document)

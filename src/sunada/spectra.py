@@ -2,6 +2,12 @@
 
 numpy is imported inside the functions that build or diagonalize a matrix, so
 importing the package, and every command that computes no spectrum, skips it.
+
+A spectrum is computed densely, so its memory grows as the square of the
+vertex count and its time as the cube.  ``adjacency_matrix`` refuses a graph
+of more than ``MAX_DENSE_DIMENSION`` vertices with ResourceError before it
+allocates: at that bound one float64 matrix is 128 MiB, and a spectrum's
+traced peak is about five such arrays (4.8 at 1024 vertices).
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ import math
 import sys
 from typing import NamedTuple, Sequence, Union
 
-from .algebra import UsageError, _expect
+from .algebra import ResourceError, UsageError, _expect
 from .schreier import SchreierGraph
 
 __all__ = [
@@ -20,9 +26,11 @@ __all__ = [
     "adjacency_matrix",
     "eigenvalues_symmetric",
     "spectra_equal",
+    "MAX_DENSE_DIMENSION",
 ]
 
 DEFAULT_TOL = 1e-9
+MAX_DENSE_DIMENSION = 4096
 
 
 class NumericError(RuntimeError):
@@ -88,12 +96,16 @@ def adjacency_matrix(graph: SchreierGraph) -> DenseSymMatrix:
     """Sum of P + P^T over the per-label permutation matrices P.
 
     A loop arc contributes 2 to its diagonal entry, so every label adds
-    exactly 2 to each row sum.
+    exactly 2 to each row sum.  Raises ResourceError, before anything is
+    allocated, for a graph of more than ``MAX_DENSE_DIMENSION`` vertices.
     """
     _expect(graph, SchreierGraph)
+    n = graph.vertex_count
+    if n > MAX_DENSE_DIMENSION:
+        raise ResourceError(f"a dense spectrum of dimension {n} exceeds the bound of "
+                            f"{MAX_DENSE_DIMENSION} vertices")
     import numpy as np
 
-    n = graph.vertex_count
     a = np.zeros((n, n), dtype=np.int64)
     rows = np.arange(n)
     for perm in graph.perms:

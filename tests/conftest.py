@@ -70,6 +70,16 @@ def psl211():
                            parse_cycles("(0,1,10)(2,4,9)(5,7,8)", 11)])
 
 
+@pytest.fixture(scope="session")
+def d257():
+    """The dihedral group of degree 257, order 514: above degree 256 its
+    elements are keyed by image tuples, not bytes."""
+    n = 257
+    return generate_group([parse_cycles("(" + ",".join(map(str, range(n))) + ")", n),
+                           parse_cycles("".join(f"({i},{n - i})" for i in range(1, (n + 1) // 2)),
+                                        n)])
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # Echo the acceptance verdict lines after the run so they stay visible
     # under output capture.

@@ -308,6 +308,21 @@ def test_spectrum_prints_an_exact_zero_eigenvalue(tmp_path, capsys):
     assert all(v == 0.0 or abs(v) > 1e-6 for v in eigenvalues)
 
 
+def test_spectrum_above_the_dense_bound_exits_two(tmp_path, capsys):
+    """S8 over the trivial subgroup has 40,320 cosets, past the dense bound:
+    a usage error naming the dimension and the bound, not numpy's."""
+    path = tmp_path / "s8.json"
+    path.write_text(json.dumps({
+        "kind": "permutation", "degree": 8,
+        "generators": {"a": "(0,1,2,3,4,5,6,7)", "b": "(0,1)"},
+        "subgroups": {"U": {"elements": [""]}},
+    }))
+    assert run(["spectrum", str(path), "--U", "U"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sunada: error: a dense spectrum of dimension 40320 exceeds the bound")
+    assert "Traceback" not in err
+
+
 def test_spectrum_unreachable_tolerance_exits_three(genus2_doc, capsys):
     assert run(["spectrum", str(genus2_doc), "--U", "U", "--tol", "1e-300"]) == 3
     assert "numeric failure" in capsys.readouterr().err

@@ -19,23 +19,21 @@ from sunada import (
 )
 from sunada import search
 from sunada.gassmann import _closure
-from sunada.search import _mark_double_coset, _subgroup_classes
+from sunada.search import _double_coset_marker, _subgroup_classes
 
 
 def _closure_oracle(group, seed_indices):
-    members = {group.identity, *seed_indices}
-    work = list(members)
-    while work:
-        x = work.pop()
-        for y in list(members):
-            for p in (group.mul(x, y), group.mul(y, x)):
-                if p not in members:
-                    members.add(p)
-                    work.append(p)
-            inv = group.inv(x)
-            if inv not in members:
-                members.add(inv)
-                work.append(inv)
+    """The subgroup the seeds generate, as every word in the seeds and their
+    inverses, found breadth-first through ``group.mul``."""
+    steps = {*seed_indices, *map(group.inv, seed_indices)}
+    members = {group.identity}
+    work = [group.identity]
+    for x in work:
+        for s in steps:
+            p = group.mul(x, s)
+            if p not in members:
+                members.add(p)
+                work.append(p)
     return frozenset(members)
 
 
@@ -125,12 +123,19 @@ def test_subgroup_counts_per_order(name, request):
                 len(enumerate_subgroups(group, order, up_to_conjugacy=True))) == counts
 
 
-def test_closure_from_a_base_matches_the_closure_oracle(genus3):
-    group = genus3.group
-    for base_gens in [(), (5,), (3, 17)]:
+def test_closure_from_a_base_matches_the_closure_oracle(genus3, d257):
+    # Matrix keys, then image-tuple keys: in D_257 element 0 is a reflection
+    # and 1 the 257-cycle, so the bases are trivial, C_2 and C_257.
+    for group, bases, step in [(genus3.group, [(), (5,), (3, 17)], 7),
+                               (d257, [(), (0,), (1,)], 61)]:
+        _check_closures_from_bases(group, bases, step)
+
+
+def _check_closures_from_bases(group, bases, step):
+    for base_gens in bases:
         base = _closure(group, base_gens)
         assert base == _closure_oracle(group, base_gens)
-        for e in range(0, group.order, 7):
+        for e in range(0, group.order, step):
             full = _closure_oracle(group, base_gens + (e,))
             assert _closure(group, base_gens + (e,), base=base) == full
             for cap in (len(full) - 1, len(full)):
@@ -147,10 +152,11 @@ def test_double_coset_marking_matches_the_square_construction(name, request):
     for orbit in _subgroup_classes(group, group.order, 10**6):
         rep = orbit[0]
         tried, square = set(rep), set(rep)
+        mark = _double_coset_marker(group, rep)
         for e in range(group.order):
             if e not in tried:
                 before = set(tried)
-                added = _mark_double_coset(group, rep, e, tried)
+                added = mark(e, tried)
                 left = [group.mul(r, e) for r in rep]
                 double = {group.mul(x, r) for r in rep for x in left}
                 assert len(added) == len(set(added))
@@ -195,14 +201,16 @@ def _reference_walk(group, order):
     return [orbit for _, orbit in classes]
 
 
-@pytest.mark.parametrize("name", ["s4", "psl32", "psl211", "genus2", "genus3", "orbifold-h"])
+@pytest.mark.parametrize("name", ["s4", "psl32", "psl211", "genus2", "genus3", "orbifold-h",
+                                  "d257"])
 def test_pruned_walk_reaches_the_classes_of_the_reference_walk_in_order(name, request):
     """Growths skipped by the walk's double-coset tests would have failed or
     found a recorded subgroup, so the classes, their order, representatives
-    and orbits are those of the unpruned walk."""
+    and orbits are those of the unpruned walk.  The orders are the divisors
+    up to 24 and the group's own, the whole lattice."""
     fixture = request.getfixturevalue(name.replace("-", "_"))
     group = getattr(fixture, "group", fixture)
-    for order in range(1, 25):
+    for order in sorted({*range(1, 25), group.order}):
         if group.order % order == 0:
             assert _subgroup_classes(group, order, 20000) == _reference_walk(group, order)
 

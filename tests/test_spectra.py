@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from sunada import (
+    MAX_DENSE_DIMENSION,
     DenseSymMatrix,
     NumericError,
+    ResourceError,
     SchreierGraph,
     UsageError,
     adjacency_matrix,
@@ -33,6 +35,20 @@ def test_dense_matrix_rejects_bad_input():
         DenseSymMatrix([[0.0, 1.0]])
     with pytest.raises(UsageError):
         DenseSymMatrix([[0.0, 1.0], [2.0, 0.0]])
+
+
+def test_adjacency_refuses_a_graph_above_the_dense_bound(monkeypatch):
+    """One vertex past the bound is refused before numpy allocates."""
+    n = MAX_DENSE_DIMENSION + 1
+    graph = SchreierGraph(n, ("a",), [tuple(range(n))])
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("a matrix was allocated")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    with pytest.raises(ResourceError,
+                       match=f"dimension {n} exceeds the bound of {MAX_DENSE_DIMENSION}"):
+        adjacency_matrix(graph)
 
 
 def test_dense_matrix_is_read_only():

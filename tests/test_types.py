@@ -193,7 +193,6 @@ def test_invalid_input_raises_usage_error(build):
 _UNCHECKED = {
     "conjugate_members": "runs in the hot loops of the conjugator scans, where a check costs",
     "simultaneous_conjugator": "has no caller but perfbench and is to be deleted (ROADMAP item 8)",
-    "document_from_catalog": "specfile cannot import CatalogEntry without an import cycle",
 }
 
 
