@@ -3,9 +3,9 @@
 Three element families are supported: permutations of {0, ..., n-1}, invertible
 2x2 matrices over Z/m, and unit/residue pairs (u, v) with u a unit mod m.
 Elements are immutable named tuples of their fields, so they compare, hash
-and order as those tuples.  Products read left to right: ``compose(x, y)``
-applies x first for permutations, is the matrix product ``x y`` for
-matrices, and is ``(u, v)(u', v') = (u u', v + u v')`` for pairs.
+and order as those tuples.  Products read left to right: ``FiniteGroup.mul``
+gives x y, which applies x first for permutations, is the matrix product
+``x y`` for matrices, and is ``(u, v)(u', v') = (u u', v + u v')`` for pairs.
 
 Each family's arithmetic is written once, on private element keys (``_key``).
 A matrix key is its entry rows and a pair key is ``(u, v)``.  A permutation
@@ -21,14 +21,10 @@ fixed over many products builds that factor's right multiplier once: the
 closure of ``generate_group``, the coset walk of ``schreier`` and the
 double-coset marking of ``search``; ``gassmann``'s closure forms plain key
 products.  Loops outside this module reach the keys through
-``FiniteGroup._key_space``.  ``compose``, ``inverse``,
-``identity_like`` and ``element_order`` build their result from its key with
-``tuple.__new__``, unvalidated: the product of two valid elements of one
-family, and the inverse of a valid element, are always valid.  ``compose``
-first checks that its factors share one family and degree or modulus.  The
-element constructors (each class's ``__new__``) validate their input, reading
-integers through ``operator.index``; ``parse_cycles`` builds its
-permutation, valid by construction, without.
+``FiniteGroup._key_space``.  The element constructors (each class's
+``__new__``) validate their input, reading integers through
+``operator.index``; ``parse_cycles`` builds its permutation, valid by
+construction, without, and so does ``FiniteGroup.element`` from a key.
 
 A group is its keys.  ``generate_group``, the one way to build a
 ``FiniteGroup``, closes its generators in key space and hands over the keys,
@@ -58,10 +54,6 @@ __all__ = [
     "Mat2",
     "SemiPair",
     "Element",
-    "compose",
-    "inverse",
-    "identity_like",
-    "element_order",
     "parse_cycles",
     "cycle_string",
     "FiniteGroup",
@@ -190,12 +182,6 @@ def _require_same_family(e1: Element, e2: Element) -> None:
         raise UsageError(f"{kind} mismatch: {_parameter(e1)} vs {_parameter(e2)}")
 
 
-def compose(e1: Element, e2: Element) -> Element:
-    """Group product of two elements of the same family; e1 acts first for perms."""
-    _require_same_family(e1, e2)
-    return _from_key(e1, _arithmetic(e1).product(_key(e1), _key(e2)))
-
-
 # A permutation up to this degree is keyed by its images as bytes, since each
 # image fits in a byte; the one size dispatch of ``_key`` and ``_arithmetic``.
 _MAX_BYTES_DEGREE = 256
@@ -316,27 +302,6 @@ def _arithmetic(like: Element) -> _Arithmetic:
     return _Arithmetic(product, inverse, right, identity)
 
 
-def inverse(e: Element) -> Element:
-    """Group inverse, built from the inverse of e's key."""
-    return _from_key(e, _arithmetic(e).inverse(_key(e)))
-
-
-def identity_like(e: Element) -> Element:
-    """Identity element of the same family and parameters as ``e``."""
-    return _from_key(e, _arithmetic(e).identity)
-
-
-def element_order(e: Element) -> int:
-    """Smallest k >= 1 with e^k = identity, from key products alone."""
-    arithmetic, key = _arithmetic(e), _key(e)
-    times_e = arithmetic.right(key)
-    k, x = 1, key
-    while x != arithmetic.identity:
-        x = times_e(x)
-        k += 1
-    return k
-
-
 # Well-formed cycle notation.  A str pattern's \s and \d are the characters
 # of str.isspace and str.isdecimal, which int() reads, and a test pins this.
 # The error scanner reads with the same classes: the space between cycles,
@@ -407,8 +372,9 @@ def parse_cycles(text: str, degree: int) -> Perm:
     fixed; whitespace is ignored; the empty string is the identity.  Raises
     CycleParseError (carrying a text position) for malformed input, repeated
     points, or out-of-range points, and UsageError for a text that is not a
-    str.  Well-formed text is read in bulk, the rest, which includes every
-    error, a point at a time.
+    str or a degree above ``DEFAULT_ELEMENT_CAP``, which bounds a document's
+    degree too.  Well-formed text is read in bulk, the rest, every error
+    included, a point at a time.
     """
     if not isinstance(text, str):
         raise UsageError(f"cycle text must be a string, got {text!r}")
@@ -416,8 +382,8 @@ def parse_cycles(text: str, degree: int) -> Perm:
         degree = operator.index(degree)
     except TypeError:
         raise UsageError(f"degree must be an integer, got {degree!r}") from None
-    if degree < 1:
-        raise UsageError(f"degree must be >= 1, got {degree}")
+    if not 1 <= degree <= DEFAULT_ELEMENT_CAP:  # before anything is allocated
+        raise UsageError(f"degree must be between 1 and {DEFAULT_ELEMENT_CAP}, got {degree}")
     cycles = _read_cycles(text, degree) if _CYCLES.fullmatch(text) else None
     if cycles is None:
         cycles = _scan_cycles(text, degree)
@@ -521,7 +487,7 @@ class FiniteGroup:
         raise UsageError(f"element {e} is not in the group")
 
     def mul(self, i: int, j: int) -> int:
-        """Index of the product of elements i and j."""
+        """Index of the product x y of elements x = i and y = j; x acts first."""
         keys = self._keys
         return self._index[self._product(keys[i], keys[j])]
 

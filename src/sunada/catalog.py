@@ -50,11 +50,8 @@ class Expectations(NamedTuple):
 class CatalogEntry(NamedTuple):
     name: str
     group: FiniteGroup
-    u_name: str
-    v_name: str
     subgroup_u: Subgroup
     subgroup_v: Subgroup
-    generator_labels: tuple[tuple[str, int], ...]
     polygon: PolygonSpec
     expected: Expectations
     # The stored document itself: read it, or copy it with document_from_catalog.
@@ -165,8 +162,5 @@ def catalog_entry(name: str) -> CatalogEntry:
              f"{name} cycle orders {orders}, expected {expected.cycle_orders}")
     smooth = not any(counts for _, counts in orbits)
     _require(smooth == expected.smooth, f"{name} quotients smooth {smooth}, expected {expected.smooth}")
-    return CatalogEntry(
-        name=name, group=group, u_name=u_name, v_name=v_name, subgroup_u=u, subgroup_v=v,
-        generator_labels=tuple(spec.named_elements.items()),
-        polygon=spec.polygon,
-        expected=expected, document=document)
+    return CatalogEntry(name=name, group=group, subgroup_u=u, subgroup_v=v,
+                        polygon=spec.polygon, expected=expected, document=document)

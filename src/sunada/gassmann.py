@@ -27,16 +27,29 @@ class Subgroup:
     """Subgroup of a FiniteGroup, stored as a sorted tuple of element indices.
 
     Immutable.  Equality and hash are over (parent, members); ``member_set``
-    holds the members as a frozenset for membership tests.
+    holds the members as a frozenset for membership tests.  The constructor
+    checks in O(|U|) that the members are strictly increasing int indices
+    into the parent that hold its identity and whose count divides its
+    order, and refuses them with UsageError otherwise: a coset walk over
+    members without the identity never ends.  It does not check closure;
+    ``subgroup_from_members`` builds from an arbitrary list, checked.
     """
 
     __slots__ = ("parent", "members", "member_set")
 
     def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
+        _expect(parent, FiniteGroup)
         _expect(members, tuple)
+        member_set = frozenset(members) if all(map(int.__instancecheck__, members)) else None
+        n = parent.order
+        if not (member_set and parent.identity in member_set and n % len(members) == 0
+                and 0 <= members[0] and members[-1] < n and list(members) == sorted(member_set)):
+            raise UsageError("subgroup members must be strictly increasing indices below "
+                             f"{n} that hold the identity {parent.identity}, and their count "
+                             f"must divide {n}")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "member_set", frozenset(members))
+        object.__setattr__(self, "member_set", member_set)
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"Subgroup is immutable: cannot set or delete {name!r}")

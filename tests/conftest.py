@@ -1,16 +1,19 @@
 """Shared fixtures (catalog entries and small symmetric groups), the whole
-and trivial subgroup helpers and the element list of a group."""
+and trivial subgroup helpers, the element list of a group, the order of one
+element, and an element product and inverse that share nothing with the
+library's key arithmetic, to check it against."""
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from sunada import (Element, FiniteGroup, Perm, Subgroup, catalog_entry, generate_group,
-                    parse_cycles)
+from sunada import (Element, FiniteGroup, Mat2, Perm, SemiPair, Subgroup, catalog_entry,
+                    generate_group, parse_cycles)
 
 # Subprocesses started by the tests (``python -m sunada``) import the same
 # package as the tests do, also from a checkout that is not installed.
@@ -30,6 +33,58 @@ def trivial_subgroup(group: FiniteGroup) -> Subgroup:
 def elements(group: FiniteGroup) -> list[Element]:
     """Every element of the group in index order, each built from its key."""
     return [group.element(i) for i in range(group.order)]
+
+
+def order_of(group: FiniteGroup, i: int) -> int:
+    """The least k >= 1 with i^k the identity, by repeated ``group.mul``."""
+    k, power = 1, i
+    while power != group.identity:
+        power = group.mul(power, i)
+        k += 1
+    return k
+
+
+def mat_oracle(m: int, x, y):
+    """The product of two 2x2 matrices mod m, as entry rows, written out."""
+    (a, b), (c, d) = x
+    (p, q), (r, s) = y
+    return (((a * p + b * r) % m, (a * q + b * s) % m),
+            ((c * p + d * r) % m, (c * q + d * s) % m))
+
+
+def pair_oracle(m: int, p1, p2):
+    """The pair product (u, v)(u', v') = (u u', v + u v') mod m, written out."""
+    (u1, v1), (u2, v2) = p1, p2
+    return (u1 * u2) % m, (v1 + u1 * v2) % m
+
+
+@functools.lru_cache(maxsize=4096)
+def sympy_perm(p: Perm):
+    """p as a sympy ``Permutation``, whose product p*q applies p first."""
+    return pytest.importorskip("sympy.combinatorics").Permutation(list(p.images))
+
+
+def compose(x: Element, y: Element) -> Element:
+    """The product x y of two elements of one family, x acting first: sympy's
+    permutation product, or the matrix or pair product written out."""
+    if isinstance(x, Perm):
+        return Perm((sympy_perm(x) * sympy_perm(y)).array_form)
+    if isinstance(x, Mat2):
+        return Mat2(x.modulus, mat_oracle(x.modulus, x.entries, y.entries))
+    return SemiPair(x.modulus, *pair_oracle(x.modulus, (x.u, x.v), (y.u, y.v)))
+
+
+def invert(x: Element) -> Element:
+    """The inverse of x, by the same arithmetic as ``compose``."""
+    if isinstance(x, Perm):
+        return Perm((~sympy_perm(x)).array_form)
+    m = x.modulus
+    if isinstance(x, Mat2):
+        (a, b), (c, d) = x.entries
+        w = pow(a * d - b * c, -1, m)
+        return Mat2(m, ((d * w, -b * w), (-c * w, a * w)))
+    w = pow(x.u, -1, m)
+    return SemiPair(m, w, -w * x.v)
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,6 @@ from sunada import (
     coset_table,
     covering_report,
     eigenvalues_symmetric,
-    element_order,
     find_sunada_pairs,
     is_sunada_triple,
     schreier_graph,
@@ -34,6 +33,7 @@ from sunada import (
     subgroup_generate,
     graph_isomorphic,
 )
+from conftest import order_of
 
 SPECTRUM_TOL = 1e-9
 TOY_TOL = 1e-12
@@ -79,10 +79,7 @@ def test_criterion_02_generator_orders(genus2, genus3, orbifold_h):
             (genus3, (4, 4, 6)),
             (orbifold_h, (2, 2, 2, 4)),
         ):
-            orders = tuple(
-                element_order(entry.group.element(idx))
-                for _, idx in entry.polygon.cycles
-            )
+            orders = tuple(order_of(entry.group, idx) for _, idx in entry.polygon.cycles)
             assert orders == expected
 
 
@@ -96,9 +93,9 @@ def test_criterion_03_sunada_verdicts(genus2, genus3, orbifold_h):
         for entry in (genus2, genus3):
             g = entry.group
             report = is_sunada_triple(g, entry.subgroup_u, entry.subgroup_v)
-            for _, idx in entry.generator_labels:
+            for _, idx in entry.polygon.cycles:
                 power = idx
-                for _ in range(1, element_order(g.element(idx))):
+                for _ in range(1, order_of(g, idx)):
                     cls = g.class_index(power)
                     assert report.profile_u[cls] == 0
                     assert report.profile_v[cls] == 0
@@ -135,7 +132,7 @@ def test_criterion_05_orbifold_cone_points(orbifold_h):
 
 def test_criterion_06_schreier_graphs(genus2):
     with criterion(6, "12-vertex quotient graphs, direct absent, reversed present"):
-        labels = genus2.generator_labels[:2]
+        labels = genus2.polygon.cycles[:2]
         g1 = schreier_graph(genus2.group, genus2.subgroup_u, labels)
         g2 = schreier_graph(genus2.group, genus2.subgroup_v, labels)
         for g in (g1, g2):
@@ -170,8 +167,8 @@ def _random_conjugate_spectra(group, rng, count):
 def test_criterion_07_graph_isospectrality(genus2, genus3, orbifold_h, s4):
     with criterion(7, "isospectral quotient pairs within 1e-9, plus 20 random pairs"):
         for entry in (genus2, genus3, orbifold_h):
-            g1 = schreier_graph(entry.group, entry.subgroup_u, entry.generator_labels)
-            g2 = schreier_graph(entry.group, entry.subgroup_v, entry.generator_labels)
+            g1 = schreier_graph(entry.group, entry.subgroup_u, entry.polygon.cycles)
+            g2 = schreier_graph(entry.group, entry.subgroup_v, entry.polygon.cycles)
             s1 = eigenvalues_symmetric(adjacency_matrix(g1))
             s2 = eigenvalues_symmetric(adjacency_matrix(g2))
             assert spectra_equal(s1, s2, tol=SPECTRUM_TOL)
@@ -201,7 +198,7 @@ def test_criterion_08_numeric_sanity(genus2, genus3, orbifold_h):
         ]
         for entry in (genus2, genus3, orbifold_h):
             for sub in (entry.subgroup_u, entry.subgroup_v):
-                graph = schreier_graph(entry.group, sub, entry.generator_labels)
+                graph = schreier_graph(entry.group, sub, entry.polygon.cycles)
                 matrices.append(adjacency_matrix(graph))
         for mat in matrices:
             report = eigenvalues_symmetric(mat)

@@ -20,26 +20,23 @@ from sunada import (
     SearchConfig,
     SemiPair,
     UsageError,
-    compose,
     conjugacy_classes,
     conjugate_members,
     covering_report,
     cycle_string,
-    element_order,
     enumerate_subgroups,
     find_sunada_pairs,
     generate_group,
-    identity_like,
-    inverse,
     is_sunada_triple,
     load_text,
     parse_cycles,
     schreier_graph,
     subgroup_generate,
 )
-from sunada.algebra import _arithmetic, _key
+from sunada.algebra import _arithmetic, _from_key, _key
 
-from conftest import elements
+from conftest import (compose, elements, invert, mat_oracle, order_of, pair_oracle,
+                      sympy_perm)
 
 A12_A = "(0,7,11)(1,5,6)(2,9,10)(3,4,8)"
 A12_B = "(0,4,2)(1,5,9)(3,7,11)(6,10,8)"
@@ -131,18 +128,23 @@ def test_parse_cycles_rejects_nonpositive_degree():
 def test_composition_applies_left_factor_first():
     a = parse_cycles("(0,1)", 3)
     b = parse_cycles("(1,2)", 3)
-    # point 0 goes to 1 under a, then to 2 under b
-    assert compose(a, b).images[0] == 2
-    assert compose(b, a).images[0] == 1
+    group = generate_group([a, b])
+    ia, ib = group.index_of(a), group.index_of(b)
+    # point 0 goes to 1 under a, then to 2 under b, in the group and in sympy
+    assert group.element(group.mul(ia, ib)).images[0] == compose(a, b).images[0] == 2
+    assert group.element(group.mul(ib, ia)).images[0] == compose(b, a).images[0] == 1
 
 
 def test_printed_generators_satisfy_abc_identity():
     a = parse_cycles(A12_A, 12)
     b = parse_cycles(A12_B, 12)
     c = parse_cycles(A12_C, 12)
-    assert inverse(compose(a, b)) == c
-    assert compose(compose(a, b), c) == identity_like(a)
-    assert (element_order(a), element_order(b), element_order(c)) == (3, 3, 6)
+    group = generate_group([a, b, c])
+    ia, ib, ic = map(group.index_of, (a, b, c))
+    assert group.inv(group.mul(ia, ib)) == ic
+    assert group.mul(group.mul(ia, ib), ic) == group.identity
+    orders = [order_of(group, i) for i in (ia, ib, ic)]
+    assert orders == [sympy_perm(x).order() for x in (a, b, c)] == [3, 3, 6]
 
 
 def test_perm_rejects_non_bijective_images():
@@ -164,27 +166,31 @@ def perm_triples(draw):
 @settings(max_examples=60, deadline=None)
 @given(perm_triples())
 def test_perm_group_axioms(triple):
-    a, b, c = triple
-    e = identity_like(a)
-    assert compose(compose(a, b), c) == compose(a, compose(b, c))
-    assert compose(a, e) == a
-    assert compose(e, a) == a
-    assert compose(a, inverse(a)) == e
-    assert compose(inverse(a), a) == e
+    group = generate_group(triple)
+    mul, inv, e = group.mul, group.inv, group.identity
+    a, b, c = map(group.index_of, triple)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, e) == mul(e, a) == a
+    assert mul(a, inv(a)) == mul(inv(a), a) == e
+    x, y, _ = triple
+    assert group.element(mul(a, b)) == compose(x, y)
+    assert group.element(inv(a)) == invert(x)
+    assert group.element(e) == Perm(range(x.degree))
 
 
 @settings(max_examples=60, deadline=None)
 @given(perm_triples())
 def test_perm_order_is_minimal_power(triple):
     a, _, _ = triple
-    k = element_order(a)
-    acc = identity_like(a)
-    powers = []
+    cyclic = generate_group([a])
+    k = sympy_perm(a).order()
+    assert cyclic.order == k
+    i, acc, powers = cyclic.index_of(a), cyclic.identity, []
     for _ in range(k):
-        acc = compose(acc, a)
+        acc = cyclic.mul(acc, i)
         powers.append(acc)
-    assert powers[-1] == identity_like(a)
-    assert all(p != identity_like(a) for p in powers[:-1])
+    assert powers[-1] == cyclic.identity
+    assert cyclic.identity not in powers[:-1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,18 +221,9 @@ def test_mat2_normalizes_entries_mod_modulus():
 
 def test_matrix_generators_compose_to_printed_product():
     a, b, c = Mat2(4, G3_A), Mat2(4, G3_B), Mat2(4, G3_C)
-    assert compose(a, b) == c
-    assert (element_order(a), element_order(b), element_order(c)) == (4, 4, 6)
-
-
-def _mat_oracle(m, x, y):
-    # plain 2x2 product, written out independently of compose
-    (a, b), (c, d) = x
-    (p, q), (r, s) = y
-    return (
-        ((a * p + b * r) % m, (a * q + b * s) % m),
-        ((c * p + d * r) % m, (c * q + d * s) % m),
-    )
+    group = generate_group([a, b, c])
+    assert group.element(group.mul(group.index_of(a), group.index_of(b))) == c == compose(a, b)
+    assert [order_of(group, group.index_of(x)) for x in (a, b, c)] == [4, 4, 6]
 
 
 @st.composite
@@ -252,8 +249,11 @@ def mat2_pairs(draw):
 @given(mat2_pairs())
 def test_mat2_product_matches_oracle(data):
     m, x, y = data
-    assert compose(Mat2(m, x), Mat2(m, y)).entries == _mat_oracle(m, x, y)
-    assert compose(Mat2(m, x), inverse(Mat2(m, x))) == identity_like(Mat2(m, x))
+    group = generate_group([Mat2(m, x), Mat2(m, y)])
+    i, j = group.index_of(Mat2(m, x)), group.index_of(Mat2(m, y))
+    assert group.element(group.mul(i, j)).entries == mat_oracle(m, x, y)
+    assert mat_oracle(m, x, group.element(group.inv(i)).entries) == ((1, 0), (0, 1))
+    assert group.element(group.identity) == Mat2(m, ((1, 0), (0, 1)))
 
 
 # ------------------------------------------------------------ semidirect pairs
@@ -261,13 +261,6 @@ def test_mat2_product_matches_oracle(data):
 H_A = (3, 2)
 H_B = (7, 1)
 H_C = (7, 2)
-
-
-def _semi_oracle(m, p1, p2):
-    # (u, v) acts as x -> u*x + v on Z/m; composition left factor first
-    u1, v1 = p1
-    u2, v2 = p2
-    return ((u1 * u2) % m, (v1 + u1 * v2) % m)
 
 
 def _h_elements():
@@ -287,36 +280,35 @@ def test_semipair_normalizes_mod_modulus():
 
 
 def test_semipair_product_matches_oracle_exhaustively():
-    for p1, p2 in itertools.product(_h_elements(), repeat=2):
-        got = compose(SemiPair(8, *p1), SemiPair(8, *p2))
-        assert (got.u, got.v) == _semi_oracle(8, p1, p2)
+    # Every pair mod 9 (orbifold-h's group is every pair mod 8): 2 generates
+    # the units, and (1, 1) the translations.
+    group = generate_group([SemiPair(9, 2, 0), SemiPair(9, 1, 1)])
+    every = elements(group)
+    assert sorted((p.u, p.v) for p in every) == [
+        (u, v) for u in (1, 2, 4, 5, 7, 8) for v in range(9)]
+    for (i, x), (j, y) in itertools.product(enumerate(every), repeat=2):
+        got = group.element(group.mul(i, j))
+        assert (got.u, got.v) == pair_oracle(9, (x.u, x.v), (y.u, y.v))
 
 
-def test_semipair_inverse_matches_exhaustive_scan():
+def test_semipair_inverse_matches_exhaustive_scan(orbifold_h):
     # the unique two-sided inverse of (3, 7) found by scanning all 32 elements
     target = [
         p
         for p in _h_elements()
-        if _semi_oracle(8, p, (3, 7)) == (1, 0) and _semi_oracle(8, (3, 7), p) == (1, 0)
+        if pair_oracle(8, p, (3, 7)) == (1, 0) and pair_oracle(8, (3, 7), p) == (1, 0)
     ]
     assert target == [(3, 3)]
-    inv = inverse(SemiPair(8, 3, 7))
+    group = orbifold_h.group
+    inv = group.element(group.inv(group.index_of(SemiPair(8, 3, 7))))
     assert (inv.u, inv.v) == (3, 3)
 
 
-def test_semipair_generator_orders():
+def test_semipair_generator_orders(orbifold_h):
     a, b, c = SemiPair(8, *H_A), SemiPair(8, *H_B), SemiPair(8, *H_C)
     abc = compose(compose(a, b), c)
-    assert [element_order(x) for x in (a, b, c, abc)] == [2, 2, 2, 4]
-
-
-def test_compose_rejects_mixed_families():
-    with pytest.raises(UsageError):
-        compose(Perm((1, 0)), Mat2(4, ((1, 0), (0, 1))))
-    with pytest.raises(UsageError):
-        compose(SemiPair(8, 3, 0), SemiPair(4, 3, 0))
-    with pytest.raises(UsageError):
-        compose(Perm((1, 0)), Perm((1, 2, 0)))
+    group = orbifold_h.group
+    assert [order_of(group, group.index_of(x)) for x in (a, b, c, abc)] == [2, 2, 2, 4]
 
 
 @st.composite
@@ -348,31 +340,34 @@ def _revalidated(e):
 @settings(max_examples=200, deadline=None)
 @given(same_family_pairs())
 def test_trusted_product_matches_validated_compose(pair):
+    """The key product, and the unvalidated element a group builds from it,
+    against ``compose`` and the validating constructor."""
     x, y = pair
-    p = compose(x, y)
-    assert type(p) is type(x)
-    rebuilt = _revalidated(p)
-    assert rebuilt == p and hash(rebuilt) == hash(p)
     arithmetic = _arithmetic(x)
-    assert arithmetic.right(_key(y))(_key(x)) == arithmetic.product(_key(x), _key(y)) == _key(p)
+    key = arithmetic.product(_key(x), _key(y))
+    assert arithmetic.right(_key(y))(_key(x)) == key == _key(compose(x, y))
+    p = _from_key(x, key)
+    rebuilt = _revalidated(p)
+    assert type(p) is type(x)
+    assert rebuilt == p == compose(x, y) and hash(rebuilt) == hash(p)
 
 
 @settings(max_examples=200, deadline=None)
 @given(same_family_pairs())
 def test_trusted_inverse_is_a_valid_two_sided_inverse(pair):
     x, _ = pair
-    w = inverse(x)
+    arithmetic = _arithmetic(x)
+    w = _from_key(x, arithmetic.inverse(_key(x)))
     assert type(w) is type(x)
-    assert _revalidated(w) == w and hash(_revalidated(w)) == hash(w)
-    assert compose(x, w) == compose(w, x) == identity_like(x)
+    assert _revalidated(w) == w == invert(x) and hash(_revalidated(w)) == hash(w)
+    assert compose(x, w) == compose(w, x) == _from_key(x, arithmetic.identity)
 
 
 def test_trusted_product_stays_in_the_enumeration(genus2):
     group = genus2.group
-    every = elements(group)
-    for x in every:
-        for y in every:
-            group.index_of(compose(x, y))  # UsageError unless it is in the group
+    every = range(group.order)
+    # mul raises KeyError for a product outside the index
+    assert {group.mul(i, j) for i in every for j in every} == set(every)
 
 
 @pytest.mark.parametrize("name", ["genus2", "genus3", "orbifold_h", "psl32"])
@@ -391,7 +386,7 @@ def test_mul_matches_compose_exhaustively(name, request):
 def test_inverse_table_matches_element_inverse(name, request):
     group = request.getfixturevalue(name).group
     for i, x in enumerate(elements(group)):
-        assert group.element(group.inv(i)) == inverse(x)
+        assert group.element(group.inv(i)) == invert(x)
         assert group.mul(i, group.inv(i)) == group.mul(group.inv(i), i) == group.identity
 
 
@@ -413,13 +408,17 @@ def test_foreign_element_with_a_member_key_is_not_in_the_group(name, foreign, re
     [SemiPair(8, 1, 0), SemiPair(4, 1, 0)],
 ])
 def test_finite_group_rejects_mixed_families(elements):
-    with pytest.raises(UsageError):
+    first, second = elements
+    message = ("cannot mix" if type(first) is not type(second)
+               else "degree mismatch" if isinstance(first, Perm) else "modulus mismatch")
+    with pytest.raises(UsageError, match=message):
         generate_group(elements)
 
 
 # A permutation of degree <= 256 is multiplied as bytes, a longer one as a
 # tuple; the cyclic group of one n-cycle exercises both sides of the boundary.
-# Its element with 0 -> k is the k-th power of the cycle, of order n / gcd(k, n).
+# Its element with 0 -> k is the k-th power of the cycle, of order n / gcd(k, n),
+# and fixed by k, so the product of the powers j and k is the power j + k.
 # At degree 256 every pair is multiplied.  A tuple product at degree 257 costs
 # about 25 us, so there every element is multiplied on both sides by 9 spread
 # elements rather than by all of them.
@@ -431,15 +430,15 @@ def test_permutation_products_agree_at_the_byte_boundary(degree):
     sample = every if degree == 256 else range(0, degree, 32)
     for j in sample:
         y = generated.element(j)
-        assert element_order(y) == degree // math.gcd(y.images[0], degree)
+        assert order_of(generated, j) == degree // math.gcd(y.images[0], degree)
     pairs = {p for i in every for j in sample for p in ((i, j), (j, i))}
     for i, x in enumerate(elements(generated)):
-        assert generated.element(generated.inv(i)) == inverse(x)
+        assert generated.element(generated.inv(i)) == invert(x)
         assert generated.mul(i, generated.inv(i)) == generated.identity
         assert generated.index_of(x) == generated.index_of(Perm(x.images)) == i
+    power = [x.images[0] for x in elements(generated)]
     for i, j in pairs:
-        x, y = generated.element(i), generated.element(j)
-        assert generated.mul(i, j) == generated.index_of(compose(x, y))
+        assert power[generated.mul(i, j)] == (power[i] + power[j]) % degree
 
 
 # ------------------------------------------------------------- group closure
@@ -486,7 +485,7 @@ def _dihedral(n: int) -> list[Perm]:
 
 
 def _reference_closure(gens) -> list:
-    """generate_group's enumeration, closed over ``compose`` on elements."""
+    """generate_group's enumeration, closed over the ``compose`` oracle."""
     seeds = sorted(set(gens))
     elements, seen = list(seeds), set(seeds)
     for x in elements:
@@ -534,7 +533,7 @@ def test_keys_sort_in_element_key_order(family_gens):
 # conjugation map, per distinct element of the list, in sorted order.
 GENERATOR_LISTS = {
     "three": lambda a, b: [a, b, compose(a, b)],
-    "with-identity": lambda a, b: [a, identity_like(a), b],
+    "with-identity": lambda a, b: [a, compose(a, invert(a)), b],
     "duplicate": lambda a, b: [a, b, a],
     "unsorted": lambda a, b: sorted([a, b], reverse=True),
 }
@@ -549,7 +548,7 @@ def test_conjugation_maps_match_element_arithmetic(family_gens, shape):
     every = elements(group)
     for g, row in zip(group.generators, maps):
         g_element = group.element(g)
-        g_inverse = inverse(g_element)
+        g_inverse = invert(g_element)
         assert [group.element(y) for y in row] == [
             compose(compose(g_inverse, x), g_element) for x in every]
     assert group._conjugation_maps() is maps and group._cayley is None
@@ -585,7 +584,7 @@ def test_group_table_matches_element_arithmetic(orbifold_h):
         for j in range(g.order):
             prod = g.element(g.mul(i, j))
             ei, ej = g.element(i), g.element(j)
-            assert (prod.u, prod.v) == _semi_oracle(8, (ei.u, ei.v), (ej.u, ej.v))
+            assert (prod.u, prod.v) == pair_oracle(8, (ei.u, ei.v), (ej.u, ej.v))
 
 
 def test_group_inverse_power_conjugate(s4):
@@ -594,7 +593,7 @@ def test_group_inverse_power_conjugate(s4):
     g, x = 5, 7
     (y,) = conjugate_members(s4, [x], g)
     assert s4.element(y) == compose(
-        compose(s4.element(g), s4.element(x)), inverse(s4.element(g))
+        compose(s4.element(g), s4.element(x)), invert(s4.element(g))
     )
 
 

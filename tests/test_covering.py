@@ -15,14 +15,13 @@ from sunada import (
     UsageError,
     cone_points,
     covering_report,
-    element_order,
     enumerate_subgroups,
     find_sunada_pairs,
     parse_cycles,
     smoothness,
     subgroup_generate,
 )
-from conftest import full_subgroup, trivial_subgroup
+from conftest import full_subgroup, order_of, trivial_subgroup
 
 
 def _raw_cosets(group, sub):
@@ -41,7 +40,7 @@ def _expected_cone_counts(group, coset_of, elem_idx):
     """Cone order -> multiplicity derived from the multiset of coset orbit
     sizes under right multiplication, and whether no orbit is shorter than
     the element order."""
-    m = element_order(group.element(elem_idx))
+    m = order_of(group, elem_idx)
     seen: set[frozenset] = set()
     sizes = []
     for coset in coset_of.values():
@@ -173,8 +172,7 @@ def test_cycle_orders_match_element_order(name, request):
     group = getattr(fixture, "group", fixture)
     spec = PolygonSpec(2, [(f"e{i}", i) for i in range(group.order)])
     report = covering_report(group, trivial_subgroup(group), spec)
-    assert report.cycle_orders == tuple(element_order(group.element(i))
-                                        for i in range(group.order))
+    assert report.cycle_orders == tuple(order_of(group, i) for i in range(group.order))
 
 
 # --------------------------------------------------------------- full reports

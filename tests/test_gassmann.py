@@ -11,16 +11,13 @@ from sunada import (
     UsageError,
     are_conjugate_subgroups,
     class_intersection_profile,
-    compose,
     conjugate_members,
-    element_order,
     enumerate_subgroups,
-    inverse,
     is_sunada_triple,
     subgroup_from_members,
     subgroup_generate,
 )
-from conftest import elements, full_subgroup, trivial_subgroup
+from conftest import compose, elements, full_subgroup, invert, order_of, trivial_subgroup
 
 
 def _subgroup_of(group, *elements):
@@ -84,7 +81,7 @@ def _brute_force_classes(group):
     classes = []
     for x in range(group.order):
         if x not in seen:
-            cls = {group.index_of(compose(compose(g, every[x]), inverse(g))) for g in every}
+            cls = {group.index_of(compose(compose(g, every[x]), invert(g))) for g in every}
             seen |= cls
             classes.append(cls)
     return classes
@@ -106,7 +103,7 @@ def test_conjugate_members_matches_definition(s4):
     members = rng.sample(range(s4.order), 6)
     for g in range(s4.order):
         x_g = s4.element(g)
-        expected = {s4.index_of(compose(compose(x_g, s4.element(x)), inverse(x_g)))
+        expected = {s4.index_of(compose(compose(x_g, s4.element(x)), invert(x_g)))
                     for x in members}
         assert conjugate_members(s4, members, g) == expected
 
@@ -128,7 +125,7 @@ def test_conjugate_subgroups_in_symmetric_three(s3):
     v = _subgroup_of(s3, Perm((0, 2, 1)))
     g = are_conjugate_subgroups(s3, u, v)
     assert g is not None
-    assert element_order(s3.element(g)) == 3
+    assert order_of(s3, g) == 3
     assert conjugate_members(s3, u.members, g) == v.member_set
 
 
@@ -170,9 +167,9 @@ def test_genus2_pair_is_sunada(genus2):
 def test_genus2_generator_power_classes_miss_both_subgroups(genus2):
     g = genus2.group
     report = is_sunada_triple(g, genus2.subgroup_u, genus2.subgroup_v)
-    for _, idx in genus2.generator_labels:
+    for _, idx in genus2.polygon.cycles:
         power = idx
-        for _ in range(1, element_order(g.element(idx))):
+        for _ in range(1, order_of(g, idx)):
             cls = g.class_index(power)
             assert report.profile_u[cls] == 0
             assert report.profile_v[cls] == 0

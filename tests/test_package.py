@@ -1,6 +1,8 @@
 """The package surface: ``sunada.__all__`` is the modules' ``__all__`` lists,
-every name the benchmark in ``perfbench/`` reaches by name resolves, and one
-pass of each benchmark workload passes its own checks."""
+each of its names has a caller in the package or the benchmark, every name
+the benchmark in ``perfbench/`` reaches by name resolves, one pass of each
+benchmark workload passes its own checks, and the README's examples print
+what they say."""
 
 from __future__ import annotations
 
@@ -8,6 +10,8 @@ import ast
 import functools
 import importlib
 import importlib.util
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +20,8 @@ import pytest
 import sunada
 import sunada.cli
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 try:
     import workloads
@@ -33,6 +38,25 @@ def test_package_exports_every_module_all_once():
     assert len(set(declared)) == len(declared)
     for name in declared:
         assert hasattr(sunada, name), name
+
+
+def test_every_public_name_has_a_caller():
+    """A public name that neither the package nor the benchmark reads is code
+    that only tests run.  A read is a load of the name, or of an attribute
+    by that name, or in the benchmark, which looks names up by string
+    (``tracing.TRACED``), a string naming it.  Its own ``def`` or ``class``
+    and its ``__all__`` string are not reads."""
+    read = set()
+    for path in sorted((ROOT / "src" / "sunada").glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (path.parent == PERFBENCH and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                read.update(node.value.split("."))
+    assert sorted(set(sunada.__all__) - read) == []
 
 
 def test_traced_attributes_resolve():
@@ -67,3 +91,21 @@ def test_workload_pass_meets_its_checks(name, tmp_path):
     workload.run_pass(tally)
     workloads.layer_probe(sunada, tally, tmp_path)
     assert tally.attempted > 0 and tally.failed == 0, tally.errors
+
+
+_README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(
+    encoding="utf-8"), re.MULTILINE | re.DOTALL)
+
+
+@pytest.mark.parametrize("block", _README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(_README_BLOCKS))])
+def test_readme_example_prints_its_comments(block):
+    """Each ``python`` block of the README, run alone, prints one line per
+    ``print(...)`` line, equal to that line's trailing ``# ...`` comment."""
+    expected = [line.rpartition("# ")[2] for line in block.splitlines()
+                if line.startswith("print(")]
+    assert expected
+    run = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == expected

@@ -101,17 +101,17 @@ def test_coset_action_values_are_permutations(orbifold_h):
 
 def test_schreier_graph_sizes(genus2):
     g, u = genus2.group, genus2.subgroup_u
-    two = schreier_graph(g, u, genus2.generator_labels[:2])
+    two = schreier_graph(g, u, genus2.polygon.cycles[:2])
     assert two.vertex_count == 12
     assert len(two.arcs) == 24
-    three = schreier_graph(g, u, genus2.generator_labels)
+    three = schreier_graph(g, u, genus2.polygon.cycles)
     assert three.vertex_count == 12
     assert len(three.arcs) == 36
     assert three.labels == ("a", "b", "c")
 
 
 def test_schreier_graph_per_label_degrees(genus2):
-    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
+    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.polygon.cycles)
     for out in g.perms:
         # functional and injective: out-degree and in-degree are both 1
         assert sorted(out) == list(range(g.vertex_count))
@@ -119,7 +119,7 @@ def test_schreier_graph_per_label_degrees(genus2):
 
 def test_schreier_graph_arc_order_is_deterministic(genus2):
     g, u = genus2.group, genus2.subgroup_u
-    graph = schreier_graph(g, u, genus2.generator_labels)
+    graph = schreier_graph(g, u, genus2.polygon.cycles)
     maps = dict(zip(graph.labels, graph.perms))
     expected = tuple(
         (src, maps[label][src], label)
@@ -131,7 +131,7 @@ def test_schreier_graph_arc_order_is_deterministic(genus2):
 
 def test_schreier_graph_rejects_duplicate_labels(genus2):
     g, u = genus2.group, genus2.subgroup_u
-    (_, ia), (_, ib) = genus2.generator_labels[:2]
+    (_, ia), (_, ib) = genus2.polygon.cycles[:2]
     with pytest.raises(UsageError):
         schreier_graph(g, u, [("a", ia), ("a", ib)])
 
@@ -154,7 +154,7 @@ def test_arcs_are_in_source_label_order_for_unsorted_labels():
 
 
 def test_full_quotient_is_single_vertex_with_loops(genus2):
-    g = schreier_graph(genus2.group, full_subgroup(genus2.group), genus2.generator_labels)
+    g = schreier_graph(genus2.group, full_subgroup(genus2.group), genus2.polygon.cycles)
     assert g.vertex_count == 1
     assert g.arcs == ((0, 0, "a"), (0, 0, "b"), (0, 0, "c"))
 
@@ -250,7 +250,7 @@ def test_walk_side_builds_no_coset_table(psl211, monkeypatch):
 
 
 def test_genus2_graphs_direct_absent_reversed_present(genus2):
-    labels = genus2.generator_labels[:2]
+    labels = genus2.polygon.cycles[:2]
     g1 = schreier_graph(genus2.group, genus2.subgroup_u, labels)
     g2 = schreier_graph(genus2.group, genus2.subgroup_v, labels)
     assert graph_isomorphic(g1, g2, "direct") is None
@@ -263,14 +263,14 @@ def test_genus2_graphs_direct_absent_reversed_present(genus2):
 def test_genus2_three_label_graphs_admit_no_isomorphism(genus2):
     # with c = (a b)^-1 present a reversed bijection would force the two coset
     # actions of ab and ba to agree, which they do not here
-    g1 = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
-    g2 = schreier_graph(genus2.group, genus2.subgroup_v, genus2.generator_labels)
+    g1 = schreier_graph(genus2.group, genus2.subgroup_u, genus2.polygon.cycles)
+    g2 = schreier_graph(genus2.group, genus2.subgroup_v, genus2.polygon.cycles)
     assert graph_isomorphic(g1, g2, "direct") is None
     assert graph_isomorphic(g1, g2, "reversed") is None
 
 
 def test_isomorphism_is_symmetric(genus2):
-    labels = genus2.generator_labels[:2]
+    labels = genus2.polygon.cycles[:2]
     g1 = schreier_graph(genus2.group, genus2.subgroup_u, labels)
     g2 = schreier_graph(genus2.group, genus2.subgroup_v, labels)
     fwd = graph_isomorphic(g1, g2, "reversed")
@@ -280,7 +280,7 @@ def test_isomorphism_is_symmetric(genus2):
 
 
 def test_self_isomorphism_returns_identity(genus2):
-    g1 = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
+    g1 = schreier_graph(genus2.group, genus2.subgroup_u, genus2.polygon.cycles)
     assert graph_isomorphic(g1, g1, "direct") == tuple(range(12))
 
 
@@ -299,7 +299,7 @@ def test_conjugate_subgroups_give_directly_isomorphic_graphs(s4):
 
 
 def test_isomorphism_requires_matching_shape(genus2, s4):
-    g1 = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels[:2])
+    g1 = schreier_graph(genus2.group, genus2.subgroup_u, genus2.polygon.cycles[:2])
     labels = [(f"g{k}", idx) for k, idx in enumerate(s4.generators)]
     g3 = schreier_graph(s4, subgroup_generate(s4, []), labels)
     assert graph_isomorphic(g1, g3, "direct") is None
@@ -323,8 +323,8 @@ def test_graph_isomorphic_matches_networkx(mode, genus2, genus3, orbifold_h, s4,
     same_labels = nx.algorithms.isomorphism.categorical_multiedge_match("label", None)
     pairs = [(entry.group, entry.subgroup_u, entry.subgroup_v, labels)
              for entry in (genus2, genus3, orbifold_h)
-             for labels in (entry.generator_labels, entry.generator_labels[:2],
-                            entry.generator_labels[:1])]
+             for labels in (entry.polygon.cycles, entry.polygon.cycles[:2],
+                            entry.polygon.cycles[:1])]
     rng = random.Random(5)
     s4_labels = [(f"g{k}", idx) for k, idx in enumerate(s4.generators)]
     for _ in range(12):
@@ -370,12 +370,12 @@ def test_graph_isomorphic_matches_many_components_without_search():
 
 
 def test_to_dot_single_vertex_exact_bytes(genus2):
-    g = schreier_graph(genus2.group, full_subgroup(genus2.group), genus2.generator_labels[:1])
+    g = schreier_graph(genus2.group, full_subgroup(genus2.group), genus2.polygon.cycles[:1])
     assert g.to_dot() == 'digraph schreier {\n  v0;\n  v0 -> v0 [label="a"];\n}\n'
 
 
 def test_to_dot_genus2_structure(genus2):
-    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
+    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.polygon.cycles)
     dot = g.to_dot()
     lines = dot.splitlines()
     assert lines[0] == "digraph schreier {"
@@ -394,7 +394,7 @@ def test_to_dot_escapes_label_text(s3):
 
 
 def test_graph_json_dict_round_trip(genus2):
-    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
+    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.polygon.cycles)
     d = g.to_json_dict()
     assert d["vertices"] == 12
     assert d["labels"] == ["a", "b", "c"]

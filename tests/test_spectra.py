@@ -73,13 +73,13 @@ def test_triangle_graph_spectrum():
 
 
 def test_eigenvalues_are_ascending(genus2):
-    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
+    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.polygon.cycles)
     vals = eigenvalues_symmetric(adjacency_matrix(g)).eigenvalues
     assert list(vals) == sorted(vals)
 
 
 def test_unreachable_tolerance_raises_numeric_error(genus2):
-    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
+    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.polygon.cycles)
     with pytest.raises(NumericError):
         eigenvalues_symmetric(adjacency_matrix(g), tol=1e-300)
     with pytest.raises(UsageError):
@@ -89,7 +89,7 @@ def test_unreachable_tolerance_raises_numeric_error(genus2):
 @pytest.mark.parametrize("tol", [math.inf, math.nan])
 def test_nonfinite_tolerance_is_rejected(genus2, tol):
     # An infinite tolerance would pass every residual and every comparison.
-    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
+    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.polygon.cycles)
     with pytest.raises(UsageError, match="tolerance"):
         eigenvalues_symmetric(adjacency_matrix(g), tol=tol)
     with pytest.raises(UsageError, match="tolerance"):
@@ -106,7 +106,7 @@ def test_adjacency_symmetrizes_and_counts_loops():
 
 
 def test_adjacency_row_sums(genus2):
-    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
+    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.polygon.cycles)
     a = adjacency_matrix(g).entries
     assert np.array_equal(a, a.T)
     # each label contributes one out-arc and one in-arc per vertex
@@ -116,7 +116,7 @@ def test_adjacency_row_sums(genus2):
 def test_trace_identities(genus2, genus3, orbifold_h):
     for entry in (genus2, genus3, orbifold_h):
         for sub in (entry.subgroup_u, entry.subgroup_v):
-            g = schreier_graph(entry.group, sub, entry.generator_labels)
+            g = schreier_graph(entry.group, sub, entry.polygon.cycles)
             mat = adjacency_matrix(g)
             report = eigenvalues_symmetric(mat)
             a = mat.entries
@@ -133,15 +133,15 @@ def test_trace_identities(genus2, genus3, orbifold_h):
 
 def test_catalog_pairs_are_isospectral(genus2, genus3, orbifold_h):
     for entry in (genus2, genus3, orbifold_h):
-        g1 = schreier_graph(entry.group, entry.subgroup_u, entry.generator_labels)
-        g2 = schreier_graph(entry.group, entry.subgroup_v, entry.generator_labels)
+        g1 = schreier_graph(entry.group, entry.subgroup_u, entry.polygon.cycles)
+        g2 = schreier_graph(entry.group, entry.subgroup_v, entry.polygon.cycles)
         s1 = eigenvalues_symmetric(adjacency_matrix(g1))
         s2 = eigenvalues_symmetric(adjacency_matrix(g2))
         assert spectra_equal(s1, s2, tol=TOL)
 
 
 def test_relabeling_vertices_preserves_spectrum(genus2):
-    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
+    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.polygon.cycles)
     rng = random.Random(23)
     perm = list(range(g.vertex_count))
     rng.shuffle(perm)
@@ -182,7 +182,7 @@ def test_spectra_equal_tolerance_semantics():
 
 
 def test_spectrum_report_json(genus2):
-    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.generator_labels)
+    g = schreier_graph(genus2.group, genus2.subgroup_u, genus2.polygon.cycles)
     d = eigenvalues_symmetric(adjacency_matrix(g)).to_json_dict()
     assert d["dimension"] == 12
     assert len(d["eigenvalues"]) == 12

@@ -29,7 +29,6 @@ from sunada import (
     adjacency_matrix,
     catalog_entry,
     class_intersection_profile,
-    compose,
     coset_table,
     covering_report,
     document_from_catalog,
@@ -58,7 +57,7 @@ def values(genus2):
         "Mat2": Mat2(4, ((1, 1), (0, 3))),
         "SemiPair": SemiPair(8, 3, 2),
         "PolygonSpec": genus2.polygon,
-        "SchreierGraph": schreier_graph(group, u, genus2.generator_labels),
+        "SchreierGraph": schreier_graph(group, u, genus2.polygon.cycles),
         "CosetTable": coset_table(group, u),
         "Subgroup": u,
         "SunadaReport": is_sunada_triple(group, u, v),
@@ -139,6 +138,7 @@ def _genus2():
     lambda: SchreierGraph(2, ["a"], [[1.0, 0.0]]),
     lambda: parse_cycles("(0,1)", 2.5),
     lambda: parse_cycles("(0,1)", "3"),
+    lambda: parse_cycles("(0,1)", 10**12),  # refused before its images are allocated
     # Misshapen input is a UsageError too, not a TypeError or ValueError.
     lambda: Perm(5),
     lambda: Mat2(4, 7),
@@ -153,7 +153,6 @@ def _genus2():
     # So is a value that is not an element at all.
     lambda: generate_group([5]),
     lambda: generate_group([(1, 0)]),
-    lambda: compose((1, 0), (1, 0)),
     # Library calls on a group: indices are read through operator.index before
     # any sort, and each argument's type is checked before it is used.
     lambda: subgroup_generate(_genus2().group, [1.5]),
@@ -161,7 +160,7 @@ def _genus2():
     lambda: schreier_graph(_genus2().group, _genus2().subgroup_u, [1]),
     lambda: find_sunada_pairs(_genus2().group, SearchConfig(order="2")),
     lambda: eigenvalues_symmetric(adjacency_matrix(
-        schreier_graph(_genus2().group, _genus2().subgroup_u, _genus2().generator_labels)),
+        schreier_graph(_genus2().group, _genus2().subgroup_u, _genus2().polygon.cycles)),
         tol="x"),
     lambda: graph_isomorphic(5, 5),
     lambda: covering_report(_genus2().group, _genus2().subgroup_u, 5),
@@ -176,10 +175,11 @@ def _genus2():
         "graph-out-of-range", "graph-too-few-perms", "graph-too-many-perms",
         "perm-floats", "perm-strings", "mat2-float", "pair-float-and-string",
         "polygon-float", "graph-floats", "cycles-float-degree", "cycles-string-degree",
+        "cycles-huge-degree",
         "perm-not-iterable", "mat2-not-iterable", "mat2-misshapen", "polygon-misshapen",
         "polygon-not-iterable", "graph-perms-not-iterable", "graph-labels-not-iterable",
         "graph-float-vertex-count", "cycles-int-text", "cycles-bytes-text",
-        "generate-int", "generate-tuple", "compose-tuples", "subgroup-float-index",
+        "generate-int", "generate-tuple", "subgroup-float-index",
         "members-string-index", "graph-labels-not-pairs", "search-string-order",
         "spectrum-string-tol", "isomorphic-ints", "covering-int-polygon", "profile-int-subgroup",
         "adjacency-int", "matrix-string", "spectra-strings",
@@ -211,17 +211,18 @@ def test_public_calls_refuse_a_non_value_argument(values, genus2):
     # reads a name differently.  A value type's arguments are the fields of
     # its instance in ``values``.
     table = {
-        "e": element, "e1": element, "e2": element, "perm": element, "element": element,
-        "like": element, "keys": fresh._keys, "index": fresh._index, "rows": rows,
-        "tree": tree, "text": json.dumps(document), "parse_cycles.text": "(0,1)",
+        "perm": element, "element": element, "like": element, "keys": fresh._keys,
+        "index": fresh._index, "rows": rows, "tree": tree,
+        "text": json.dumps(document), "parse_cycles.text": "(0,1)",
         "degree": 12, "generators": [1], "generate_group.generators": [element],
         "group": group, "sub": u, "u": u, "v": v, "members": u.members, "g": 1,
         "spec": genus2.polygon, "table": values["CosetTable"], "element_index": 1,
-        "labels": genus2.generator_labels, "graph": graph, "g1": graph, "g2": graph,
+        "labels": genus2.polygon.cycles, "graph": graph, "g1": graph, "g2": graph,
         "order": 8, "config": SearchConfig(order=8), "pair1": (u, v), "pair2": (v, u),
         "entries": [[2, 1], [1, 2]], "matrix": DenseSymMatrix([[2, 1], [1, 2]]),
         "s1": (1.0, 3.0), "s2": (1.0, 3.0), "name": "genus2", "entry": genus2,
-        "doc": document, "body": document["polygon"], "named": dict(genus2.generator_labels),
+        "doc": document, "body": document["polygon"],
+        "named": values["LoadedSpec"].named_elements,
     }
     failures = []
     for name in sunada.__all__:
@@ -269,10 +270,27 @@ def test_integer_values_are_stored_as_ints(build):
     assert values and all(type(v) is int for v in values)
 
 
-def test_subgroup_equality_is_over_parent_and_members(genus2, genus3):
+def test_subgroup_equality_is_over_parent_and_members(genus2):
     u = genus2.subgroup_u
     same = Subgroup(u.parent, tuple(u.members))
     assert same == u and hash(same) == hash(u) == hash((u.parent, u.members))
     assert same.member_set is not u.member_set
-    assert Subgroup(genus3.group, u.members) != u
+    twin = generate_group(map(u.parent.element, u.parent.generators))
+    assert twin.order == u.parent.order and twin.identity == u.parent.identity
+    assert Subgroup(twin, u.members) != u
     assert repr(u) == f"Subgroup(members={u.members!r})"
+
+
+# Each would break a later call: a coset walk over members without the
+# identity never ends, no members divide the order by zero, and an index out
+# of range fails a table lookup.  genus2's identity has index 10.
+@pytest.mark.parametrize("parent, members", [
+    (None, (1,)), (None, ()), (None, (0, 10**6)), (None, (10, 96)), (None, (-1, 10)),
+    (None, (10, 0)), (None, (10, 10)), (None, (0, 1, 2, 3, 10)), (None, (0.0, 10)),
+    (None, [10]), (5, (10,)),
+], ids=["no-identity", "empty", "out-of-range", "past-the-end", "negative", "unsorted",
+        "repeated", "count-not-dividing", "float", "list", "parent-not-a-group"])
+def test_subgroup_refuses_what_cannot_be_one(genus2, parent, members):
+    assert genus2.group.identity == 10
+    with pytest.raises(UsageError):
+        Subgroup(genus2.group if parent is None else parent, members)
