@@ -18,7 +18,7 @@ multiplied by one ``operator.itemgetter``.  ``_arithmetic`` picks, once per
 family and degree or modulus, an ``_Arithmetic`` record of the key product,
 inverse, right multiplier and identity.  A loop whose right factor stays
 fixed over many products builds that factor's right multiplier once: the
-closure of ``generate_group``, the coset walk of ``schreier`` and the
+closure of ``FiniteGroup``, the coset walk of ``schreier`` and the
 double-coset marking of ``search``; ``gassmann``'s closure forms plain key
 products.  Loops outside this module reach the keys through
 ``FiniteGroup._key_space``.  The element constructors (each class's
@@ -26,13 +26,13 @@ products.  Loops outside this module reach the keys through
 ``operator.index``; ``parse_cycles`` builds its permutation, valid by
 construction, without, and so does ``FiniteGroup.element`` from a key.
 
-A group is its keys.  ``generate_group``, the one way to build a
-``FiniteGroup``, closes its generators in key space and hands over the keys,
-indexed by a dict, and no element object: ``element(i)`` builds one from its
-key on demand, so an element costs the memory of its key alone.  A group
-product or inverse multiplies or inverts keys, so it builds no element
-object and runs no Python-level ``__hash__`` or ``__eq__``; its derived
-tables (conjugation maps, classes) are tuples of indices.  Keys of
+A group is its keys.  ``FiniteGroup`` closes its generators in key space
+and keeps the keys, indexed by a dict, and no element object: ``element(i)``
+builds one from its key on demand, so an element costs the memory of its
+key alone.  A group product or inverse multiplies or inverts keys, so it
+builds no element object and runs no Python-level ``__hash__`` or
+``__eq__``; its derived tables (conjugation maps, classes) are tuples of
+indices.  Keys of
 different families or moduli can be equal (the identity matrices mod 4 and
 mod 8), so ``index_of`` checks an element's family and degree or modulus
 before it looks its key up, and raises UsageError for an element of
@@ -421,27 +421,35 @@ class FiniteGroup:
     """A finite group enumerated in a fixed order, stored as the keys of its
     elements.
 
-    ``generate_group`` builds it from the ``_key`` of each element in the
-    canonical closure order, from which every downstream ordering (conjugacy
-    classes, cosets, graph vertices) derives, and one element standing for
-    the family and degree or modulus, whose ``_Arithmetic`` it unpacks into
+    The constructor, which ``generate_group`` names, closes a list of
+    elements of one family and degree or modulus under the product, in
+    key space through one right multiplier per generator.  The order is
+    canonical: the distinct generators ascending, then new products in
+    breadth-first discovery order; every downstream ordering (conjugacy
+    classes, cosets, graph vertices) derives from it.  It raises
+    UsageError for a list that is empty, not iterable or not of one
+    family, and ResourceError past the cap ``_element_cap`` derives from
+    ``max_elements``.  The group keeps its family's ``_Arithmetic`` in
     attributes, so ``mul`` and ``inv`` reach their key arithmetic in one
-    lookup.  Its ``generators`` generate it, so orbits under them are whole.
-    ``mul`` multiplies two keys and looks the product up, with no family
-    check and no element object built; it caches nothing.
-    ``element(i)`` builds the element of key i on demand, so the group never
-    holds an element object; the elements are ``element(i)`` for i in
-    ``range(order)``.  ``index_of`` rejects an element of another family,
-    degree or modulus before the key lookup.  ``inv`` inverts one key and
-    looks it up.  Until its first conjugation maps are built the group also
-    holds its closure's generator rows and tree (see ``generate_group``).
-    Two index tables are cached on first use, both built with no key product:
+    lookup.  Its ``generators`` are indices 0 to k-1 and generate it, so
+    orbits under them are whole.  ``mul`` multiplies two keys and looks the
+    product up, with no family check and no element object built; it
+    caches nothing.  ``element(i)`` builds the element of key i on demand,
+    so the group never holds an element object; the elements are
+    ``element(i)`` for i in ``range(order)``.  ``index_of`` rejects an
+    element of another family, degree or modulus before the key lookup.
+    ``inv`` inverts one key and looks it up.  Until its first conjugation
+    maps are built the group also holds what the closure's lookups found:
+    the row of each generator, ``rows[j][x]`` the index of x g_j, and the
+    discovery edge of each new element, its parent and the row it was
+    found in.  Two index tables are cached on first use, both built with
+    no key product:
 
     * the conjugation maps x -> g^-1 x g of the generators, in generator
       order.  Left multiplication by h = g^-1 commutes with every row,
       h (x g_j) = (h x) g_j, so x -> h x is one lookup per element, walked
-      down the closure tree from h g_j = ``rows[j][h]``; the map is that
-      walk after g's row.  The rows and the tree are then dropped;
+      down the discovery edges from h g_j = ``rows[j][h]``; the map is
+      that walk after g's row.  The rows and edges are then dropped;
     * the class partition, as the orbits of single indices under the maps.
 
     ``conjugation_orbit`` is the orbit walk for tuples of index sets
@@ -450,19 +458,50 @@ class FiniteGroup:
     threads is safe.
     """
 
-    def __init__(self, like: Element, keys: tuple, index: dict, rows: list[list[int]],
-                 tree: tuple[list[int], list[list[int]]]):
-        _expect(index, dict)
-        _expect(rows, list)
+    def __init__(self, generators: Iterable[Element], max_elements: int = DEFAULT_ELEMENT_CAP):
+        try:
+            gens = list(generators)
+        except TypeError:
+            raise UsageError(f"generators must be iterable, got {generators!r}") from None
+        (max_elements,) = _integers((max_elements,), "the element cap")
+        if not gens:
+            raise UsageError("at least one generator is required")
+        for g in gens[1:]:
+            _require_same_family(gens[0], g)
+        # Before the generators are hashed or sorted, so a non-element is a UsageError.
+        parameter = _parameter(gens[0])
+        cap, where = _element_cap(isinstance(gens[0], Perm), parameter, max_elements)
+        seeds = sorted(set(gens))
+        like = seeds[0]
         self._like = like
-        self._keys = keys
-        self._index: dict[object, int] = index
+        self._family = (type(like), parameter)
         self._arithmetic = arithmetic = _arithmetic(like)
-        self._product, self._inverse, _, identity = arithmetic
-        self._family = (type(like), _parameter(like))
-        self.generators: tuple[int, ...] = tuple(range(len(rows)))
+        self._product, self._inverse, right, identity = arithmetic
+        keys = [_key(g) for g in seeds]
+        index = {k: i for i, k in enumerate(keys)}
+        rows: list[list[int]] = [[] for _ in seeds]
+        steps = [(right(k), row, row.append) for k, row in zip(keys, rows)]
+        parents: list[int] = []
+        found_in: list[list[int]] = []
+        setdefault, n = index.setdefault, len(keys)
+        for x in keys:
+            for times_g, row, append in steps:
+                p = times_g(x)
+                i = setdefault(p, n)
+                if i is n:  # p is new, and now indexed by n
+                    if n >= cap:
+                        raise ResourceError(f"group closure exceeded the element cap of {cap}{where}")
+                    keys.append(p)
+                    # The dict's own int, so a parent costs no int object.
+                    parents.append(index[x])
+                    found_in.append(row)
+                    n = len(keys)
+                append(i)
+        self._keys = tuple(keys)
+        self._index: dict[object, int] = index
+        self.generators: tuple[int, ...] = tuple(range(len(seeds)))
         self.identity: int = index[identity]
-        self._cayley: tuple | None = (rows, tree)
+        self._cayley: tuple | None = (rows, parents, found_in)
         self._maps: tuple[tuple[int, ...], ...] | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
         self._class_of: tuple[int, ...] | None = None
@@ -508,7 +547,7 @@ class FiniteGroup:
             cayley = self._cayley
             if cayley is None:  # another thread stored the maps, then dropped these
                 return self._maps
-            rows, (parents, found_in) = cayley
+            rows, parents, found_in = cayley
             built = []
             for g in self.generators:
                 h = self.inv(g)
@@ -596,52 +635,10 @@ def _element_cap(permutation: bool, parameter: int,
 
 
 def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
-    """Close a generator list under the product into a FiniteGroup.
-
-    Enumeration order is canonical: the distinct generators in ascending
-    order come first, then new products in breadth-first discovery order.
-    Raises ResourceError if the closure would exceed the cap that
-    ``_element_cap`` derives from ``max_elements``.  The closure multiplies
-    each key on the right by every generator's key, through one right
-    multiplier per generator, and hands the group its keys, their index and
-    what its lookups found: the row of each generator, ``rows[j][x]`` the
-    index of x g_j, and the discovery edge of each new element, its parent
-    and the row it was found in.  It builds no element object.
-    """
-    try:
-        gens = list(generators)
-    except TypeError:
-        raise UsageError(f"generators must be iterable, got {generators!r}") from None
-    (max_elements,) = _integers((max_elements,), "the element cap")
-    if not gens:
-        raise UsageError("at least one generator is required")
-    for g in gens[1:]:
-        _require_same_family(gens[0], g)
-    seeds = sorted(set(gens))
-    like = seeds[0]
-    cap, where = _element_cap(isinstance(like, Perm), _parameter(like), max_elements)
-    keys = [_key(g) for g in seeds]
-    index = {k: i for i, k in enumerate(keys)}
-    rights = list(map(_arithmetic(like).right, keys))
-    rows: list[list[int]] = [[] for _ in seeds]
-    steps = [(right, row, row.append) for right, row in zip(rights, rows)]
-    parents: list[int] = []
-    found_in: list[list[int]] = []
-    setdefault, n = index.setdefault, len(keys)
-    for x in keys:
-        for right, row, append in steps:
-            p = right(x)
-            i = setdefault(p, n)
-            if i is n:  # p is new, and now indexed by n
-                if n >= cap:
-                    raise ResourceError(f"group closure exceeded the element cap of {cap}{where}")
-                keys.append(p)
-                # The dict's own int, so a parent costs no int object.
-                parents.append(index[x])
-                found_in.append(row)
-                n = len(keys)
-            append(i)
-    return FiniteGroup(like, tuple(keys), index, rows, (parents, found_in))
+    """Close a generator list under the product into a FiniteGroup: the
+    documented name of ``FiniteGroup(generators, max_elements)``, which
+    runs the one closure."""
+    return FiniteGroup(generators, max_elements)
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:

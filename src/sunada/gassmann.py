@@ -15,7 +15,6 @@ __all__ = [
     "Subgroup",
     "subgroup_generate",
     "subgroup_from_members",
-    "conjugate_members",
     "class_intersection_profile",
     "are_conjugate_subgroups",
     "SunadaReport",
@@ -167,7 +166,7 @@ def subgroup_from_members(group: FiniteGroup, members: Iterable[int]) -> Subgrou
     return Subgroup(group, sorted_members)
 
 
-def conjugate_members(group: FiniteGroup, members: Iterable[int], g: int) -> frozenset[int]:
+def _conjugate_members(group: FiniteGroup, members: Iterable[int], g: int) -> frozenset[int]:
     """The set {g x g^-1 : x in members}, with g inverted once."""
     mul, g_inv = group.mul, group.inv(g)
     return frozenset(mul(mul(g, x), g_inv) for x in members)
@@ -202,7 +201,7 @@ def are_conjugate_subgroups(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int
     # ``_key`` orders as the elements do, so no element is built to sort.
     keys = group._key_space()[0]
     return next(g for g in sorted(range(group.order), key=keys.__getitem__)
-                if conjugate_members(group, u.members, g) == target)
+                if _conjugate_members(group, u.members, g) == target)
 
 
 class SunadaReport(NamedTuple):

@@ -38,7 +38,6 @@ from .gassmann import Subgroup, _check_indices, check_parent
 __all__ = [
     "CosetTable",
     "coset_table",
-    "coset_action",
     "SchreierGraph",
     "schreier_graph",
     "graph_isomorphic",
@@ -79,15 +78,6 @@ def coset_table(group: FiniteGroup, sub: Subgroup) -> CosetTable:
                 for u in sub.members:
                     coset_of[group.mul(u, e)] = cid
     return CosetTable(tuple(transversal), tuple(coset_of))
-
-
-def coset_action(group: FiniteGroup, table: CosetTable, element_index: int) -> tuple[int, ...]:
-    """Permutation of coset indices induced by right multiplication with the
-    given element."""
-    _check_indices(group, (element_index,))
-    _expect(table, CosetTable)
-    return tuple(table.coset_of[group.mul(rep, element_index)]
-                 for rep in table.transversal)
 
 
 def _check_labels(labels: tuple[str, ...]) -> None:
@@ -202,7 +192,8 @@ def schreier_graph(group: FiniteGroup, sub: Subgroup,
         perms = _coset_walk(group, sub, elements)
     else:
         table = coset_table(group, sub)
-        perms = [coset_action(group, table, e) for e in elements]
+        coset_of, mul = table.coset_of, group.mul
+        perms = [tuple([coset_of[mul(t, e)] for t in table.transversal]) for e in elements]
     # Each is a permutation of the cosets by construction, so the
     # constructor's per-label sort is skipped.
     return tuple.__new__(SchreierGraph, (sub.index, names, tuple(perms)))

@@ -51,8 +51,8 @@ from typing import Callable, Iterator, NamedTuple
 
 from .algebra import FiniteGroup, ResourceError, _expect, _integers
 from .covering import PolygonSpec, _cycle_orbits
-from .gassmann import (SunadaReport, Subgroup, _closure, class_intersection_profile,
-                       conjugate_members, is_sunada_triple)
+from .gassmann import (SunadaReport, Subgroup, _closure, _conjugate_members,
+                       class_intersection_profile, is_sunada_triple)
 
 __all__ = [
     "SearchConfig",
@@ -181,19 +181,14 @@ def _classes_of_order(group: FiniteGroup, order: int,
 
 
 def enumerate_subgroups(group: FiniteGroup, order: int,
-                        max_subgroups: int = DEFAULT_SUBGROUP_CAP,
-                        up_to_conjugacy: bool = False) -> list[Subgroup]:
+                        max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> list[Subgroup]:
     """All subgroups of the given order, sorted by member tuple.
 
-    A non-divisor order yields an empty list.  ``up_to_conjugacy`` keeps one
-    representative per conjugacy orbit (the least member tuple).  Raises
-    ResourceError when the walk exceeds ``max_subgroups`` distinct subgroups.
+    A non-divisor order yields an empty list.  Raises ResourceError when the
+    walk exceeds ``max_subgroups`` distinct subgroups.
     """
-    classes = _classes_of_order(group, order, max_subgroups)
-    if up_to_conjugacy:
-        found = sorted(cls[0] for cls in classes)
-    else:
-        found = sorted(members for cls in classes for members in cls)
+    found = sorted(members for cls in _classes_of_order(group, order, max_subgroups)
+                   for members in cls)
     return [Subgroup(group, members) for members in found]
 
 
@@ -204,12 +199,12 @@ def simultaneous_conjugator(group: FiniteGroup, pair1: tuple[Subgroup, Subgroup]
     u2, v2 = pair2
     targets = (u2.member_set, v2.member_set)
     for g in range(group.order):
-        cu = conjugate_members(group, u1.members, g)
+        cu = _conjugate_members(group, u1.members, g)
         if cu == targets[0]:
-            if conjugate_members(group, v1.members, g) == targets[1]:
+            if _conjugate_members(group, v1.members, g) == targets[1]:
                 return g
         elif cu == targets[1]:
-            if conjugate_members(group, v1.members, g) == targets[0]:
+            if _conjugate_members(group, v1.members, g) == targets[0]:
                 return g
     return None
 

@@ -33,7 +33,7 @@ from .algebra import (DEFAULT_ELEMENT_CAP, CycleParseError, Element, FiniteGroup
                       Mat2, Perm, SemiPair, UsageError, _element_cap, _expect, _key,
                       cycle_string, generate_group, parse_cycles)
 from .covering import PolygonSpec
-from .gassmann import Subgroup, subgroup_from_members, subgroup_generate
+from .gassmann import Subgroup, _check_indices, subgroup_from_members, subgroup_generate
 
 __all__ = [
     "SpecError",
@@ -112,9 +112,10 @@ def _evaluate_word(group: FiniteGroup, named: dict[str, int], word: str, where: 
 
 
 def parse_polygon(body: Any, group: FiniteGroup, named: dict[str, int]) -> PolygonSpec:
-    """A polygon object, its cycle words evaluated over the named generators."""
-    _expect(group, FiniteGroup)
+    """A polygon object, its cycle words evaluated over the named generators:
+    ``named`` maps each name to an element index of ``group``."""
     _expect(named, dict)
+    named = dict(zip(named, _check_indices(group, named.values())))
     if (not isinstance(body, dict) or "edge_pairs" not in body
             or not isinstance(body.get("cycles"), list)):
         raise SpecError("'polygon' needs 'edge_pairs' and a list of 'cycles'")

@@ -1,7 +1,8 @@
 """Shared fixtures (catalog entries and small symmetric groups), the whole
 and trivial subgroup helpers, the element list of a group, the order of one
-element, and an element product and inverse that share nothing with the
-library's key arithmetic, to check it against."""
+element, conjugation of an index set and one subgroup per conjugacy class,
+and an element product and inverse that share nothing with the library's
+key arithmetic, to check it against."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from sunada import (Element, FiniteGroup, Mat2, Perm, SemiPair, Subgroup, catalog_entry,
-                    generate_group, parse_cycles)
+                    enumerate_subgroups, generate_group, parse_cycles)
 
 # Subprocesses started by the tests (``python -m sunada``) import the same
 # package as the tests do, also from a checkout that is not installed.
@@ -42,6 +43,23 @@ def order_of(group: FiniteGroup, i: int) -> int:
         power = group.mul(power, i)
         k += 1
     return k
+
+
+def conjugate(group: FiniteGroup, members, g: int) -> frozenset[int]:
+    """The set {g x g^-1 : x in members}, by ``group.mul`` and ``group.inv``."""
+    return frozenset(group.mul(group.mul(g, x), group.inv(g)) for x in members)
+
+
+def subgroup_classes(group: FiniteGroup, order: int) -> list[Subgroup]:
+    """The least subgroup of each conjugacy class of subgroups of this order,
+    in member order: ``enumerate_subgroups`` deduped under
+    ``conjugation_orbit``."""
+    classes, seen = [], set()
+    for sub in enumerate_subgroups(group, order):
+        if sub.member_set not in seen:
+            seen.update(members for (members,) in group.conjugation_orbit([sub.members]))
+            classes.append(sub)
+    return classes
 
 
 def mat_oracle(m: int, x, y):

@@ -20,7 +20,6 @@ from sunada import (
     Mat2,
     SearchConfig,
     adjacency_matrix,
-    conjugate_members,
     coset_table,
     covering_report,
     eigenvalues_symmetric,
@@ -33,7 +32,7 @@ from sunada import (
     subgroup_generate,
     graph_isomorphic,
 )
-from conftest import order_of
+from conftest import conjugate, order_of
 
 SPECTRUM_TOL = 1e-9
 TOY_TOL = 1e-12
@@ -157,7 +156,7 @@ def _random_conjugate_spectra(group, rng, count):
     for _ in range(count):
         sub = subgroup_generate(group, rng.sample(range(group.order), 2))
         g = rng.randrange(group.order)
-        conj = subgroup_from_members(group, conjugate_members(group, sub.members, g))
+        conj = subgroup_from_members(group, conjugate(group, sub.members, g))
         s1 = eigenvalues_symmetric(adjacency_matrix(schreier_graph(group, sub, labels)))
         s2 = eigenvalues_symmetric(adjacency_matrix(schreier_graph(group, conj, labels)))
         checks.append((s1, s2))

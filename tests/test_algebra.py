@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from sunada import (
     CycleParseError,
+    FiniteGroup,
     Mat2,
     Perm,
     ResourceError,
@@ -21,7 +22,6 @@ from sunada import (
     SemiPair,
     UsageError,
     conjugacy_classes,
-    conjugate_members,
     covering_report,
     cycle_string,
     enumerate_subgroups,
@@ -35,8 +35,8 @@ from sunada import (
 )
 from sunada.algebra import _arithmetic, _from_key, _key
 
-from conftest import (compose, elements, invert, mat_oracle, order_of, pair_oracle,
-                      sympy_perm)
+from conftest import (compose, conjugate, elements, invert, mat_oracle, order_of, pair_oracle,
+                      subgroup_classes, sympy_perm)
 
 A12_A = "(0,7,11)(1,5,6)(2,9,10)(3,4,8)"
 A12_B = "(0,4,2)(1,5,9)(3,7,11)(6,10,8)"
@@ -477,6 +477,19 @@ def test_generate_group_rejects_empty_generator_list():
         generate_group([])
 
 
+def test_finite_group_closes_its_own_generators():
+    """The class takes generators only, so no table can give it a wrong
+    identity: one transposition closes to a group of order 2."""
+    transposition = Perm((1, 0))
+    group = FiniteGroup([transposition])
+    assert group.order == 2
+    assert group.element(group.identity) == Perm((0, 1))
+    assert group.element(group.generators[0]) == transposition
+    assert group._keys == generate_group([transposition])._keys
+    with pytest.raises(UsageError):
+        FiniteGroup(5)
+
+
 # ----------------------------------------------------------------- group keys
 
 
@@ -591,7 +604,7 @@ def test_group_inverse_power_conjugate(s4):
     for i in range(s4.order):
         assert s4.mul(i, s4.inv(i)) == s4.identity
     g, x = 5, 7
-    (y,) = conjugate_members(s4, [x], g)
+    (y,) = conjugate(s4, [x], g)
     assert s4.element(y) == compose(
         compose(s4.element(g), s4.element(x)), invert(s4.element(g))
     )
@@ -615,7 +628,7 @@ def test_conjugacy_classes_partition_group(s4):
     for c in classes:
         members = set(c)
         for g in s4.generators:
-            assert conjugate_members(s4, members, g) == members
+            assert conjugate(s4, members, g) == members
 
 
 def test_conjugation_orbit_matches_conjugating_by_every_element(s4):
@@ -624,7 +637,7 @@ def test_conjugation_orbit_matches_conjugating_by_every_element(s4):
     assert orbit[0] == tuple(frozenset(x) for x in sets)
     assert len(set(orbit)) == len(orbit)
     assert set(orbit) == {
-        tuple(conjugate_members(s4, members, g) for members in sets)
+        tuple(conjugate(s4, members, g) for members in sets)
         for g in range(s4.order)
     }
 
@@ -688,7 +701,7 @@ def test_psl32_subgroup_lattice():
         subgroups = enumerate_subgroups(group, order)
         assert len(subgroups) == count, order
         assert all(sub.order == order for sub in subgroups)
-        assert len(enumerate_subgroups(group, order, up_to_conjugacy=True)) == classes, order
+        assert len(subgroup_classes(group, order)) == classes, order
     assert len(find_sunada_pairs(group, SearchConfig(order=24))) == 2
 
 

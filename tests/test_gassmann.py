@@ -11,13 +11,15 @@ from sunada import (
     UsageError,
     are_conjugate_subgroups,
     class_intersection_profile,
-    conjugate_members,
     enumerate_subgroups,
     is_sunada_triple,
     subgroup_from_members,
     subgroup_generate,
 )
-from conftest import compose, elements, full_subgroup, invert, order_of, trivial_subgroup
+from sunada.gassmann import _conjugate_members
+
+from conftest import (compose, conjugate, elements, full_subgroup, invert, order_of,
+                      subgroup_classes, trivial_subgroup)
 
 
 def _subgroup_of(group, *elements):
@@ -93,19 +95,21 @@ def test_profile_matches_brute_force_count(name, request):
     group = getattr(fixture, "group", fixture)
     classes = _brute_force_classes(group)
     for order in (d for d in range(1, group.order + 1) if group.order % d == 0):
-        for sub in enumerate_subgroups(group, order, up_to_conjugacy=True):
+        for sub in subgroup_classes(group, order):
             expected = tuple(sum(1 for x in sub.members if x in cls) for cls in classes)
             assert class_intersection_profile(group, sub) == expected
 
 
 def test_conjugate_members_matches_definition(s4):
+    """The conjugator scans' helper and the tests' ``conjugate`` oracle both
+    give {g x g^-1} as the element arithmetic does."""
     rng = random.Random(17)
     members = rng.sample(range(s4.order), 6)
     for g in range(s4.order):
         x_g = s4.element(g)
         expected = {s4.index_of(compose(compose(x_g, s4.element(x)), invert(x_g)))
                     for x in members}
-        assert conjugate_members(s4, members, g) == expected
+        assert _conjugate_members(s4, members, g) == conjugate(s4, members, g) == expected
 
 
 def test_profile_is_conjugation_invariant(s4):
@@ -113,7 +117,7 @@ def test_profile_is_conjugation_invariant(s4):
     for _ in range(10):
         sub = subgroup_generate(s4, rng.sample(range(s4.order), 2))
         g = rng.randrange(s4.order)
-        conj = subgroup_from_members(s4, conjugate_members(s4, sub.members, g))
+        conj = subgroup_from_members(s4, conjugate(s4, sub.members, g))
         assert class_intersection_profile(s4, sub) == class_intersection_profile(s4, conj)
 
 
@@ -126,7 +130,7 @@ def test_conjugate_subgroups_in_symmetric_three(s3):
     g = are_conjugate_subgroups(s3, u, v)
     assert g is not None
     assert order_of(s3, g) == 3
-    assert conjugate_members(s3, u.members, g) == v.member_set
+    assert conjugate(s3, u.members, g) == v.member_set
 
 
 def test_conjugate_subgroups_identical_input_returns_identity(s3):

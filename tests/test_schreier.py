@@ -12,8 +12,6 @@ from sunada import (
     Perm,
     SchreierGraph,
     UsageError,
-    conjugate_members,
-    coset_action,
     coset_table,
     enumerate_subgroups,
     generate_group,
@@ -23,7 +21,7 @@ from sunada import (
     subgroup_from_members,
     subgroup_generate,
 )
-from conftest import full_subgroup, trivial_subgroup
+from conftest import conjugate, full_subgroup, subgroup_classes, trivial_subgroup
 
 
 def _verify_bijection(g1, g2, phi, mode):
@@ -70,30 +68,45 @@ def test_coset_table_reaches_every_coset(name, request):
     fixture = request.getfixturevalue(name)
     group = getattr(fixture, "group", fixture)
     for order in (d for d in range(1, group.order + 1) if group.order % d == 0):
-        for sub in enumerate_subgroups(group, order, up_to_conjugacy=True):
+        for sub in subgroup_classes(group, order):
             table = coset_table(group, sub)
             assert -1 not in table.coset_of
             assert table.count * sub.order == group.order
 
 
+def _both_sides(group, u):
+    """``u``, which takes the coset table, and the least proper subgroup of
+    least index, which takes the coset walk."""
+    walked = next(sub for index in range(2, group.order + 1) if group.order % index == 0
+                  for sub in enumerate_subgroups(group, group.order // index))
+    assert schreier._walk_is_cheaper(group, walked)
+    assert not schreier._walk_is_cheaper(group, u)
+    return u, walked
+
+
 def test_coset_action_is_right_action(genus2):
-    g, u = genus2.group, genus2.subgroup_u
-    table = coset_table(g, u)
+    """On both producers the arcs labeled x, y and xy satisfy
+    v.(xy) = (v.x).y, and the identity fixes every coset."""
+    g = genus2.group
     rng = random.Random(3)
-    for _ in range(10):
-        x, y = rng.randrange(g.order), rng.randrange(g.order)
-        ax, ay = coset_action(g, table, x), coset_action(g, table, y)
-        axy = coset_action(g, table, g.mul(x, y))
-        assert axy == tuple(ay[ax[v]] for v in range(table.count))
-    assert coset_action(g, table, g.identity) == tuple(range(table.count))
+    for sub in _both_sides(g, genus2.subgroup_u):
+        for _ in range(10):
+            x, y = rng.randrange(g.order), rng.randrange(g.order)
+            graph = schreier_graph(g, sub, [("x", x), ("y", y), ("xy", g.mul(x, y)),
+                                            ("1", g.identity)])
+            ax, ay, axy, one = graph.perms
+            assert axy == tuple(ay[ax[v]] for v in range(sub.index))
+            assert one == tuple(range(sub.index))
 
 
 def test_coset_action_values_are_permutations(orbifold_h):
-    g, u = orbifold_h.group, orbifold_h.subgroup_u
-    table = coset_table(g, u)
-    for e in range(g.order):
-        action = coset_action(g, table, e)
-        assert sorted(action) == list(range(table.count))
+    """Every element of the group, as a label, moves the cosets by a
+    permutation on both producers."""
+    g = orbifold_h.group
+    labels = [(str(e), e) for e in range(g.order)]
+    for sub in _both_sides(g, orbifold_h.subgroup_u):
+        for action in schreier_graph(g, sub, labels).perms:
+            assert sorted(action) == list(range(sub.index))
 
 
 # -------------------------------------------------------------- graph building
@@ -138,12 +151,11 @@ def test_schreier_graph_rejects_duplicate_labels(genus2):
 
 @pytest.mark.parametrize("index", [-1, 96])
 def test_schreier_graph_rejects_element_index_out_of_range(genus2, index):
-    g, u = genus2.group, genus2.subgroup_u
+    g = genus2.group
     assert g.order == 96
-    with pytest.raises(UsageError, match="out of range"):
-        schreier_graph(g, u, [("a", index)])
-    with pytest.raises(UsageError, match="out of range"):
-        coset_action(g, coset_table(g, u), index)
+    for sub in _both_sides(g, genus2.subgroup_u):
+        with pytest.raises(UsageError, match="out of range"):
+            schreier_graph(g, sub, [("x", 1), ("y", index), ("xy", 1)])
 
 
 def test_arcs_are_in_source_label_order_for_unsorted_labels():
@@ -176,23 +188,28 @@ def _psl_pair(group, name):
 
 
 def _table_graph(group, sub, labels):
+    """The graph read off ``coset_table``: label e sends coset i, of
+    representative t_i, to the coset of t_i e."""
     table = coset_table(group, sub)
     return SchreierGraph(table.count, [name for name, _ in labels],
-                         [coset_action(group, table, e) for _, e in labels])
+                         [[table.coset_of[group.mul(t, e)] for t in table.transversal]
+                          for _, e in labels])
 
 
 @pytest.mark.parametrize("name", ["genus2", "genus3", "orbifold_h", "psl32", "psl211"])
 def test_both_producers_give_the_table_graph(name, request):
     """For one subgroup of every class, ``schreier_graph`` and the coset walk
     itself equal the graph read off ``coset_table``, with the generators as
-    labels in reversed order and a label that is not a generator."""
+    labels in reversed order and two that are not: x and x g0."""
     fixture = request.getfixturevalue(name)
     group = getattr(fixture, "group", fixture)
-    extra = next(e for e in range(group.order) if e not in group.generators)
-    labels = [(f"g{k}", e) for k, e in enumerate(group.generators)][::-1] + [("x", extra)]
+    x = next(e for e in range(group.order) if e not in group.generators)
+    y = group.generators[0]
+    labels = [(f"g{k}", e) for k, e in enumerate(group.generators)][::-1] + [
+        ("x", x), ("xy", group.mul(x, y))]
     sides = set()
     for order in (d for d in range(1, group.order + 1) if group.order % d == 0):
-        for sub in enumerate_subgroups(group, order, up_to_conjugacy=True):
+        for sub in subgroup_classes(group, order):
             expected = _table_graph(group, sub, labels)
             assert schreier_graph(group, sub, labels) == expected
             walked = schreier._coset_walk(group, sub, [e for _, e in labels])
@@ -290,7 +307,7 @@ def test_conjugate_subgroups_give_directly_isomorphic_graphs(s4):
     for _ in range(5):
         sub = subgroup_generate(s4, rng.sample(range(s4.order), 2))
         g = rng.randrange(s4.order)
-        conj = subgroup_from_members(s4, conjugate_members(s4, sub.members, g))
+        conj = subgroup_from_members(s4, conjugate(s4, sub.members, g))
         g1 = schreier_graph(s4, sub, labels)
         g2 = schreier_graph(s4, conj, labels)
         phi = graph_isomorphic(g1, g2, "direct")

@@ -9,7 +9,6 @@ from sunada import (
     ResourceError,
     SearchConfig,
     class_intersection_profile,
-    conjugate_members,
     covering_report,
     enumerate_subgroups,
     find_sunada_pairs,
@@ -20,6 +19,8 @@ from sunada import (
 from sunada import search
 from sunada.gassmann import _closure
 from sunada.search import _double_coset_marker, _subgroup_classes
+
+from conftest import conjugate, subgroup_classes
 
 
 def _closure_oracle(group, seed_indices):
@@ -53,7 +54,7 @@ def _subgroups_of_order_oracle(group, order):
 
 def test_enumerate_subgroups_symmetric_three(s3):
     assert len(enumerate_subgroups(s3, 2)) == 3
-    assert len(enumerate_subgroups(s3, 2, up_to_conjugacy=True)) == 1
+    assert len(subgroup_classes(s3, 2)) == 1
     assert len(enumerate_subgroups(s3, 3)) == 1
     assert len(enumerate_subgroups(s3, 1)) == 1
     assert len(enumerate_subgroups(s3, 6)) == 1
@@ -72,7 +73,7 @@ def test_enumerate_subgroups_matches_pairwise_closure_oracle(s4):
 
 def test_enumerate_subgroups_of_symmetric_four(s4):
     assert len(enumerate_subgroups(s4, 4)) == 7
-    assert len(enumerate_subgroups(s4, 4, up_to_conjugacy=True)) == 3
+    assert len(subgroup_classes(s4, 4)) == 3
     assert len(enumerate_subgroups(s4, 12)) == 1  # the even permutations
 
 
@@ -120,7 +121,7 @@ def test_subgroup_counts_per_order(name, request):
     assert sorted(SUBGROUP_COUNTS[name]) == divisors
     for order, counts in SUBGROUP_COUNTS[name].items():
         assert (len(enumerate_subgroups(group, order)),
-                len(enumerate_subgroups(group, order, up_to_conjugacy=True))) == counts
+                len(subgroup_classes(group, order))) == counts
 
 
 def test_closure_from_a_base_matches_the_closure_oracle(genus3, d257):
@@ -245,12 +246,12 @@ def test_simultaneous_conjugator_finds_witness(s4):
     u = subgroup_generate(s4, [s4.index_of(Perm((1, 0, 2, 3)))])
     v = subgroup_generate(s4, [s4.index_of(Perm((0, 1, 3, 2)))])
     g = 5
-    u2 = subgroup_from_members(s4, conjugate_members(s4, u.members, g))
-    v2 = subgroup_from_members(s4, conjugate_members(s4, v.members, g))
+    u2 = subgroup_from_members(s4, conjugate(s4, u.members, g))
+    v2 = subgroup_from_members(s4, conjugate(s4, v.members, g))
     h = simultaneous_conjugator(s4, (u, v), (u2, v2))
     assert h is not None
-    hu = conjugate_members(s4, u.members, h)
-    hv = conjugate_members(s4, v.members, h)
+    hu = conjugate(s4, u.members, h)
+    hv = conjugate(s4, v.members, h)
     assert (hu, hv) == (u2.member_set, v2.member_set) or (
         hu, hv) == (v2.member_set, u2.member_set)
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from sunada import Mat2, Perm, SemiPair
-from sunada.specfile import SpecError, load_text, parse_document, render_element
+from sunada import Mat2, Perm, SemiPair, UsageError, document_from_catalog
+from sunada.specfile import SpecError, load_text, parse_document, parse_polygon, render_element
 
 S3_DOC = {
     "kind": "permutation",
@@ -160,6 +160,16 @@ def test_polygon_requires_label_and_word():
     doc = dict(S3_DOC, polygon={"edge_pairs": 1})
     with pytest.raises(SpecError):
         parse_document(doc)
+
+
+# Out of range, a string, a float, and -1, which would name the last element.
+@pytest.mark.parametrize("value", [999, "x", 1.5, -1])
+def test_parse_polygon_refuses_a_named_value_that_is_no_element_index(genus2, value):
+    spec = parse_document(document_from_catalog(genus2))
+    body = document_from_catalog(genus2)["polygon"]
+    assert parse_polygon(body, spec.group, spec.named_elements) == spec.polygon
+    with pytest.raises(UsageError):
+        parse_polygon(body, spec.group, {**spec.named_elements, "a": value})
 
 
 def test_render_element_inverts_parsing():

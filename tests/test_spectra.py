@@ -16,13 +16,13 @@ from sunada import (
     SchreierGraph,
     UsageError,
     adjacency_matrix,
-    conjugate_members,
     eigenvalues_symmetric,
     schreier_graph,
     spectra_equal,
     subgroup_from_members,
     subgroup_generate,
 )
+from conftest import conjugate
 
 TOL = 1e-9
 
@@ -169,7 +169,7 @@ def test_conjugate_subgroups_are_isospectral(s4):
     for _ in range(8):
         sub = subgroup_generate(s4, rng.sample(range(s4.order), 2))
         g = rng.randrange(s4.order)
-        conj = subgroup_from_members(s4, conjugate_members(s4, sub.members, g))
+        conj = subgroup_from_members(s4, conjugate(s4, sub.members, g))
         s1 = eigenvalues_symmetric(adjacency_matrix(schreier_graph(s4, sub, labels)))
         s2 = eigenvalues_symmetric(adjacency_matrix(schreier_graph(s4, conj, labels)))
         assert spectra_equal(s1, s2, tol=TOL)

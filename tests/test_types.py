@@ -191,7 +191,6 @@ def test_invalid_input_raises_usage_error(build):
 
 # The public calls that take a non-value argument unchecked, and why.
 _UNCHECKED = {
-    "conjugate_members": "runs in the hot loops of the conjugator scans, where a check costs",
     "simultaneous_conjugator": "has no caller but perfbench and is to be deleted (ROADMAP item 8)",
 }
 
@@ -203,20 +202,17 @@ def test_public_calls_refuse_a_non_value_argument(values, genus2):
     TypeError.  The valid arguments alone must make a good call."""
     group, u, v = genus2.group, genus2.subgroup_u, genus2.subgroup_v
     graph, element = values["SchreierGraph"], group.element(1)
-    # A closure whose generator rows and tree are not yet dropped.
-    fresh = generate_group(map(group.element, group.generators))
-    rows, tree = fresh._cayley
     document = document_from_catalog(genus2)
     # Arguments by parameter name; "function.parameter" where one function
     # reads a name differently.  A value type's arguments are the fields of
     # its instance in ``values``.
     table = {
-        "perm": element, "element": element, "like": element, "keys": fresh._keys,
-        "index": fresh._index, "rows": rows, "tree": tree,
+        "perm": element, "element": element,
         "text": json.dumps(document), "parse_cycles.text": "(0,1)",
         "degree": 12, "generators": [1], "generate_group.generators": [element],
+        "FiniteGroup.generators": [element],
         "group": group, "sub": u, "u": u, "v": v, "members": u.members, "g": 1,
-        "spec": genus2.polygon, "table": values["CosetTable"], "element_index": 1,
+        "spec": genus2.polygon,
         "labels": genus2.polygon.cycles, "graph": graph, "g1": graph, "g2": graph,
         "order": 8, "config": SearchConfig(order=8), "pair1": (u, v), "pair2": (v, u),
         "entries": [[2, 1], [1, 2]], "matrix": DenseSymMatrix([[2, 1], [1, 2]]),
