@@ -511,8 +511,12 @@ class FiniteGroup:
         return len(self._keys)
 
     def element(self, i: int) -> Element:
-        """The element of index i, built from its key."""
-        return _from_key(self._like, self._keys[i])
+        """The element of index i, built from its key.  UsageError unless
+        ``0 <= i < order``: a tuple index would read -1 as the last key."""
+        keys = self._keys
+        if not 0 <= i < len(keys):
+            raise UsageError(f"element index {i} out of range for a group of order {len(keys)}")
+        return _from_key(self._like, keys[i])
 
     def index_of(self, e: Element) -> int:
         """The index of e.  Keys of different families or moduli can be
@@ -560,24 +564,40 @@ class FiniteGroup:
             self._cayley = None
         return maps
 
-    def conjugation_orbit(self, sets: Sequence[Iterable[int]]) -> list[tuple[frozenset[int], ...]]:
+    def conjugation_orbit(self, sets: Sequence[Iterable[int]],
+                          arcs: list[int] | None = None) -> list[tuple[frozenset[int], ...]]:
         """Orbit of a tuple of element-index sets under simultaneous conjugation.
 
         A breadth-first search over the generators, so its cost is the orbit
         length times the number of generators.  The orbit comes back in
-        discovery order, starting with ``sets`` itself.
+        discovery order, starting with ``sets`` itself.  Given a list as
+        ``arcs``, the walk appends to it the orbit position of the image of
+        item i under generator k, for each item in turn and the generators in
+        order, so that arc i * len(generators) + k is that position;
+        ``gassmann`` reads transversals and stabilisers off these arcs.
         """
         maps = self._conjugation_maps()
         start = tuple(frozenset(s) for s in sets)
-        seen = {start}
         orbit = [start]
+        if arcs is None:
+            seen = {start}
+            for item in orbit:
+                for row in maps:
+                    # Python 3.11: lists beat generators and map(row.__getitem__, s).
+                    image = tuple([frozenset([row[x] for x in s]) for s in item])
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+            return orbit
+        position, arc = {start: 0}, arcs.append
         for item in orbit:
             for row in maps:
-                # Python 3.11: lists beat generators and map(row.__getitem__, s).
                 image = tuple([frozenset([row[x] for x in s]) for s in item])
-                if image not in seen:
-                    seen.add(image)
+                j = position.get(image)
+                if j is None:
+                    j = position[image] = len(orbit)
                     orbit.append(image)
+                arc(j)
         return orbit
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:

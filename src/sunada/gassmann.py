@@ -182,26 +182,67 @@ def class_intersection_profile(group: FiniteGroup, sub: Subgroup) -> tuple[int, 
     return tuple(counts)
 
 
-def are_conjugate_subgroups(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int | None:
-    """Index of the first g (in element order) with g U g^-1 = V, or None.
+def _normaliser(group: FiniteGroup, members: frozenset[int], generators: Iterable[int],
+                arcs: list[int]) -> tuple[list, frozenset[int]]:
+    """A transversal of R's conjugation orbit, as keys, and N_G(R), for the
+    subgroup R with these members and generators, from the ``arcs`` of the
+    orbit walked from R (``FiniteGroup.conjugation_orbit``).
 
-    Equal subgroups short-circuit to the identity.  V is conjugate to U iff it
-    lies in U's conjugation orbit, which is computed exactly, so None is a
-    proof for the enumerated group.  Only when it does lie there are the
-    candidates scanned in the canonical element order, so the witness does
-    not depend on which generators happened to build the group.
+    t_0 is the identity and t_j = t_i g_k along the first arc from item i
+    under generator k to item j; the maps are x -> g_k^-1 x g_k, so item j
+    is {t_j^-1 x t_j : x in R}.  N_G(R) is the stabiliser of R in its
+    orbit, of order |G| / |orbit|, and by Schreier's lemma R and the
+    t_i g_k t_j^-1 of the arcs off the tree generate it.  It is closed from
+    R, one Schreier generator outside it at a time, and the closure stops
+    as soon as it has that order, so a self-normalising R takes none.
+    """
+    keys, index, (product, inverse, _, _) = group._key_space()
+    k = len(group.generators)
+    t = [keys[group.identity]] + [None] * (len(arcs) // k - 1)
+    off_tree = []
+    for arc, j in enumerate(arcs):
+        i, g = divmod(arc, k)  # generator g is element index g
+        if t[j] is None:
+            t[j] = product(t[i], keys[g])
+        else:
+            off_tree.append((i, g, j))
+    size, normaliser, gens = group.order // len(t), members, list(generators)
+    for i, g, j in off_tree:
+        if len(normaliser) == size:
+            break
+        s = index[product(product(t[i], keys[g]), inverse(t[j]))]
+        if s not in normaliser:
+            # The base is closed, and the generators include its own.
+            gens.append(s)
+            normaliser = _closure(group, gens, base=normaliser)
+    return t, normaliser
+
+
+def are_conjugate_subgroups(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int | None:
+    """Index of the first g in element order with g U g^-1 = V, or None; the
+    identity when U = V, though another element of N_G(U) may come first.
+
+    V is conjugate to U iff it lies in U's conjugation orbit, which is
+    computed exactly, so None is a proof for the enumerated group.  Only
+    when it does lie there is the orbit walked again with its arcs.  If V is
+    item j, V = t_j^-1 U t_j, so the g with g U g^-1 = V are exactly the
+    coset t_j^-1 N_G(U), and the witness is the least of its |N_G(U)|
+    products by key, which orders as the elements do.  So it does not
+    depend on which generators happened to build the group.
     """
     check_parent(group, u)
     check_parent(group, v)
     if u.members == v.members:
         return group.identity
-    target = v.member_set
-    if len(u.members) != len(v.members) or (target,) not in group.conjugation_orbit([u.members]):
+    target = (v.member_set,)
+    if len(u.members) != len(v.members) or target not in group.conjugation_orbit([u.members]):
         return None
-    # ``_key`` orders as the elements do, so no element is built to sort.
-    keys = group._key_space()[0]
-    return next(g for g in sorted(range(group.order), key=keys.__getitem__)
-                if _conjugate_members(group, u.members, g) == target)
+    arcs: list[int] = []
+    orbit = group.conjugation_orbit([u.members], arcs)
+    t, normaliser = _normaliser(group, u.member_set, u.members, arcs)
+    keys, index, (product, inverse, _, _) = group._key_space()
+    coset = inverse(t[orbit.index(target)])
+    return index[min([product(coset, keys[n]) for n in normaliser])]
 
 
 class SunadaReport(NamedTuple):

@@ -10,7 +10,7 @@ and every stage is a subgroup of it; conjugating such a chain moves its first
 stage onto a seed and each later stage onto a growth of the representative
 of the stage before, so every class is found.
 
-Three things keep the growth step cheap without losing a class:
+Four things keep the growth step cheap without losing a class:
 
 * For r, r' in R, <R, r e r'> = <R, e>.  So R is grown by e only when e lies
   in no double coset R f R of an element f already tried; every skipped
@@ -30,12 +30,21 @@ Three things keep the growth step cheap without losing a class:
 * The closure of <R, e> starts from R's members and adds whole right cosets
   of R (``gassmann._closure`` with R as its base).  The seeds are the
   growths of the trivial subgroup, its default base.
+* When |R| p is the target order, for p its least prime divisor, and R's
+  conjugation orbit is longer than ``_NORMALISER_ORBIT``, R is grown only
+  by the e in N_G(R) outside R (``gassmann._normaliser``, read off the
+  orbit walk).  Every prime divisor of |R| is at least p, so for e outside
+  N_G(R) the intersection of R and e^-1 R e has index at least p in R, and
+  |R e R| >= p |R|: the size test above rejects e already.  Such an R e R
+  misses N_G(R), since r e r' in N_G(R) puts e there, so the elements of
+  N_G(R) marked tried, and the growths run, are the same as without it.
 
 No growth that would record a class is skipped: a growth skipped for its
-double coset equals one tried earlier, and one skipped for D would fail or
-find a recorded subgroup.  The elements are tried in index order, so each
-class is first reached by the same growth, in the same order, as by trying
-every element, and the ``max_subgroups`` cap trips at the same point.
+double coset equals one tried earlier, and one skipped for D, or for lying
+outside N_G(R), would fail or find a recorded subgroup.  The elements are
+tried in index order, so each class is first reached by the same growth, in
+the same order, as by trying every element, and the ``max_subgroups`` cap
+trips at the same point.
 
 Closures that grow past the target order are abandoned.  The pair search
 pairs classes of equal class intersection profile (computed once per class;
@@ -52,7 +61,7 @@ from typing import Callable, Iterator, NamedTuple
 from .algebra import FiniteGroup, ResourceError, _expect, _integers
 from .covering import PolygonSpec, _cycle_orbits
 from .gassmann import (SunadaReport, Subgroup, _closure, _conjugate_members,
-                       class_intersection_profile, is_sunada_triple)
+                       _normaliser, class_intersection_profile, is_sunada_triple)
 
 __all__ = [
     "SearchConfig",
@@ -62,6 +71,13 @@ __all__ = [
 ]
 
 DEFAULT_SUBGROUP_CAP = 20000
+
+# A representative of least-prime index in the target is grown only inside
+# its normaliser when its conjugation orbit is longer than this, so that
+# N_G(R), of order |G| / |orbit|, is small next to G.  Shorter orbits cost
+# more in the normaliser than they save in the walk (per-rung A/B on the
+# search ladder, CHANGES.md).
+_NORMALISER_ORBIT = 6
 
 
 class SearchConfig(NamedTuple):
@@ -123,9 +139,10 @@ def _subgroup_classes(group: FiniteGroup, order: int,
         return []
     if order == 1:
         return [[frozenset({group.identity})]]
-    # (generators of the representative, orbit) per class
-    classes: list[tuple[tuple[int, ...], list[frozenset[int]]]] = []
+    # (generators of the representative, orbit, its arcs or None) per class
+    classes: list[tuple[tuple[int, ...], list[frozenset[int]], list | None]] = []
     seen: set[frozenset[int]] = set()
+    least_prime = next(p for p in range(2, order + 1) if order % p == 0)
 
     def grow(gens: tuple[int, ...], base: frozenset[int] | None = None) -> bool:
         """Record the class of <gens> unless it is too big or already known;
@@ -136,14 +153,16 @@ def _subgroup_classes(group: FiniteGroup, order: int,
         if members is None or order % len(members) != 0:
             return False
         if members not in seen:
-            orbit = [conjugate for (conjugate,) in group.conjugation_orbit([members])]
+            # The arcs give N_G(R) below for a class of least-prime index.
+            arcs = [] if len(members) * least_prime == order else None
+            orbit = [conjugate for (conjugate,) in group.conjugation_orbit([members], arcs)]
             if len(seen) + len(orbit) > max_subgroups:
                 raise ResourceError(
                     f"subgroup enumeration for order {order} exceeded max_subgroups = "
                     f"{max_subgroups} (so far: {len(classes)} subgroup classes, "
                     f"{len(seen)} distinct subgroups)")
             seen.update(orbit)
-            classes.append((gens, orbit))
+            classes.append((gens, orbit, arcs))
         return True
 
     # Element order is a class invariant, so each element class either seeds
@@ -155,21 +174,25 @@ def _subgroup_classes(group: FiniteGroup, order: int,
     usable.sort()
     usable_set = frozenset(usable)
     # The trivial subgroup is not grown: its one-element growths are the seeds.
-    for gens, orbit in classes:
+    for gens, orbit, arcs in classes:
         rep = orbit[0]
         if not 1 < len(rep) < order:
             continue
+        candidates = usable
+        # Of least-prime index: only N_G(R) can grow R (module docstring).
+        if arcs is not None and len(orbit) > _NORMALISER_ORBIT:
+            candidates = sorted(_normaliser(group, rep, gens, arcs)[1].intersection(usable_set))
         # <R, r e r'> = <R, e> for r, r' in R: one growth per double coset R e R,
         # and none when R e R shows that <R, e> fails or is already recorded.
         tried = set(rep)
         mark = _double_coset_marker(group, rep)
-        for e in usable:
+        for e in candidates:
             if e not in tried:
                 double = mark(e, tried)
                 if (len(rep) + len(double) <= order and usable_set.issuperset(double)
                         and rep.union(double) not in seen):
                     grow(gens + (e,), rep)
-    return [orbit for _, orbit in classes]
+    return [orbit for _, orbit, _ in classes]
 
 
 def _classes_of_order(group: FiniteGroup, order: int,

@@ -1,12 +1,14 @@
-"""Shared fixtures (catalog entries and small symmetric groups), the whole
-and trivial subgroup helpers, the element list of a group, the order of one
-element, conjugation of an index set and one subgroup per conjugacy class,
-and an element product and inverse that share nothing with the library's
-key arithmetic, to check it against."""
+"""Shared fixtures (catalog entries, small symmetric groups and PSL groups),
+the whole and trivial subgroup helpers, the element list of a group, the
+order of one element, conjugation of an index set, one subgroup per
+conjugacy class, the least conjugator by a scan of the sorted group, and an
+element product and inverse that share nothing with the library's key
+arithmetic, to check it against."""
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -48,6 +50,20 @@ def order_of(group: FiniteGroup, i: int) -> int:
 def conjugate(group: FiniteGroup, members, g: int) -> frozenset[int]:
     """The set {g x g^-1 : x in members}, by ``group.mul`` and ``group.inv``."""
     return frozenset(group.mul(group.mul(g, x), group.inv(g)) for x in members)
+
+
+def least_conjugator(group: FiniteGroup, u_members, v_members) -> int | None:
+    """The first g in element order with g U g^-1 = V, or None: the group
+    sorted by element, and U conjugated by each candidate in turn through
+    ``group.mul`` and ``group.inv``."""
+    target = frozenset(v_members)
+    if len(target) != len(u_members):
+        return None
+    for g in sorted(range(group.order), key=group.element):
+        g_inv = group.inv(g)
+        if all(group.mul(group.mul(g, x), g_inv) in target for x in u_members):
+            return g
+    return None
 
 
 def subgroup_classes(group: FiniteGroup, order: int) -> list[Subgroup]:
@@ -141,6 +157,29 @@ def psl211():
     """PSL(2,11), order 660, on 11 points."""
     return generate_group([parse_cycles("(1,9)(2,3)(4,8)(5,6)", 11),
                            parse_cycles("(0,1,10)(2,4,9)(5,7,8)", 11)])
+
+
+def projective_plane_action(matrix, p: int) -> Perm:
+    """The permutation a 3x3 matrix over F_p induces on the points of P^2(F_p),
+    each point normalised so its first nonzero coordinate is 1."""
+    def normalise(v):
+        lead = next(c for c in v if c)
+        scale = pow(lead, -1, p)
+        return tuple(c * scale % p for c in v)
+
+    points = sorted({normalise(v) for v in itertools.product(range(p), repeat=3) if any(v)})
+    index = {pt: i for i, pt in enumerate(points)}
+    return Perm(tuple(
+        index[normalise(tuple(sum(row[c] * pt[c] for c in range(3)) % p for row in matrix))]
+        for pt in points))
+
+
+@pytest.fixture(scope="session")
+def psl33():
+    """PSL(3,3), order 5616, on the 13 points of P^2(F_3): a transvection and
+    the coordinate cycle."""
+    return generate_group([projective_plane_action([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3),
+                           projective_plane_action([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 3)])
 
 
 @pytest.fixture(scope="session")

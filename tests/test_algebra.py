@@ -36,7 +36,7 @@ from sunada import (
 from sunada.algebra import _arithmetic, _from_key, _key
 
 from conftest import (compose, conjugate, elements, invert, mat_oracle, order_of, pair_oracle,
-                      subgroup_classes, sympy_perm)
+                      projective_plane_action, subgroup_classes, sympy_perm)
 
 A12_A = "(0,7,11)(1,5,6)(2,9,10)(3,4,8)"
 A12_B = "(0,4,2)(1,5,9)(3,7,11)(6,10,8)"
@@ -705,24 +705,9 @@ def test_psl32_subgroup_lattice():
     assert len(find_sunada_pairs(group, SearchConfig(order=24))) == 2
 
 
-def _projective_plane_action(matrix, p):
-    """The permutation a 3x3 matrix over F_p induces on the points of P^2(F_p),
-    each point normalised so its first nonzero coordinate is 1."""
-    def normalise(v):
-        lead = next(c for c in v if c)
-        scale = pow(lead, -1, p)
-        return tuple(c * scale % p for c in v)
-
-    points = sorted({normalise(v) for v in itertools.product(range(p), repeat=3) if any(v)})
-    index = {pt: i for i, pt in enumerate(points)}
-    return Perm(tuple(
-        index[normalise(tuple(sum(row[c] * pt[c] for c in range(3)) % p for row in matrix))]
-        for pt in points))
-
-
 def test_psl33_conjugacy_classes():
-    transvection = _projective_plane_action([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3)
-    cycle = _projective_plane_action([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 3)
+    transvection = projective_plane_action([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3)
+    cycle = projective_plane_action([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 3)
     assert transvection.degree == 13
     group = generate_group([transvection, cycle])
     assert group.order == 5616
@@ -733,11 +718,9 @@ def test_psl33_conjugacy_classes():
     _assert_classes_match_sympy(group, [transvection, cycle])
 
 
-def test_psl33_sunada_pairs_of_order_432():
+def test_psl33_sunada_pairs_of_order_432(psl33):
     """The two classes of point and line stabilisers of PSL(3,3), index 13."""
-    transvection = _projective_plane_action([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3)
-    cycle = _projective_plane_action([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 3)
-    group = generate_group([transvection, cycle])
+    group = psl33
     pairs = find_sunada_pairs(group, SearchConfig(order=432))
     assert len(pairs) == 2
     for u, v, report in pairs:
@@ -748,6 +731,14 @@ def test_psl33_sunada_pairs_of_order_432():
         oracle = combinatorics.PermutationGroup(
             [combinatorics.Permutation(list(group.element(i).images)) for i in sub.members])
         assert oracle.order() == sub.order == 432
+
+
+def test_element_refuses_an_index_outside_the_group(genus2):
+    """A tuple index would read -1 as the last element."""
+    group = genus2.group
+    for i in (-1, group.order):
+        with pytest.raises(UsageError, match=f"element index {i} out of range"):
+            group.element(i)
 
 
 def test_index_of_and_contains(s3):

@@ -8,6 +8,7 @@ import pytest
 
 from sunada import (
     Perm,
+    Subgroup,
     UsageError,
     are_conjugate_subgroups,
     class_intersection_profile,
@@ -16,10 +17,11 @@ from sunada import (
     subgroup_from_members,
     subgroup_generate,
 )
-from sunada.gassmann import _conjugate_members
+from sunada.gassmann import _conjugate_members, _normaliser
+from sunada.search import _subgroup_classes
 
-from conftest import (compose, conjugate, elements, full_subgroup, invert, order_of,
-                      subgroup_classes, trivial_subgroup)
+from conftest import (compose, conjugate, elements, full_subgroup, invert, least_conjugator,
+                      order_of, subgroup_classes, trivial_subgroup)
 
 
 def _subgroup_of(group, *elements):
@@ -141,6 +143,74 @@ def test_conjugate_subgroups_identical_input_returns_identity(s3):
 def test_conjugate_subgroups_none_when_orders_differ(s3):
     u = _subgroup_of(s3, Perm((1, 0, 2)))
     assert are_conjugate_subgroups(s3, u, full_subgroup(s3)) is None
+
+
+def _lattice(name, request, order=None):
+    """The group of a fixture and the orbit of every subgroup class the
+    walk finds in it (of an order dividing ``order``, by default the whole
+    lattice), representative first."""
+    fixture = request.getfixturevalue(name.replace("-", "_"))
+    group = getattr(fixture, "group", fixture)
+    return group, _subgroup_classes(group, order or group.order, 20000)
+
+
+_LATTICES = ["genus2", "genus3", "orbifold-h", "psl32", "psl211"]
+
+
+@pytest.mark.parametrize("name", _LATTICES + ["d257"])
+def test_normaliser_is_the_stabiliser_in_the_conjugation_orbit(name, request):
+    """For every class: N_G(R) read off the orbit walk is {g : g R g^-1 = R},
+    and the transversal's t_j carries R onto orbit item j, t_j^-1 R t_j.  In
+    D_257 (image-tuple keys) the class is the 257 reflection subgroups."""
+    group, orbits = _lattice(name, request, 2 if name == "d257" else None)
+    index = group._key_space()[1]
+    for orbit in orbits:
+        rep, arcs = orbit[0], []
+        assert group.conjugation_orbit([rep], arcs) == [(members,) for members in orbit]
+        assert len(arcs) == len(orbit) * len(group.generators)
+        t, normaliser = _normaliser(group, rep, sorted(rep), arcs)
+        mul, inv = group.mul, group.inv
+        assert normaliser == {g for g in range(group.order)
+                              if all(mul(mul(g, x), inv(g)) in rep for x in rep)}
+        assert [conjugate(group, rep, inv(index[key])) for key in t] == orbit
+
+
+@pytest.mark.parametrize("name", _LATTICES)
+def test_least_conjugator_matches_the_sorted_scan(name, request):
+    """The witness from one coset of N_G(U) against the scan of the whole
+    sorted group, on three conjugates of each class's representative (all
+    of them in a shorter orbit)."""
+    group, orbits = _lattice(name, request)
+    for orbit in orbits:
+        u = Subgroup(group, tuple(sorted(orbit[0])))
+        picks = orbit[1:] if len(orbit) <= 4 else [orbit[1], orbit[len(orbit) // 2], orbit[-1]]
+        for members in picks:
+            v = Subgroup(group, tuple(sorted(members)))
+            g = are_conjugate_subgroups(group, u, v)
+            assert g == least_conjugator(group, u.members, v.members) is not None
+
+
+def test_least_conjugator_of_two_point_stabilisers(psl33):
+    """The stabilisers of points 0 and 5 of PSL(3,3) are self-normalising, so
+    the witness is the least of |U| = 432 products; it lies at rank 542 of
+    the element order."""
+    u, v = (Subgroup(psl33, tuple(i for i in range(psl33.order)
+                                  if psl33.element(i).images[point] == point))
+            for point in (0, 5))
+    g = are_conjugate_subgroups(psl33, u, v)
+    assert g == least_conjugator(psl33, u.members, v.members)
+    assert sorted(range(psl33.order), key=psl33.element).index(g) == 542
+
+
+def test_equal_subgroups_short_circuit_to_the_identity(genus3):
+    """U = V gives the identity (index 29 in genus3), though a lesser element
+    of N_G(U) may also carry U onto itself: for U = <71> of order 2, element
+    71, [[0,1],[1,0]], comes before the identity matrix."""
+    group = genus3.group
+    u = subgroup_generate(group, [71])
+    assert u.members == (group.identity, 71) == (29, 71)
+    assert are_conjugate_subgroups(group, u, u) == group.identity
+    assert least_conjugator(group, u.members, u.members) == 71
 
 
 # -------------------------------------------------------------- full verdicts

@@ -16,7 +16,7 @@ from sunada import (
     subgroup_from_members,
     subgroup_generate,
 )
-from sunada import search
+from sunada import gassmann, search
 from sunada.gassmann import _closure
 from sunada.search import _double_coset_marker, _subgroup_classes
 
@@ -214,6 +214,28 @@ def test_pruned_walk_reaches_the_classes_of_the_reference_walk_in_order(name, re
     for order in sorted({*range(1, 25), group.order}):
         if group.order % order == 0:
             assert _subgroup_classes(group, order, 20000) == _reference_walk(group, order)
+
+
+@pytest.mark.parametrize("name, order, grown", [
+    ("psl32", 21, [(7, 8)]), ("psl211", 12, [(6, 55)] * 3), ("genus2", 8, [])])
+def test_walk_grows_a_class_of_least_prime_index_inside_its_normaliser(
+        name, order, grown, request, monkeypatch):
+    """The (order, orbit length) of each representative grown only inside
+    N_G(R): of index p in the target, p its least prime divisor, with an
+    orbit longer than 6.  At order 21 p is 3, and the Sylow 7-subgroups of
+    PSL(3,2) have 8 conjugates; genus2's classes of order 4 have orbits of
+    at most 6.  The reference-walk test shows the classes are unchanged."""
+    fixture = request.getfixturevalue(name)
+    group = getattr(fixture, "group", fixture)
+    calls = []
+
+    def recording_normaliser(group, members, generators, arcs):
+        calls.append((len(members), len(arcs) // len(group.generators)))
+        return gassmann._normaliser(group, members, generators, arcs)
+
+    monkeypatch.setattr(search, "_normaliser", recording_normaliser)
+    assert _subgroup_classes(group, order, 20000)
+    assert calls == grown
 
 
 @pytest.mark.parametrize("name, order, most", [("psl211", 12, 40), ("psl32", 24, 50)])
