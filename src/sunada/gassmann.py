@@ -223,25 +223,26 @@ def are_conjugate_subgroups(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int
     identity when U = V, though another element of N_G(U) may come first.
 
     V is conjugate to U iff it lies in U's conjugation orbit, which is
-    computed exactly, so None is a proof for the enumerated group.  Only
-    when it does lie there is the orbit walked again with its arcs.  If V is
-    item j, V = t_j^-1 U t_j, so the g with g U g^-1 = V are exactly the
-    coset t_j^-1 N_G(U), and the witness is the least of its |N_G(U)|
-    products by key, which orders as the elements do.  So it does not
-    depend on which generators happened to build the group.
+    computed exactly, so None is a proof for the enumerated group.  The
+    orbit is walked once, with its arcs.  If V is item j, V = t_j^-1 U t_j,
+    so the g with g U g^-1 = V are exactly the coset t_j^-1 N_G(U), and
+    the witness is the least of its |N_G(U)| products by key, which orders
+    as the elements do.  So it does not depend on which generators happened
+    to build the group.
     """
     check_parent(group, u)
     check_parent(group, v)
     if u.members == v.members:
         return group.identity
-    target = (v.member_set,)
-    if len(u.members) != len(v.members) or target not in group.conjugation_orbit([u.members]):
+    if len(u.members) != len(v.members):
         return None
     arcs: list[int] = []
-    orbit = group.conjugation_orbit([u.members], arcs)
+    orbit = group.conjugation_orbit(u.members, arcs)
+    if v.member_set not in orbit:
+        return None
     t, normaliser = _normaliser(group, u.member_set, u.members, arcs)
     keys, index, (product, inverse, _, _) = group._key_space()
-    coset = inverse(t[orbit.index(target)])
+    coset = inverse(t[orbit.index(v.member_set)])
     return index[min([product(coset, keys[n]) for n in normaliser])]
 
 

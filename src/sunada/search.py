@@ -49,8 +49,11 @@ trips at the same point.
 Closures that grow past the target order are abandoned.  The pair search
 pairs classes of equal class intersection profile (computed once per class;
 smoothness is read off it).  Each orbit of pairs under simultaneous conjugacy
-holds (m, v) with m the least subgroup of the two classes; dedupe keeps m with
-the least member of each N_G(m)-orbit on the other class, the orbit's least pair.
+holds (m, w) with m the least subgroup of the two classes, and dedupe keeps
+the least such pair of each orbit.  The walk records the arcs of every class
+of the target order, so an orbit on pairs is walked over pairs of orbit
+positions, each generator one lookup in each class's arcs (``_least_pairs``),
+and no member set is built.
 """
 
 from __future__ import annotations
@@ -124,10 +127,12 @@ def _double_coset_marker(group: FiniteGroup,
     return mark
 
 
-def _subgroup_classes(group: FiniteGroup, order: int,
-                      max_subgroups: int) -> list[list[frozenset[int]]]:
+def _subgroup_classes(group: FiniteGroup, order: int, max_subgroups: int
+                      ) -> list[tuple[list[frozenset[int]], list[int] | None]]:
     """The conjugation orbit of each conjugacy class of subgroups whose order
-    divides ``order``, with the class representative first.
+    divides ``order``, with the class representative first, and the arcs
+    of its walk (``FiniteGroup.conjugation_orbit``) for a class of exactly
+    that order or of least-prime index in it; None for any other class.
 
     Raises ResourceError as soon as the orbits hold more than
     ``max_subgroups`` distinct subgroups; its message gives the classes and
@@ -138,7 +143,7 @@ def _subgroup_classes(group: FiniteGroup, order: int,
     if order < 1 or group.order % order != 0:
         return []
     if order == 1:
-        return [[frozenset({group.identity})]]
+        return [([frozenset({group.identity})], [0] * len(group.generators))]
     # (generators of the representative, orbit, its arcs or None) per class
     classes: list[tuple[tuple[int, ...], list[frozenset[int]], list | None]] = []
     seen: set[frozenset[int]] = set()
@@ -153,9 +158,10 @@ def _subgroup_classes(group: FiniteGroup, order: int,
         if members is None or order % len(members) != 0:
             return False
         if members not in seen:
-            # The arcs give N_G(R) below for a class of least-prime index.
-            arcs = [] if len(members) * least_prime == order else None
-            orbit = [conjugate for (conjugate,) in group.conjugation_orbit([members], arcs)]
+            # The arcs give N_G(R) below for a class of least-prime index,
+            # and the orbits on pairs of classes of the target order.
+            arcs = [] if len(members) in (order, order // least_prime) else None
+            orbit = group.conjugation_orbit(members, arcs)
             if len(seen) + len(orbit) > max_subgroups:
                 raise ResourceError(
                     f"subgroup enumeration for order {order} exceeded max_subgroups = "
@@ -192,14 +198,15 @@ def _subgroup_classes(group: FiniteGroup, order: int,
                 if (len(rep) + len(double) <= order and usable_set.issuperset(double)
                         and rep.union(double) not in seen):
                     grow(gens + (e,), rep)
-    return [orbit for _, orbit, _ in classes]
+    return [(orbit, arcs) for _, orbit, arcs in classes]
 
 
-def _classes_of_order(group: FiniteGroup, order: int,
-                      max_subgroups: int) -> list[list[tuple[int, ...]]]:
-    """Each class of subgroups of exactly ``order``: its sorted member tuples, sorted."""
-    return [sorted(tuple(sorted(members)) for members in orbit)
-            for orbit in _subgroup_classes(group, order, max_subgroups)
+def _classes_of_order(group: FiniteGroup, order: int, max_subgroups: int
+                      ) -> list[tuple[list[tuple[int, ...]], list[int]]]:
+    """Each class of subgroups of exactly ``order``: its sorted member
+    tuples in orbit order, and the arcs of its orbit."""
+    return [([tuple(sorted(members)) for members in orbit], arcs)
+            for orbit, arcs in _subgroup_classes(group, order, max_subgroups)
             if len(orbit[0]) == order]
 
 
@@ -210,7 +217,7 @@ def enumerate_subgroups(group: FiniteGroup, order: int,
     A non-divisor order yields an empty list.  Raises ResourceError when the
     walk exceeds ``max_subgroups`` distinct subgroups.
     """
-    found = sorted(members for cls in _classes_of_order(group, order, max_subgroups)
+    found = sorted(members for cls, _ in _classes_of_order(group, order, max_subgroups)
                    for members in cls)
     return [Subgroup(group, members) for members in found]
 
@@ -249,9 +256,9 @@ def _sunada_pairs(group: FiniteGroup,
     """The pairs of ``find_sunada_pairs``, yielded as each one is verified."""
     _expect(config, SearchConfig)
     # Profiles and smoothness are conjugation invariants: one test per class.
-    buckets: dict[tuple[int, ...], list[list[tuple[int, ...]]]] = {}
+    buckets: dict[tuple[int, ...], list[tuple[list[tuple[int, ...]], list[int]]]] = {}
     for cls in _classes_of_order(group, config.order, config.max_subgroups):
-        profile = class_intersection_profile(group, Subgroup(group, cls[0]))
+        profile = class_intersection_profile(group, Subgroup(group, cls[0][0]))
         if config.require_smooth is not None and any(
                 counts for _, counts in _cycle_orbits(group, profile, config.require_smooth)):
             continue
@@ -259,18 +266,48 @@ def _sunada_pairs(group: FiniteGroup,
     pairs = []
     for bucket in buckets.values():
         for first, second in combinations(bucket, 2):
-            if not config.dedupe:
-                pairs.extend((min(u, v), max(u, v)) for u in first for v in second)
-                continue
-            # Every orbit of pairs holds a pair (m, v); its least pair is m with
-            # the least member of one N_G(m)-orbit on the other class.
-            low, rest = sorted((first, second))
-            m, m_set = low[0], frozenset(low[0])
-            while rest:
-                pairs.append((m, rest[0]))
-                orbit = {tuple(sorted(w)) for u, w in group.conjugation_orbit([m, rest[0]])
-                         if u == m_set}
-                rest = [w for w in rest if w not in orbit]
+            if config.dedupe:
+                low, other = sorted((first, second), key=lambda cls: min(cls[0]))
+                pairs.extend(_least_pairs(len(group.generators), low, other))
+            else:
+                pairs.extend((min(u, v), max(u, v)) for u in first[0] for v in second[0])
     for u, v in sorted(pairs):
         su, sv = Subgroup(group, u), Subgroup(group, v)
         yield su, sv, is_sunada_triple(group, su, sv)
+
+
+def _least_pairs(k: int, low: tuple[list[tuple[int, ...]], list[int]],
+                 other: tuple[list[tuple[int, ...]], list[int]]
+                 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The least pair of each orbit of G, with ``k`` generators, on the
+    pairs (u, w) of two classes of subgroups under simultaneous conjugation.
+
+    Each class is its members in orbit order and the arcs of its orbit, and
+    ``low`` holds m, the least subgroup of the two.  Every orbit on pairs
+    holds a pair (m, w), so its least pair is (m, w) for the least such w.
+    A pair is walked as a pair of orbit positions: generator g sends (a, b)
+    to (arcs_low[a k + g], arcs_other[b k + g]), so no member set is built.
+    The w are taken in order, and each starts a walk unless an earlier
+    walk reached (m, w); every walk marks its whole orbit.
+    """
+    (a_members, a_arcs), (b_members, b_arcs) = low, other
+    m = min(a_members)
+    a0, n = a_members.index(m), len(b_members)
+    # Pair (a, b) is the int a n + b; a generator adds its images of a and b.
+    steps = [([j * n for j in a_arcs[g::k]], b_arcs[g::k]) for g in range(k)]
+    seen = bytearray(len(a_members) * n)
+    least = []
+    for b0 in sorted(range(n), key=b_members.__getitem__):
+        if seen[a0 * n + b0]:
+            continue
+        least.append((m, b_members[b0]))
+        seen[a0 * n + b0] = 1
+        walk = [a0 * n + b0]
+        for pair in walk:
+            a, b = divmod(pair, n)
+            for step_a, step_b in steps:
+                image = step_a[a] + step_b[b]
+                if not seen[image]:
+                    seen[image] = 1
+                    walk.append(image)
+    return least

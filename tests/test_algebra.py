@@ -632,14 +632,20 @@ def test_conjugacy_classes_partition_group(s4):
 
 
 def test_conjugation_orbit_matches_conjugating_by_every_element(s4):
-    sets = ({1, 2}, {s4.identity, 5})
-    orbit = s4.conjugation_orbit(sets)
-    assert orbit[0] == tuple(frozenset(x) for x in sets)
-    assert len(set(orbit)) == len(orbit)
-    assert set(orbit) == {
-        tuple(conjugate(s4, members, g) for members in sets)
-        for g in range(s4.order)
-    }
+    """One index set's orbit, subgroup or not, against its conjugates by
+    every element of S4, and its arcs against the generators' conjugates."""
+    for members in ({1, 2}, {s4.identity, 5}, set(range(s4.order)), set()):
+        arcs = []
+        orbit = s4.conjugation_orbit(members, arcs)
+        assert orbit == s4.conjugation_orbit(sorted(members))
+        assert orbit[0] == frozenset(members)
+        assert len(set(orbit)) == len(orbit)
+        assert set(orbit) == {conjugate(s4, members, g) for g in range(s4.order)}
+        k = len(s4.generators)
+        assert len(arcs) == len(orbit) * k
+        for arc, j in enumerate(arcs):
+            item, g = divmod(arc, k)  # generator g is element index g; the map is x -> g^-1 x g
+            assert orbit[j] == conjugate(s4, orbit[item], s4.inv(g))
 
 
 def test_conjugacy_classes_are_in_canonical_order(genus2):
@@ -739,6 +745,20 @@ def test_element_refuses_an_index_outside_the_group(genus2):
     for i in (-1, group.order):
         with pytest.raises(UsageError, match=f"element index {i} out of range"):
             group.element(i)
+
+
+@pytest.mark.parametrize("members, arcs, message", [
+    ([-1], None, "element index -1 out of range"),  # a tuple index would read element 95
+    ([999], None, "element index 999 out of range"),
+    (5, None, "each value must be an integer"),
+    ([[-1]], None, "each value must be an integer"),  # one set, no longer a tuple of sets
+    ([0, 1], (), "expected a list"),
+], ids=["negative", "too-large", "not-iterable", "nested", "arcs-tuple"])
+def test_conjugation_orbit_refuses_what_is_no_index_set(genus2, members, arcs, message):
+    """The members, and the arcs list when given, are checked once, before
+    the walk, whose images index a tuple."""
+    with pytest.raises(UsageError, match=message):
+        genus2.group.conjugation_orbit(members, arcs)
 
 
 def test_index_of_and_contains(s3):

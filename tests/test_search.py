@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from sunada import (
@@ -150,7 +152,7 @@ def test_double_coset_marking_matches_the_square_construction(name, request):
     from all |R|^2 products r e r', after each growth of every class; the
     elements it returns are the ones it added, which are R e R."""
     group = request.getfixturevalue(name)
-    for orbit in _subgroup_classes(group, group.order, 10**6):
+    for orbit, _ in _subgroup_classes(group, group.order, 10**6):
         rep = orbit[0]
         tried, square = set(rep), set(rep)
         mark = _double_coset_marker(group, rep)
@@ -179,7 +181,7 @@ def _reference_walk(group, order):
         if members is None or order % len(members) != 0:
             return False
         if members not in seen:
-            orbit = [conjugate for (conjugate,) in group.conjugation_orbit([members])]
+            orbit = group.conjugation_orbit(members)
             seen.update(orbit)
             classes.append((gens, orbit))
         return True
@@ -213,7 +215,8 @@ def test_pruned_walk_reaches_the_classes_of_the_reference_walk_in_order(name, re
     group = getattr(fixture, "group", fixture)
     for order in sorted({*range(1, 25), group.order}):
         if group.order % order == 0:
-            assert _subgroup_classes(group, order, 20000) == _reference_walk(group, order)
+            walked = _subgroup_classes(group, order, 20000)
+            assert [orbit for orbit, _ in walked] == _reference_walk(group, order)
 
 
 @pytest.mark.parametrize("name, order, grown", [
@@ -360,3 +363,52 @@ def test_dedupe_keeps_a_representative_of_every_pair(name, order, request):
         assert orbit[0] == (ku, kv)
         covered += len(orbit)
     assert covered == len(raw)
+
+
+def _least_pair_of_every_orbit(group, order):
+    """The least pair of each orbit of G on the Gassmann equivalent pairs of
+    subgroups of this order in different classes, under simultaneous
+    conjugation.  Each subgroup's images under the generators come from
+    ``conjugate``; the pairs are taken in order, and each one not yet
+    reached starts a breadth-first walk of its orbit.  The two subgroups of
+    a pair lie in different classes, so a pair is marked as a set."""
+    subgroups = enumerate_subgroups(group, order)  # in member order
+    image = {sub.member_set: [conjugate(group, sub.members, g) for g in group.generators]
+             for sub in subgroups}
+    class_of = {}
+    for h in image:
+        if h not in class_of:
+            class_of[h], walk = h, [h]
+            for x in walk:
+                for y in image[x]:
+                    if y not in class_of:
+                        class_of[y] = h
+                        walk.append(y)
+    profile = {sub.member_set: class_intersection_profile(group, sub) for sub in subgroups}
+    least, reached = [], set()
+    # Pairs of a list in member order come in the order of the pairs.
+    for u, w in combinations([sub.member_set for sub in subgroups], 2):
+        if class_of[u] == class_of[w] or profile[u] != profile[w] or frozenset((u, w)) in reached:
+            continue
+        least.append((tuple(sorted(u)), tuple(sorted(w))))
+        reached.add(frozenset((u, w)))
+        walk = [(u, w)]
+        for x, y in walk:
+            for pair in zip(image[x], image[y]):
+                if frozenset(pair) not in reached:
+                    reached.add(frozenset(pair))
+                    walk.append(pair)
+    return least
+
+
+@pytest.mark.parametrize("name, order", [
+    ("genus2", 8), ("genus3", 4), ("genus3", 8), ("orbifold-h", 4), ("psl32", 4),
+    ("psl32", 12), ("psl32", 24), ("psl211", 6), ("psl211", 60), ("psl33", 54)])
+def test_dedupe_keeps_the_least_pair_of_every_orbit(name, order, request):
+    """The kept pairs, read off the orbits of the two classes' arcs, against
+    the orbits on pairs walked over member sets.  These are all the orders
+    up to 96 with pairs in the five small groups, and one of PSL(3,3)."""
+    fixture = request.getfixturevalue(name.replace("-", "_"))
+    group = getattr(fixture, "group", fixture)
+    kept = [(u.members, v.members) for u, v, _ in find_sunada_pairs(group, SearchConfig(order))]
+    assert kept == _least_pair_of_every_orbit(group, order)
