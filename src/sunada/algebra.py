@@ -8,23 +8,32 @@ gives x y, which applies x first for permutations, is the matrix product
 ``x y`` for matrices, and is ``(u, v)(u', v') = (u u', v + u v')`` for pairs.
 
 Each family's arithmetic is written once, on private element keys (``_key``).
-A matrix key is its entry rows and a pair key is ``(u, v)``.  A permutation
-of degree <= 256 is keyed by its images as ``bytes``: the product is then
-one ``bytes.translate`` and the inverse one ``bytes.maketrans``, both in C,
-about 8 times cheaper than building and hashing an int tuple, and the inner
-loop of every group algorithm here is that product and a dict lookup.  Above
-degree 256 an image no longer fits in a byte, so the key is the image tuple,
-multiplied by one ``operator.itemgetter``.  ``_arithmetic`` picks, once per
-family and degree or modulus, an ``_Arithmetic`` record of the key product,
-inverse, right multiplier and identity.  A loop whose right factor stays
-fixed over many products builds that factor's right multiplier once: the
-closure of ``FiniteGroup``, the coset walk of ``schreier`` and the
-double-coset marking of ``search``; ``gassmann``'s closure forms plain key
-products.  Loops outside this module reach the keys through
-``FiniteGroup._key_space``.  The element constructors (each class's
-``__new__``) validate their input, reading integers through
-``operator.index``; ``parse_cycles`` builds its permutation, valid by
-construction, without, and so does ``FiniteGroup.element`` from a key.
+Every element acts on a set of points, so its key can be that action.  A
+permutation of degree n acts on n points; a matrix mod m on the m^2 row
+vectors (x, y), point x m + y, by v -> v M; a pair (u, v) mod m on the m
+residues by t -> u^-1 (t - v).  Each action takes a product x y to x's
+action followed by y's, so the key product is the permutation product with
+x acting first.  An action on at most 256 points is keyed by its images as
+``bytes``: n bytes for a permutation, m^2 for a matrix (m <= 16) and m for
+a pair (m <= 256).  The product is then one ``bytes.translate`` and the
+inverse one ``bytes.maketrans``, both in C, about 8 times cheaper than
+building and hashing an int tuple, and the inner loop of every group
+algorithm here is that product and a dict lookup.  Above 256 points an
+image no longer fits in a byte, so a permutation is keyed by its image
+tuple, multiplied by one ``operator.itemgetter``, a matrix by its entry
+rows and a pair by ``(u, v)``, multiplied in integer arithmetic.
+``_arithmetic`` picks, once per family and degree or modulus, an
+``_Arithmetic`` record of the key product, inverse, right multiplier and
+identity.  A loop whose right factor stays fixed over many products builds
+that factor's right multiplier once: the closure of ``FiniteGroup``, the
+coset walk of ``schreier`` and the double-coset marking of ``search``;
+``gassmann``'s closure forms plain key products.  Loops outside this module
+reach the keys through ``FiniteGroup._key_space``; none orders them, since
+a matrix or pair key does not sort as its element.  The element
+constructors (each class's ``__new__``) validate their input, reading
+integers through ``operator.index``; ``parse_cycles`` builds its
+permutation, valid by construction, without, and so does
+``FiniteGroup.element`` from a key.
 
 A group is its keys.  ``FiniteGroup`` closes its generators in key space
 and keeps the keys, indexed by a dict, and no element object: ``element(i)``
@@ -32,11 +41,10 @@ builds one from its key on demand, so an element costs the memory of its
 key alone.  A group product or inverse multiplies or inverts keys, so it
 builds no element object and runs no Python-level ``__hash__`` or
 ``__eq__``; its derived tables (conjugation maps, classes) are tuples of
-indices.  Keys of
-different families or moduli can be equal (the identity matrices mod 4 and
-mod 8), so ``index_of`` checks an element's family and degree or modulus
-before it looks its key up, and raises UsageError for an element of
-another.
+indices.  Keys of different families or moduli can be equal (a matrix mod
+4 and a permutation of degree 16 are both 16 bytes), so ``index_of``
+checks an element's family and degree or modulus before it looks its key
+up, and raises UsageError for an element of another.
 """
 
 from __future__ import annotations
@@ -182,8 +190,9 @@ def _require_same_family(e1: Element, e2: Element) -> None:
         raise UsageError(f"{kind} mismatch: {_parameter(e1)} vs {_parameter(e2)}")
 
 
-# A permutation up to this degree is keyed by its images as bytes, since each
-# image fits in a byte; the one size dispatch of ``_key`` and ``_arithmetic``.
+# An element whose action has at most this many points is keyed by its
+# images as bytes, since each image fits in a byte; the one size dispatch of
+# ``_key``, ``_from_key`` and ``_arithmetic``.
 _MAX_BYTES_DEGREE = 256
 
 # The identity permutation of all 256 bytes.  Its slices are the identity key
@@ -193,16 +202,28 @@ _BYTE_IDENTITY = bytes(range(_MAX_BYTES_DEGREE))
 
 
 def _key(e: Element):
-    """The key a group indexes, multiplies and orders by: a permutation's
-    images, as bytes up to ``_MAX_BYTES_DEGREE``; a matrix's entry rows; a
-    pair's ``(u, v)``.  Within one family and degree or modulus keys sort
-    as the elements do, a bytes key as its image tuple."""
+    """The key a group indexes and multiplies by.  Up to
+    ``_MAX_BYTES_DEGREE`` points it is the bytes of e's action: a
+    permutation's n images; a matrix's m^2 images of the row vectors,
+    (x, y) M at x m + y; a pair's m images u^-1 (t - v).  Above, it is a
+    permutation's image tuple, a matrix's entry rows or a pair's (u, v).
+    Only a permutation's keys sort as its elements do."""
     if isinstance(e, Perm):
-        return bytes(e.images) if len(e.images) <= _MAX_BYTES_DEGREE else e.images
+        images = e.images
+        return bytes(images) if len(images) <= _MAX_BYTES_DEGREE else images
     if isinstance(e, Mat2):
-        return e.entries
+        m = e.modulus
+        if m * m > _MAX_BYTES_DEGREE:
+            return e.entries
+        (a, b), (c, d) = e.entries
+        return bytes([(x * a + y * c) % m * m + (x * b + y * d) % m
+                      for x in range(m) for y in range(m)])
     if isinstance(e, SemiPair):
-        return (e.u, e.v)
+        m, v = e.modulus, e.v
+        if m > _MAX_BYTES_DEGREE:
+            return (e.u, v)
+        w = pow(e.u, -1, m)
+        return bytes([(t - v) * w % m for t in range(m)])
     raise UsageError(f"unsupported element type {type(e).__name__}")
 
 
@@ -211,12 +232,20 @@ def _from_key(like: Element, key) -> Element:
     ``_key``, built by ``tuple.__new__`` without the validating ``__new__``:
     the key must be a valid one.  A permutation gets its images as a tuple
     whatever its key, so equality and hashing of elements do not depend on
-    how they were built."""
+    how they were built.  A bytes matrix key holds the images of (1, 0),
+    the first row, at point m and of (0, 1), the second, at point 1; a
+    bytes pair key holds -u^-1 v at point 0 and u^-1 - u^-1 v at point 1."""
     if isinstance(like, Perm):
         return tuple.__new__(type(like), (tuple(key),))
+    m = like.modulus
     if isinstance(like, Mat2):
-        return tuple.__new__(type(like), (like.modulus, key))
-    return tuple.__new__(type(like), (like.modulus, key[0], key[1]))
+        if m * m <= _MAX_BYTES_DEGREE:
+            key = (divmod(key[m], m), divmod(key[1], m))
+        return tuple.__new__(type(like), (m, key))
+    if m <= _MAX_BYTES_DEGREE:
+        u = pow(key[1] - key[0], -1, m)
+        key = (u, -u * key[0] % m)
+    return tuple.__new__(type(like), (m, key[0], key[1]))
 
 
 class _Arithmetic(NamedTuple):
@@ -240,30 +269,35 @@ def _perm_key_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
 
 def _arithmetic(like: Element) -> _Arithmetic:
     """The key arithmetic of ``like``'s family and degree or modulus, the one
-    place that picks it."""
+    place that picks it: by the number of points of the action, the bytes
+    permutation product for every family up to ``_MAX_BYTES_DEGREE`` points
+    (n bytes for a permutation, m^2 for a matrix, m for a pair), and above
+    it each family's own arithmetic."""
+    n = _parameter(like)
+    if isinstance(like, Mat2):
+        n *= n  # a matrix mod m acts on the m^2 row vectors
+    if n <= _MAX_BYTES_DEGREE:
+        # x acts first, so a b maps i to b[a[i]]: ``a.translate`` with b
+        # padded to the 256-byte table it requires, never read past the
+        # degree.  maketrans(a, ident) maps byte a[i] to i, so its first
+        # n bytes are the inverse images.
+        pad, ident = _BYTE_IDENTITY[n:], _BYTE_IDENTITY[:n]
+
+        def bytes_product(a, b):
+            return a.translate(b + pad)
+
+        def bytes_inverse(a):
+            return bytes.maketrans(a, ident)[:n]
+
+        def bytes_right(k):
+            table = k + pad  # built once here rather than once per product
+
+            def times_k(x):
+                return x.translate(table)
+            return times_k
+        return _Arithmetic(bytes_product, bytes_inverse, bytes_right, ident)
+
     if isinstance(like, Perm):
-        n = like.degree
-        if n <= _MAX_BYTES_DEGREE:
-            # x acts first, so a b maps i to b[a[i]]: ``a.translate`` with b
-            # padded to the 256-byte table it requires, never read past the
-            # degree.  maketrans(a, ident) maps byte a[i] to i, so its first
-            # n bytes are the inverse images.
-            pad, ident = _BYTE_IDENTITY[n:], _BYTE_IDENTITY[:n]
-
-            def bytes_product(a, b):
-                return a.translate(b + pad)
-
-            def bytes_inverse(a):
-                return bytes.maketrans(a, ident)[:n]
-
-            def bytes_right(k):
-                table = k + pad  # built once here rather than once per product
-
-                def times_k(x):
-                    return x.translate(table)
-                return times_k
-            return _Arithmetic(bytes_product, bytes_inverse, bytes_right, ident)
-
         def product(a, b):
             # itemgetter of more than one index always returns a tuple.
             return operator.itemgetter(*a)(b)
@@ -282,7 +316,7 @@ def _arithmetic(like: Element) -> _Arithmetic:
             w = pow((a * d - b * c) % m, -1, m)
             return (((d * w) % m, (-b * w) % m), ((-c * w) % m, (a * w) % m))
         identity = ((1, 0), (0, 1))
-    elif isinstance(like, SemiPair):
+    else:
         m = like.modulus
 
         def product(x, y):
@@ -292,8 +326,6 @@ def _arithmetic(like: Element) -> _Arithmetic:
             w = pow(x[0], -1, m)
             return w, (-w * x[1]) % m
         identity = (1, 0)
-    else:
-        raise UsageError(f"unsupported element type {type(like).__name__}")
 
     def right(k):
         def times_k(x):
@@ -664,8 +696,12 @@ def _element_cap(permutation: bool, parameter: int,
     applies, for messages.  A key of degree d holds d bytes or images, so
     for d > 16 the cap is ``max_elements * 16 // d``, which keeps the memory
     bound of degree 16; likewise ``max_elements * 64 // b`` for a modulus of
-    b > 64 bits.  Besides its key and its index entry, an element holds one
-    row entry per generator and one tree edge until the first conjugation
+    b > 64 bits, whose matrix or pair key holds four or two such ints.  A
+    matrix mod m <= 16 is keyed by m^2 bytes and a pair mod m <= 256 by m
+    bytes, and the cap stays unscaled there: such a group has at most
+    |GL(2, Z/13)| = 26,208 or 251 * 250 = 62,750 elements.  Besides its key
+    and its index entry, an element holds one row entry per generator and
+    one tree edge until the first conjugation
     maps are built: with them PSL(3,5) on 31 points (372,000 elements, two
     generators) peaks at 97 MB resident, against 86 MB when the closure kept
     no rows (Python 3.11)."""

@@ -226,9 +226,9 @@ def are_conjugate_subgroups(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int
     computed exactly, so None is a proof for the enumerated group.  The
     orbit is walked once, with its arcs.  If V is item j, V = t_j^-1 U t_j,
     so the g with g U g^-1 = V are exactly the coset t_j^-1 N_G(U), and
-    the witness is the least of its |N_G(U)| products by key, which orders
-    as the elements do.  So it does not depend on which generators happened
-    to build the group.
+    the witness is the least of its |N_G(U)| products in element order,
+    not by key, since a matrix or pair key does not sort as its element.
+    So it does not depend on which generators happened to build the group.
     """
     check_parent(group, u)
     check_parent(group, v)
@@ -243,7 +243,7 @@ def are_conjugate_subgroups(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int
     t, normaliser = _normaliser(group, u.member_set, u.members, arcs)
     keys, index, (product, inverse, _, _) = group._key_space()
     coset = inverse(t[orbit.index(v.member_set)])
-    return index[min([product(coset, keys[n]) for n in normaliser])]
+    return min([index[product(coset, keys[n])] for n in normaliser], key=group.element)
 
 
 class SunadaReport(NamedTuple):

@@ -54,6 +54,14 @@ the least such pair of each orbit.  The walk records the arcs of every class
 of the target order, so an orbit on pairs is walked over pairs of orbit
 positions, each generator one lookup in each class's arcs (``_least_pairs``),
 and no member set is built.
+
+The search builds each pair's report from its bucket and runs no verdict.
+U and V come from two different classes of one bucket, so their class
+intersection profiles are the bucket's profile, and they are Gassmann
+equivalent; and they are not conjugate, since conjugate subgroups lie in
+one class (Sunada, Ann. Math. 1985).  So the report is the one
+``is_sunada_triple`` gives: both profiles the bucket's, Gassmann, no
+conjugator, and a Sunada triple.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ from typing import Callable, Iterator, NamedTuple
 from .algebra import FiniteGroup, ResourceError, _expect, _integers
 from .covering import PolygonSpec, _cycle_orbits
 from .gassmann import (SunadaReport, Subgroup, _closure, _conjugate_members,
-                       _normaliser, class_intersection_profile, is_sunada_triple)
+                       _normaliser, class_intersection_profile)
 
 __all__ = [
     "SearchConfig",
@@ -246,7 +254,8 @@ def find_sunada_pairs(group: FiniteGroup,
     Each pair (U, V) has U the lesser member tuple; the pairs come sorted.
     ``config.require_smooth`` keeps only classes with smooth quotients and
     ``config.dedupe`` the least pair of each simultaneous-conjugacy orbit.
-    Every pair comes with its ``is_sunada_triple`` report.
+    Every pair comes with its report, which is ``is_sunada_triple``'s,
+    built from the pair's bucket (module docstring).
     """
     return list(_sunada_pairs(group, config))
 
@@ -264,16 +273,20 @@ def _sunada_pairs(group: FiniteGroup,
             continue
         buckets.setdefault(profile, []).append(cls)
     pairs = []
-    for bucket in buckets.values():
+    for profile, bucket in buckets.items():
         for first, second in combinations(bucket, 2):
             if config.dedupe:
                 low, other = sorted((first, second), key=lambda cls: min(cls[0]))
-                pairs.extend(_least_pairs(len(group.generators), low, other))
+                found = _least_pairs(len(group.generators), low, other)
             else:
-                pairs.extend((min(u, v), max(u, v)) for u in first[0] for v in second[0])
-    for u, v in sorted(pairs):
-        su, sv = Subgroup(group, u), Subgroup(group, v)
-        yield su, sv, is_sunada_triple(group, su, sv)
+                found = [(min(u, v), max(u, v)) for u in first[0] for v in second[0]]
+            pairs.extend((u, v, profile) for u, v in found)
+    sizes = tuple(map(len, group.conjugacy_classes()))
+    for u, v, profile in sorted(pairs):
+        # Two classes of one bucket: Gassmann, and not conjugate.
+        report = SunadaReport(group.order, len(u), len(v), sizes, profile, profile,
+                              True, None, None, True)
+        yield Subgroup(group, u), Subgroup(group, v), report
 
 
 def _least_pairs(k: int, low: tuple[list[tuple[int, ...]], list[int]],

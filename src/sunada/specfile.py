@@ -30,7 +30,7 @@ import json
 from typing import Any, NamedTuple
 
 from .algebra import (DEFAULT_ELEMENT_CAP, CycleParseError, Element, FiniteGroup,
-                      Mat2, Perm, SemiPair, UsageError, _element_cap, _expect, _key,
+                      Mat2, Perm, SemiPair, UsageError, _element_cap, _expect,
                       cycle_string, generate_group, parse_cycles)
 from .covering import PolygonSpec
 from .gassmann import Subgroup, _check_indices, subgroup_from_members, subgroup_generate
@@ -93,7 +93,9 @@ def render_element(element: Element) -> Any:
         return cycle_string(element)
     if isinstance(element, Mat2):
         return [list(row) for row in element.entries]
-    return list(_key(element))  # a pair's (u, v); UsageError for a non-element
+    if isinstance(element, SemiPair):
+        return [element.u, element.v]
+    raise UsageError(f"unsupported element type {type(element).__name__}")
 
 
 def _evaluate_word(group: FiniteGroup, named: dict[str, int], word: str, where: str) -> int:

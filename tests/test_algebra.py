@@ -319,7 +319,12 @@ def same_family_pairs(draw):
         degree = draw(st.one_of(st.integers(1, 9), st.integers(257, 300)))
         imgs = st.permutations(tuple(range(degree)))
         return Perm(tuple(draw(imgs))), Perm(tuple(draw(imgs)))
-    m = draw(st.integers(2, 12))
+    # Bytes keys up to 256 points, so m <= 16 for matrices and m <= 256 for
+    # pairs; entry rows or (u, v) above.
+    if family is SemiPair:
+        m = draw(st.one_of(st.integers(2, 12), st.integers(257, 300)))
+    else:
+        m = draw(st.one_of(st.integers(2, 16), st.integers(17, 23)))
     residue = st.integers(0, m - 1)
     if family is SemiPair:
         unit = residue.filter(lambda u: math.gcd(u, m) == 1)
@@ -390,14 +395,26 @@ def test_inverse_table_matches_element_inverse(name, request):
         assert group.mul(i, group.inv(i)) == group.mul(group.inv(i), i) == group.identity
 
 
-# Each key below is also the key of the identity of the group it is tried in.
+# Groups keyed above 256 points: entry rows mod 17, and (u, v) mod 257.
+_TUPLE_KEYED = {"mat17": lambda: generate_group([Mat2(17, ((1, 1), (0, 1)))]),
+                "pair257": lambda: generate_group([SemiPair(257, 1, 1)])}
+
+
+# Each key below is also the key of a member of the group it is tried in:
+# the same bytes from an action on as many points (a pair mod 8 and a
+# matrix mod 4 act on 8 and 16 points), or the same rows or (u, v).
 @pytest.mark.parametrize("name, foreign", [
-    ("orbifold_h", Perm((1, 0))),
-    ("orbifold_h", SemiPair(16, 1, 0)),
-    ("genus3", Mat2(8, ((1, 0), (0, 1)))),
+    ("orbifold_h", Perm(range(8))),  # the identity
+    ("orbifold_h", Perm((3, 6, 1, 4, 7, 2, 5, 0))),  # (3, 7): t -> 3 (t - 7)
+    ("genus3", Perm(range(16))),
+    ("genus3", SemiPair(16, 13, 0)),  # t -> 5 t, which is [[1,0],[1,1]]
+    ("mat17", Mat2(19, ((1, 0), (0, 1)))),
+    ("mat17", Mat2(23, ((1, 1), (0, 1)))),
+    ("pair257", SemiPair(300, 1, 5)),
 ])
 def test_foreign_element_with_a_member_key_is_not_in_the_group(name, foreign, request):
-    group = request.getfixturevalue(name).group
+    group = _TUPLE_KEYED[name]() if name in _TUPLE_KEYED else request.getfixturevalue(name).group
+    assert _key(foreign) in group._key_space()[1]
     with pytest.raises(UsageError, match="not in the group"):
         group.index_of(foreign)
 
@@ -536,6 +553,9 @@ def test_elements_are_built_from_keys_on_demand(family_gens):
         assert _key(e) == group._keys[i]
 
 
+# A permutation's key is its images, so it sorts as the element; a matrix's
+# or pair's is the bytes of its action, which does not.
+@pytest.mark.parametrize("family_gens", ["psl32", "dihedral256", "dihedral257"], indirect=True)
 def test_keys_sort_in_element_key_order(family_gens):
     group = generate_group(family_gens)
     by_key = sorted(range(group.order), key=group._keys.__getitem__)

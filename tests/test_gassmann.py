@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -11,9 +12,12 @@ from sunada import (
     Subgroup,
     UsageError,
     are_conjugate_subgroups,
+    catalog_entry,
     class_intersection_profile,
+    document_from_catalog,
     enumerate_subgroups,
     is_sunada_triple,
+    load_text,
     subgroup_from_members,
     subgroup_generate,
 )
@@ -200,6 +204,27 @@ def test_least_conjugator_of_two_point_stabilisers(psl33):
     g = are_conjugate_subgroups(psl33, u, v)
     assert g == least_conjugator(psl33, u.members, v.members)
     assert sorted(range(psl33.order), key=psl33.element).index(g) == 542
+
+
+@pytest.mark.parametrize("name, words, witness, least_by_key", [
+    ("genus3", ["a^-1 b a a a", "a^-1 a^-1 c^-1 c^-1 a"], 50, 36),
+    ("orbifold-h", ["a^-1 a c a", "a^-1 b c b a"], 22, 2)], ids=["genus3", "orbifold-h"])
+def test_least_conjugator_is_least_as_an_element(name, words, witness, least_by_key):
+    """U1 of the document against W = a^-1 U1 a, W given by generator words
+    as in the CI's conjugate verdicts.  A matrix or pair key is the bytes of
+    its action, which sort otherwise than the element: the least conjugator
+    by key would be another element ([[3,1],[1,0]], and (1,0) read as the
+    affine map t -> t)."""
+    doc = document_from_catalog(catalog_entry(name))
+    doc["subgroups"]["W"] = {"generators": words}
+    spec = load_text(json.dumps(doc))
+    group, u, w = spec.group, spec.subgroups["U1"], spec.subgroups["W"]
+    assert u != w and witness != group.identity
+    assert are_conjugate_subgroups(group, u, w) == least_conjugator(group, u.members, w.members)
+    assert are_conjugate_subgroups(group, u, w) == witness
+    keys = group._key_space()[0]
+    assert min([g for g in range(group.order) if conjugate(group, u.members, g) == w.member_set],
+               key=keys.__getitem__) == least_by_key != witness
 
 
 def test_equal_subgroups_short_circuit_to_the_identity(genus3):

@@ -14,6 +14,7 @@ from sunada import (
     covering_report,
     enumerate_subgroups,
     find_sunada_pairs,
+    is_sunada_triple,
     simultaneous_conjugator,
     subgroup_from_members,
     subgroup_generate,
@@ -401,9 +402,14 @@ def _least_pair_of_every_orbit(group, order):
     return least
 
 
-@pytest.mark.parametrize("name, order", [
+# All the orders up to 96 with pairs in the five small groups, and one of
+# PSL(3,3).
+_PAIR_CASES = [
     ("genus2", 8), ("genus3", 4), ("genus3", 8), ("orbifold-h", 4), ("psl32", 4),
-    ("psl32", 12), ("psl32", 24), ("psl211", 6), ("psl211", 60), ("psl33", 54)])
+    ("psl32", 12), ("psl32", 24), ("psl211", 6), ("psl211", 60), ("psl33", 54)]
+
+
+@pytest.mark.parametrize("name, order", _PAIR_CASES)
 def test_dedupe_keeps_the_least_pair_of_every_orbit(name, order, request):
     """The kept pairs, read off the orbits of the two classes' arcs, against
     the orbits on pairs walked over member sets.  These are all the orders
@@ -412,3 +418,16 @@ def test_dedupe_keeps_the_least_pair_of_every_orbit(name, order, request):
     group = getattr(fixture, "group", fixture)
     kept = [(u.members, v.members) for u, v, _ in find_sunada_pairs(group, SearchConfig(order))]
     assert kept == _least_pair_of_every_orbit(group, order)
+
+
+@pytest.mark.parametrize("dedupe", [True, False], ids=["dedupe", "no-dedupe"])
+@pytest.mark.parametrize("name, order", _PAIR_CASES)
+def test_pair_reports_built_from_the_bucket_match_the_verdict(name, order, dedupe, request):
+    """Each pair's report, built from its profile bucket, against the full
+    ``is_sunada_triple`` of that pair, field by field."""
+    fixture = request.getfixturevalue(name.replace("-", "_"))
+    group = getattr(fixture, "group", fixture)
+    pairs = find_sunada_pairs(group, SearchConfig(order, dedupe=dedupe))
+    assert pairs
+    for u, v, report in pairs:
+        assert report._asdict() == is_sunada_triple(group, u, v)._asdict()
