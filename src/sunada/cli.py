@@ -23,6 +23,7 @@ import contextlib
 import json
 import sys
 
+# Eager: the traced bench reads every traced module from sys.modules after importing sunada.cli.
 from .algebra import CycleParseError, ResourceError, UsageError
 from .catalog import CatalogError, catalog_entry, catalog_names
 from .covering import covering_report

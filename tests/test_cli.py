@@ -565,10 +565,15 @@ def test_commands_without_spectra_leave_numpy_unloaded(tmp_path):
     doc, verdict = tmp_path / "genus2.json", tmp_path / "verdict.json"
     check = ("for name in ('numpy', 'dataclasses', 'inspect', 'fractions', 'decimal'):\n"
              "    assert name not in sys.modules, f'{name} loaded after {step}'\n")
+    # ``import sunada`` loads no submodule, and a name loads only its owner.
+    loaded = "sorted(m for m in sys.modules if m.startswith('sunada.'))"
     script = (
         "import sys\n"
         "import sunada\n"
         "step = 'import sunada'\n" + check +
+        f"assert {loaded} == [], {loaded}\n"
+        "from sunada import generate_group\n"
+        f"assert {loaded} == ['sunada.algebra'], {loaded}\n"
         "from sunada.cli import run\n"
         f"assert run(['catalog', 'genus2', '--out', {str(doc)!r}]) == 0\n"
         "step = 'catalog'\n" + check +

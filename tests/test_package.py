@@ -1,6 +1,7 @@
 """The package surface: ``sunada.__all__`` is the modules' ``__all__`` lists,
-each of its names has a caller in the package or the benchmark, every name
-the benchmark in ``perfbench/`` reaches by name resolves, one pass of each
+resolved lazily, each of its names has a caller in the package or the
+benchmark, every name the benchmark in ``perfbench/`` reaches by name
+resolves, the modules it traces load with the CLI, one pass of each
 benchmark workload passes its own checks, and the README's examples print
 what they say."""
 
@@ -27,17 +28,28 @@ try:
     import workloads
 finally:
     sys.path.remove(str(PERFBENCH))
-MODULES = ("algebra", "catalog", "covering", "gassmann", "schreier", "search", "spectra",
-           "specfile")
 
 
 def test_package_exports_every_module_all_once():
-    declared = [name for module in MODULES
-                for name in importlib.import_module(f"sunada.{module}").__all__]
+    # The package's lazy table lists each module's ``__all__`` in its order,
+    # so a name added to or dropped from a module fails here.
+    modules = list(sunada._EXPORTS)
+    assert sorted(modules) == sorted(path.stem for path in (ROOT / "src" / "sunada").glob("*.py")
+                                     if path.stem not in ("__init__", "__main__", "cli"))
+    for module in modules:
+        assert list(sunada._EXPORTS[module]) == importlib.import_module(
+            f"sunada.{module}").__all__, module
+    declared = [name for module in modules for name in sunada._EXPORTS[module]]
     assert sunada.__all__ == declared
     assert len(set(declared)) == len(declared)
     for name in declared:
         assert hasattr(sunada, name), name
+    assert set(sunada.__all__) | set(modules) <= set(dir(sunada))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sunada.no_such_name
+    namespace = {}
+    exec("from sunada import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(sunada.__all__)
 
 
 def test_every_public_name_has_a_caller():
@@ -59,14 +71,33 @@ def test_every_public_name_has_a_caller():
     assert sorted(set(sunada.__all__) - read) == []
 
 
-def test_traced_attributes_resolve():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_attributes_resolve():
+    tracing = _load_tracing()
     assert tracing.TRACED
     for module_name, attr, _ in tracing.TRACED:
         module = importlib.import_module(module_name)
         assert functools.reduce(getattr, attr.split("."), module) is not None, (module_name, attr)
+
+
+def test_traced_modules_load_with_the_cli():
+    """The traced bench imports ``sunada`` and ``sunada.cli`` and then reads
+    every traced module from ``sys.modules``; the package itself loads no
+    submodule, so ``cli``'s own imports must load them all."""
+    tracing = _load_tracing()
+    traced = sorted({module_name for module_name, _, _ in tracing.TRACED})
+    script = ("import sys, sunada, sunada.cli\n"
+              f"missing = [m for m in {traced!r} if m not in sys.modules]\n"
+              "assert not missing, missing\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_workload_reads_are_exported():
