@@ -30,7 +30,7 @@ from .covering import covering_report
 from .gassmann import is_sunada_triple
 from .schreier import schreier_graph
 from .search import DEFAULT_SUBGROUP_CAP, SearchConfig, _sunada_pairs
-from .spectra import NumericError, adjacency_matrix, eigenvalues_symmetric
+from .spectra import NumericError, _graph_spectrum
 from .specfile import (LoadedSpec, SpecError, decode_json, document_from_catalog,
                        load_text, parse_polygon, render_element)
 
@@ -164,7 +164,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    report = eigenvalues_symmetric(adjacency_matrix(_graph(args)), tol=args.tol)
+    report = _graph_spectrum(_graph(args), tol=args.tol)
     _emit(_json_text(report.to_json_dict()), args.out)
     return 0
 

@@ -11,7 +11,9 @@ import time
 
 import pytest
 
-from sunada import ResourceError, is_sunada_triple
+from sunada import (ResourceError, adjacency_matrix, eigenvalues_symmetric, is_sunada_triple,
+                    load_text, schreier_graph)
+from sunada import spectra
 from sunada.cli import run
 from conftest import trivial_subgroup
 
@@ -61,7 +63,7 @@ _GOLDEN_DOCUMENTS = {
 }
 
 # sha256 of stdout per (document, command).  ``spectrum`` is left out: its
-# ``residual`` is float noise that depends on the BLAS build.
+# ``residual`` is float noise that depends on the solver.
 _GOLDEN_DIGESTS = {
     ("genus2", "catalog"): "017789cefac902ae28254c9f31264a041ad9a2a119928000a3ef0d7b14182612",
     ("genus2", "verify"): "7a2b29dbb1e47bc544c730d92ab97973ac2fc56cf60a28da7d2ac83836b50685",
@@ -130,7 +132,7 @@ _UNSORTED_LABELS_DOCUMENT = {
 }
 
 # sha256 of stdout for ``graph``, and of the JSON eigenvalue list alone for
-# ``spectrum`` (its residual is BLAS noise).
+# ``spectrum`` (its residual is the solver's noise).
 _UNSORTED_LABELS_DIGESTS = {
     "graph dot": "280ee0581eb77d6249922ed813cc43bfac437f372d7613f7c551056cf33258ba",
     "graph json": "b715a93baaa3f1834a891b5a18e4b9cf098bce801e8455474f89223213f9eb6c",
@@ -306,6 +308,29 @@ def test_spectrum_prints_an_exact_zero_eigenvalue(tmp_path, capsys):
     eigenvalues = json.loads(capsys.readouterr().out)["eigenvalues"]
     assert eigenvalues.count(0.0) == nullity
     assert all(v == 0.0 or abs(v) > 1e-6 for v in eigenvalues)
+
+
+def test_spectrum_above_the_pure_bound_goes_through_numpy(tmp_path, capsys, monkeypatch):
+    """S5 over <(0,1)>, index 60, is past ``_PURE_DIMENSION``: the command
+    prints the eigenvalues of ``eigenvalues_symmetric``, and Jacobi never runs."""
+    text = json.dumps({
+        "kind": "permutation", "degree": 5,
+        "generators": {"a": "(0,1,2,3,4)", "b": "(0,1)"},
+        "subgroups": {"U": {"generators": ["b"]}},
+    })
+    path = tmp_path / "s5.json"
+    path.write_text(text)
+    spec = load_text(text)
+    graph = schreier_graph(spec.group, spec.subgroups["U"], list(spec.named_elements.items()))
+    assert graph.vertex_count == 60 > spectra._PURE_DIMENSION
+
+    def no_jacobi(rows):
+        raise AssertionError("Jacobi ran above the bound")
+
+    monkeypatch.setattr(spectra, "_jacobi", no_jacobi)
+    assert run(["spectrum", str(path), "--U", "U"]) == 0
+    expected = eigenvalues_symmetric(adjacency_matrix(graph)).to_json_dict()
+    assert json.loads(capsys.readouterr().out)["eigenvalues"] == expected["eigenvalues"]
 
 
 def test_spectrum_above_the_dense_bound_exits_two(tmp_path, capsys):
@@ -559,10 +584,12 @@ def test_console_pipeline_subprocess():
     assert json.loads(proc.stdout)["is_sunada_triple"] is True
 
 
-def test_commands_without_spectra_leave_numpy_unloaded(tmp_path):
+def test_commands_on_small_graphs_leave_numpy_unloaded(tmp_path):
     # Neither numpy nor dataclasses, with the inspect it pulls in, nor
     # fractions, with decimal, belongs on the start-up path of every command.
+    # ``spectrum`` solves a graph of at most 32 vertices without numpy.
     doc, verdict = tmp_path / "genus2.json", tmp_path / "verdict.json"
+    spectrum = tmp_path / "spectrum.json"
     check = ("for name in ('numpy', 'dataclasses', 'inspect', 'fractions', 'decimal'):\n"
              "    assert name not in sys.modules, f'{name} loaded after {step}'\n")
     # ``import sunada`` loads no submodule, and a name loads only its owner.
@@ -578,8 +605,11 @@ def test_commands_without_spectra_leave_numpy_unloaded(tmp_path):
         f"assert run(['catalog', 'genus2', '--out', {str(doc)!r}]) == 0\n"
         "step = 'catalog'\n" + check +
         f"assert run(['verify', {str(doc)!r}, '--U', 'U', '--V', 'V', '--out', {str(verdict)!r}]) == 0\n"
-        "step = 'verify'\n" + check
+        "step = 'verify'\n" + check +
+        f"assert run(['spectrum', {str(doc)!r}, '--U', 'U', '--out', {str(spectrum)!r}]) == 0\n"
+        "step = 'spectrum'\n" + check
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(verdict.read_text())["is_sunada_triple"] is True
+    assert json.loads(spectrum.read_text())["dimension"] == 12

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunada import (
     MAX_DENSE_DIMENSION,
@@ -16,13 +20,24 @@ from sunada import (
     SchreierGraph,
     UsageError,
     adjacency_matrix,
+    catalog_entry,
+    document_from_catalog,
     eigenvalues_symmetric,
+    parse_document,
     schreier_graph,
     spectra_equal,
     subgroup_from_members,
     subgroup_generate,
 )
+from sunada.spectra import _PURE_DIMENSION, _graph_spectrum, _report
 from conftest import conjugate
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+try:
+    from groups import psl_document
+finally:
+    sys.path.remove(str(PERFBENCH))
 
 TOL = 1e-9
 
@@ -35,6 +50,22 @@ def test_dense_matrix_rejects_bad_input():
         DenseSymMatrix([[0.0, 1.0]])
     with pytest.raises(UsageError):
         DenseSymMatrix([[0.0, 1.0], [2.0, 0.0]])
+
+
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+def test_dense_matrix_rejects_nonfinite_entries(entry):
+    # An infinite entry once came back as the eigenvalue 0.0 with residual nan.
+    with pytest.raises(UsageError, match="matrix entries must be finite"):
+        DenseSymMatrix([[entry]])
+    with pytest.raises(UsageError, match="matrix entries must be finite"):
+        DenseSymMatrix([[0.0, entry], [entry, 0.0]])
+
+
+def test_a_nan_residual_is_a_numeric_failure():
+    # nan > tol is False, so the check must be that the residual is within tol.
+    with pytest.raises(NumericError, match="residual nan") as failure:
+        _report([0.0, 1.0], math.nan, TOL)
+    assert math.isnan(failure.value.residual)
 
 
 def test_adjacency_refuses_a_graph_above_the_dense_bound(monkeypatch):
@@ -190,3 +221,69 @@ def test_spectrum_report_json(genus2):
     # values are plain floats rounded to 12 significant digits, no negative zero
     assert all(isinstance(v, float) for v in d["eigenvalues"])
     assert all(not (v == 0.0 and math.copysign(1.0, v) < 0) for v in d["eigenvalues"])
+
+
+# ------------------------------------------------- the pure-Python Jacobi path
+
+
+@st.composite
+def schreier_like_graphs(draw):
+    """1 to 3 random permutations of 1 to ``_PURE_DIMENSION`` vertices."""
+    n = draw(st.integers(1, _PURE_DIMENSION))
+    k = draw(st.integers(1, 3))
+    perms = [draw(st.permutations(range(n))) for _ in range(k)]
+    return SchreierGraph(n, [f"g{i}" for i in range(k)], perms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(schreier_like_graphs())
+def test_jacobi_agrees_with_numpy_on_random_graphs(graph):
+    pure = _graph_spectrum(graph)
+    dense = eigenvalues_symmetric(adjacency_matrix(graph))
+    scale = max(1.0, max(abs(v) for v in dense.eigenvalues))  # ||A||_2
+    assert len(pure.eigenvalues) == graph.vertex_count
+    assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(pure.eigenvalues, dense.eigenvalues))
+    assert pure.residual <= 1e-12
+
+
+def _document_graphs():
+    """(name, graph) for U and V of each catalog document and of the seed-1
+    PSL(3,2) and PSL(2,11) documents, labeled by the generators as the CLI does."""
+    documents = {name: document_from_catalog(catalog_entry(name))
+                 for name in ("genus2", "genus3", "orbifold-h")}
+    documents.update((name, psl_document(name, 1)) for name in ("PSL(3,2)", "PSL(2,11)"))
+    for name, document in documents.items():
+        spec = parse_document(document)
+        for sub_name, sub in spec.subgroups.items():
+            yield f"{name} {sub_name}", schreier_graph(spec.group, sub,
+                                                       list(spec.named_elements.items()))
+
+
+_DOCUMENT_GRAPHS = dict(_document_graphs())
+
+
+@pytest.mark.parametrize("name", list(_DOCUMENT_GRAPHS))
+def test_jacobi_prints_numpys_eigenvalues_on_the_documents(name):
+    graph = _DOCUMENT_GRAPHS[name]
+    pure = _graph_spectrum(graph).to_json_dict()
+    dense = eigenvalues_symmetric(adjacency_matrix(graph)).to_json_dict()
+    assert pure["eigenvalues"] == dense["eigenvalues"]
+    assert pure["residual"] <= 1e-12
+
+
+def test_jacobi_on_one_vertex_is_exact():
+    # U = G: one coset, every label a loop, so A = [[2k]] and no rotation runs.
+    report = _graph_spectrum(SchreierGraph(1, ("a", "b"), [(0,), (0,)]))
+    assert report == ((4.0,), 0.0)
+
+
+@pytest.mark.parametrize("perms, eigenvalues", [
+    ([(1, 0)], (-2.0, 2.0)),                # A = [[0, 2], [2, 0]]
+    ([(1, 0), (0, 1)], (0.0, 4.0)),         # A = [[2, 2], [2, 2]]
+])
+def test_jacobi_on_two_vertices(perms, eigenvalues):
+    # One rotation by pi/4 diagonalises either matrix.
+    report = _graph_spectrum(SchreierGraph(2, ("a", "b")[:len(perms)], perms))
+    assert report.eigenvalues == eigenvalues
+    assert report.residual <= 1e-15
+
