@@ -485,10 +485,10 @@ class FiniteGroup:
     * the class partition, as the orbits of single indices under the maps.
 
     ``conjugation_orbit`` is the orbit walk for one index set (a
-    subgroup); on request it records the arcs that normalisers and orbits
-    on pairs of subgroups are read from.  Caches are write-once, and the
-    rows are dropped only after the maps are stored, so sharing an instance
-    across threads is safe.
+    subgroup); it returns the orbit with its arcs, which normalisers and
+    orbits on pairs of subgroups are read from.  Caches are write-once, and
+    the rows are dropped only after the maps are stored, so sharing an
+    instance across threads is safe.
     """
 
     def __init__(self, generators: Iterable[Element], max_elements: int = DEFAULT_ELEMENT_CAP):
@@ -597,46 +597,34 @@ class FiniteGroup:
             self._cayley = None
         return maps
 
-    def conjugation_orbit(self, members: Iterable[int],
-                          arcs: list[int] | None = None) -> list[frozenset[int]]:
+    def conjugation_orbit(self, members: Iterable[int]
+                          ) -> tuple[list[frozenset[int]], list[int]]:
         """Orbit of one set of element indices, such as a subgroup's members,
-        under conjugation.
+        under conjugation, and the arcs of its walk.
 
         A breadth-first search over the generators, so its cost is the orbit
         length times the number of generators.  The orbit comes back in
-        discovery order, starting with the members themselves.  Given a list
-        as ``arcs``, the walk appends to it the orbit position of the image
+        discovery order, starting with the members themselves.  The arcs are
+        the generators' action on the orbit: the orbit position of the image
         of item i under generator k, for each item in turn and the
         generators in order, so that arc i * len(generators) + k is that
-        position; ``gassmann`` reads transversals and stabilisers off these
-        arcs, and ``search`` the orbits on pairs of subgroups.  The members
-        are checked once, before the walk: UsageError unless they are
-        integer indices below the order and ``arcs`` is None or a list.
+        position.  ``gassmann`` reads transversals and stabilisers off them,
+        and ``search`` the orbits on pairs of subgroups.  The members are
+        checked once, before the walk: UsageError unless they are integer
+        indices below the order.
         """
         start = frozenset(_integers(members, "subgroup members"))
         n = len(self._keys)
         for i in (min(start), max(start)) if start else ():
             if not 0 <= i < n:
                 raise UsageError(f"element index {i} out of range for a group of order {n}")
-        if arcs is not None:
-            _expect(arcs, list)
         maps = self._conjugation_maps()
         # An item's images under every map are read by one C-level getter:
         # itemgetter of two or more indices returns their tuple, and walks
         # 17-25% faster than a list of row[x] on PSL(3,2) and PSL(2,11)
         # subgroups (Python 3.11, 2-vCPU VM), but of one index the bare value.
         pick = operator.itemgetter if len(start) > 1 else _list_getter
-        orbit = [start]
-        if arcs is None:
-            seen = {start}
-            for item in orbit:
-                get = pick(*item)
-                for row in maps:
-                    image = frozenset(get(row))
-                    if image not in seen:
-                        seen.add(image)
-                        orbit.append(image)
-            return orbit
+        orbit, arcs = [start], []
         position, arc = {start: 0}, arcs.append
         for item in orbit:
             get = pick(*item)
@@ -647,7 +635,7 @@ class FiniteGroup:
                     j = position[image] = len(orbit)
                     orbit.append(image)
                 arc(j)
-        return orbit
+        return orbit, arcs
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Partition into conjugacy classes, ordered by least member index,

@@ -236,8 +236,7 @@ def are_conjugate_subgroups(group: FiniteGroup, u: Subgroup, v: Subgroup) -> int
         return group.identity
     if len(u.members) != len(v.members):
         return None
-    arcs: list[int] = []
-    orbit = group.conjugation_orbit(u.members, arcs)
+    orbit, arcs = group.conjugation_orbit(u.members)
     if v.member_set not in orbit:
         return None
     t, normaliser = _normaliser(group, u.member_set, u.members, arcs)

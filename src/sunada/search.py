@@ -50,10 +50,10 @@ Closures that grow past the target order are abandoned.  The pair search
 pairs classes of equal class intersection profile (computed once per class;
 smoothness is read off it).  Each orbit of pairs under simultaneous conjugacy
 holds (m, w) with m the least subgroup of the two classes, and dedupe keeps
-the least such pair of each orbit.  The walk records the arcs of every class
-of the target order, so an orbit on pairs is walked over pairs of orbit
-positions, each generator one lookup in each class's arcs (``_least_pairs``),
-and no member set is built.
+the least such pair of each orbit.  The walk records the arcs of every class,
+so an orbit on pairs is walked over pairs of orbit positions, each generator
+one lookup in each class's arcs (``_least_pairs``), and no member set is
+built.
 
 The search builds each pair's report from its bucket and runs no verdict.
 U and V come from two different classes of one bucket, so their class
@@ -136,11 +136,10 @@ def _double_coset_marker(group: FiniteGroup,
 
 
 def _subgroup_classes(group: FiniteGroup, order: int, max_subgroups: int
-                      ) -> list[tuple[list[frozenset[int]], list[int] | None]]:
+                      ) -> list[tuple[list[frozenset[int]], list[int]]]:
     """The conjugation orbit of each conjugacy class of subgroups whose order
-    divides ``order``, with the class representative first, and the arcs
-    of its walk (``FiniteGroup.conjugation_orbit``) for a class of exactly
-    that order or of least-prime index in it; None for any other class.
+    divides ``order``, with the class representative first, and the arcs of
+    its walk (``FiniteGroup.conjugation_orbit``).
 
     Raises ResourceError as soon as the orbits hold more than
     ``max_subgroups`` distinct subgroups; its message gives the classes and
@@ -150,12 +149,10 @@ def _subgroup_classes(group: FiniteGroup, order: int, max_subgroups: int
     order, max_subgroups = _integers((order, max_subgroups), "a subgroup order and cap")
     if order < 1 or group.order % order != 0:
         return []
-    if order == 1:
-        return [([frozenset({group.identity})], [0] * len(group.generators))]
-    # (generators of the representative, orbit, its arcs or None) per class
-    classes: list[tuple[tuple[int, ...], list[frozenset[int]], list | None]] = []
+    # (generators of the representative, orbit, its arcs) per class
+    classes: list[tuple[tuple[int, ...], list[frozenset[int]], list[int]]] = []
     seen: set[frozenset[int]] = set()
-    least_prime = next(p for p in range(2, order + 1) if order % p == 0)
+    least_prime = next((p for p in range(2, order + 1) if order % p == 0), 1)
 
     def grow(gens: tuple[int, ...], base: frozenset[int] | None = None) -> bool:
         """Record the class of <gens> unless it is too big or already known;
@@ -166,10 +163,7 @@ def _subgroup_classes(group: FiniteGroup, order: int, max_subgroups: int
         if members is None or order % len(members) != 0:
             return False
         if members not in seen:
-            # The arcs give N_G(R) below for a class of least-prime index,
-            # and the orbits on pairs of classes of the target order.
-            arcs = [] if len(members) in (order, order // least_prime) else None
-            orbit = group.conjugation_orbit(members, arcs)
+            orbit, arcs = group.conjugation_orbit(members)
             if len(seen) + len(orbit) > max_subgroups:
                 raise ResourceError(
                     f"subgroup enumeration for order {order} exceeded max_subgroups = "
@@ -194,7 +188,7 @@ def _subgroup_classes(group: FiniteGroup, order: int, max_subgroups: int
             continue
         candidates = usable
         # Of least-prime index: only N_G(R) can grow R (module docstring).
-        if arcs is not None and len(orbit) > _NORMALISER_ORBIT:
+        if len(rep) * least_prime == order and len(orbit) > _NORMALISER_ORBIT:
             candidates = sorted(_normaliser(group, rep, gens, arcs)[1].intersection(usable_set))
         # <R, r e r'> = <R, e> for r, r' in R: one growth per double coset R e R,
         # and none when R e R shows that <R, e> fails or is already recorded.

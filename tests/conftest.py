@@ -73,7 +73,7 @@ def subgroup_classes(group: FiniteGroup, order: int) -> list[Subgroup]:
     classes, seen = [], set()
     for sub in enumerate_subgroups(group, order):
         if sub.member_set not in seen:
-            seen.update(group.conjugation_orbit(sub.members))
+            seen.update(group.conjugation_orbit(sub.members)[0])
             classes.append(sub)
     return classes
 

@@ -169,8 +169,9 @@ def test_normaliser_is_the_stabiliser_in_the_conjugation_orbit(name, request):
     group, orbits = _lattice(name, request, 2 if name == "d257" else None)
     index = group._key_space()[1]
     for orbit in orbits:
-        rep, arcs = orbit[0], []
-        assert group.conjugation_orbit(rep, arcs) == orbit
+        rep = orbit[0]
+        walked, arcs = group.conjugation_orbit(rep)
+        assert walked == orbit
         assert len(arcs) == len(orbit) * len(group.generators)
         t, normaliser = _normaliser(group, rep, sorted(rep), arcs)
         mul, inv = group.mul, group.inv

@@ -99,7 +99,8 @@ def test_enumerate_subgroups_cap(s4):
 # The least cap that passes is the number of subgroups whose order divides
 # the target: the walk trips at the same point however it grows its classes.
 @pytest.mark.parametrize("name, order, cap", [
-    ("psl32", 4, 57), ("psl32", 12, 127), ("psl32", 24, 162), ("psl211", 12, 441)])
+    ("psl32", 4, 57), ("psl32", 12, 127), ("psl32", 24, 162), ("psl211", 12, 441),
+    ("s4", 1, 1)])
 def test_least_passing_subgroup_cap(name, order, cap, request):
     group = request.getfixturevalue(name)
     assert enumerate_subgroups(group, order, max_subgroups=cap)
@@ -182,7 +183,7 @@ def _reference_walk(group, order):
         if members is None or order % len(members) != 0:
             return False
         if members not in seen:
-            orbit = group.conjugation_orbit(members)
+            orbit, _ = group.conjugation_orbit(members)
             seen.update(orbit)
             classes.append((gens, orbit))
         return True
@@ -210,14 +211,17 @@ def _reference_walk(group, order):
 def test_pruned_walk_reaches_the_classes_of_the_reference_walk_in_order(name, request):
     """Growths skipped by the walk's double-coset tests would have failed or
     found a recorded subgroup, so the classes, their order, representatives
-    and orbits are those of the unpruned walk.  The orders are the divisors
-    up to 24 and the group's own, the whole lattice."""
+    and orbits are those of the unpruned walk, and each class's arcs are
+    its representative's walk.  The orders are the divisors up to 24 and
+    the group's own, the whole lattice."""
     fixture = request.getfixturevalue(name.replace("-", "_"))
     group = getattr(fixture, "group", fixture)
     for order in sorted({*range(1, 25), group.order}):
         if group.order % order == 0:
             walked = _subgroup_classes(group, order, 20000)
             assert [orbit for orbit, _ in walked] == _reference_walk(group, order)
+            for orbit, arcs in walked:
+                assert group.conjugation_orbit(orbit[0]) == (orbit, arcs)
 
 
 @pytest.mark.parametrize("name, order, grown", [
