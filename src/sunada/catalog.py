@@ -135,7 +135,7 @@ def catalog_entry(name: str) -> CatalogEntry:
     try:
         document, expected, relations = _ENTRIES[name]
     except KeyError:
-        known = ", ".join(_ENTRIES)
+        known = ", ".join(catalog_names())
         raise CatalogError(f"unknown catalog entry {name!r} (known: {known})") from None
     try:
         spec = parse_document(document)

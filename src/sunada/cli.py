@@ -20,21 +20,41 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import sys
 
-# Eager: the traced bench reads every traced module from sys.modules after importing sunada.cli.
-from .algebra import CycleParseError, ResourceError, UsageError
-from .catalog import CatalogError, catalog_entry, catalog_names
-from .covering import covering_report
-from .gassmann import is_sunada_triple
-from .schreier import schreier_graph
-from .search import DEFAULT_SUBGROUP_CAP, SearchConfig, _sunada_pairs
-from .spectra import NumericError, _graph_spectrum
-from .specfile import (LoadedSpec, SpecError, decode_json, document_from_catalog,
-                       load_text, parse_polygon, render_element)
-
 __all__ = ["run", "main"]
+
+
+def _lazy(name: str):
+    """The submodule ``name`` of this package, put into ``sys.modules`` now
+    and executed on the first read of one of its attributes
+    (``importlib.util.LazyLoader``)."""
+    qualified = f"{__package__}.{name}"
+    module = sys.modules.get(qualified)
+    if module is None:
+        spec = importlib.util.find_spec(qualified)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[qualified] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+# A command executes only the modules whose functions it calls: the handlers
+# read them from these handles at call time.  Every submodule is in
+# sys.modules once this module is imported, as the traced bench expects, and
+# the tracer's reads of its attributes execute it.  LazyLoader is not
+# thread-safe before Python 3.12; the CLI runs on one thread.
+algebra = _lazy("algebra")
+catalog = _lazy("catalog")
+covering = _lazy("covering")
+gassmann = _lazy("gassmann")
+schreier = _lazy("schreier")
+search = _lazy("search")
+spectra = _lazy("spectra")
+specfile = _lazy("specfile")
 
 
 def _positive_int(text: str) -> int:
@@ -80,13 +100,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_positive_int, required=True)
     p.add_argument("--smooth", action="store_true",
                    help="keep only pairs whose quotients are smooth under the document polygon")
-    p.add_argument("--max-subgroups", type=_positive_int, default=DEFAULT_SUBGROUP_CAP)
+    p.add_argument("--max-subgroups", type=_positive_int)
     p.add_argument("--no-dedupe", action="store_true",
                    help="report all pairs instead of one per simultaneous conjugacy orbit")
 
     p = sub.add_parser("catalog", help="emit a bundled construction")
     p.set_defaults(handler=_cmd_catalog)
-    p.add_argument("name", metavar="NAME", choices=catalog_names())
+    p.add_argument("name", metavar="NAME",
+                   help="name of a bundled construction; an unknown name lists them")
     p.add_argument("--out", metavar="FILE")
 
     return parser
@@ -99,7 +120,7 @@ def _read_file(path: str, what: str = "JSON") -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
-        raise SpecError(f"invalid {what}: {exc}") from None
+        raise specfile.SpecError(f"invalid {what}: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -114,21 +135,21 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _load_spec(path: str) -> LoadedSpec:
-    return load_text(_read_file(path))
+def _load_spec(path: str) -> specfile.LoadedSpec:
+    return specfile.load_text(_read_file(path))
 
 
-def _subgroup(spec: LoadedSpec, name: str):
+def _subgroup(spec: specfile.LoadedSpec, name: str):
     try:
         return spec.subgroups[name]
     except KeyError:
         known = ", ".join(spec.subgroups) or "none"
-        raise SpecError(f"unknown subgroup {name!r} (document defines: {known})") from None
+        raise specfile.SpecError(f"unknown subgroup {name!r} (document defines: {known})") from None
 
 
 def _cmd_verify(args) -> int:
     spec = _load_spec(args.file)
-    report = is_sunada_triple(spec.group, _subgroup(spec, args.U), _subgroup(spec, args.V))
+    report = gassmann.is_sunada_triple(spec.group, _subgroup(spec, args.U), _subgroup(spec, args.V))
     _emit(_json_text(report.to_json_dict()), args.out)
     return 0 if report.is_sunada_triple else 1
 
@@ -137,13 +158,13 @@ def _cmd_report(args) -> int:
     spec = _load_spec(args.file)
     sub = _subgroup(spec, args.U)
     if args.polygon is not None:
-        body = decode_json(_read_file(args.polygon, "polygon JSON"), "polygon JSON")
-        polygon = parse_polygon(body, spec.group, spec.named_elements)
+        body = specfile.decode_json(_read_file(args.polygon, "polygon JSON"), "polygon JSON")
+        polygon = specfile.parse_polygon(body, spec.group, spec.named_elements)
     elif spec.polygon is not None:
         polygon = spec.polygon
     else:
-        raise SpecError("the document has no polygon; provide one with --polygon")
-    report = covering_report(spec.group, sub, polygon)
+        raise specfile.SpecError("the document has no polygon; provide one with --polygon")
+    report = covering.covering_report(spec.group, sub, polygon)
     _emit(_json_text(report.to_json_dict()), args.out)
     return 0
 
@@ -151,7 +172,8 @@ def _cmd_report(args) -> int:
 def _graph(args):
     """The Schreier graph of ``--U``, its arcs labeled by the document's generators."""
     spec = _load_spec(args.file)
-    return schreier_graph(spec.group, _subgroup(spec, args.U), list(spec.named_elements.items()))
+    return schreier.schreier_graph(spec.group, _subgroup(spec, args.U),
+                                   list(spec.named_elements.items()))
 
 
 def _cmd_graph(args) -> int:
@@ -164,7 +186,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    report = _graph_spectrum(_graph(args), tol=args.tol)
+    report = spectra._graph_spectrum(_graph(args), tol=args.tol)
     _emit(_json_text(report.to_json_dict()), args.out)
     return 0
 
@@ -172,21 +194,22 @@ def _cmd_spectrum(args) -> int:
 def _cmd_search(args) -> int:
     spec = _load_spec(args.file)
     if args.smooth and spec.polygon is None:
-        raise SpecError("--smooth needs a polygon in the document")
-    config = SearchConfig(
+        raise specfile.SpecError("--smooth needs a polygon in the document")
+    config = search.SearchConfig(
         order=args.order,
         require_smooth=spec.polygon if args.smooth else None,
-        max_subgroups=args.max_subgroups,
+        max_subgroups=(search.DEFAULT_SUBGROUP_CAP if args.max_subgroups is None
+                       else args.max_subgroups),
         dedupe=not args.no_dedupe,
     )
     # Lines are flushed as each pair is verified, so a kill keeps those written;
     # a max_subgroups cap trips in the subgroup walk, before the first line.
     with (open(args.out, "w", encoding="utf-8") if args.out is not None
           else contextlib.nullcontext(sys.stdout)) as out:
-        for u, v, report in _sunada_pairs(spec.group, config):
+        for u, v, report in search._sunada_pairs(spec.group, config):
             out.write(json.dumps({
-                "u": [render_element(spec.group.element(i)) for i in u.members],
-                "v": [render_element(spec.group.element(i)) for i in v.members],
+                "u": [specfile.render_element(spec.group.element(i)) for i in u.members],
+                "v": [specfile.render_element(spec.group.element(i)) for i in v.members],
                 "report": report.to_json_dict(),
             }, separators=(",", ":")) + "\n")
             out.flush()
@@ -194,8 +217,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    entry = catalog_entry(args.name)
-    _emit(_json_text(document_from_catalog(entry)), args.out)
+    entry = catalog.catalog_entry(args.name)
+    _emit(_json_text(specfile.document_from_catalog(entry)), args.out)
     return 0
 
 
@@ -208,10 +231,16 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (SpecError, UsageError, CycleParseError, ResourceError, CatalogError, OSError) as exc:
+    # An except clause that names a module's class executes that module, so
+    # the clauses go from the modules every command runs to the rarest error.
+    except (specfile.SpecError, algebra.UsageError, algebra.CycleParseError,
+            algebra.ResourceError, OSError) as exc:
         print(f"sunada: error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except catalog.CatalogError as exc:
+        print(f"sunada: error: {exc}", file=sys.stderr)
+        return 2
+    except spectra.NumericError as exc:
         print(f"sunada: numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -25,7 +25,6 @@ followed by ``^-1``.  Polygon cycles are words too.
 
 from __future__ import annotations
 
-import copy
 import json
 from typing import Any, NamedTuple
 
@@ -234,6 +233,8 @@ def load_text(text: str) -> LoadedSpec:
 
 def document_from_catalog(entry) -> dict:
     """The stored group document of a ``catalog.CatalogEntry``, as a fresh copy."""
+    import copy
+
     from .catalog import CatalogEntry  # catalog imports this module
 
     _expect(entry, CatalogEntry)

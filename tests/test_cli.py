@@ -158,7 +158,7 @@ def test_unsorted_labels_output_matches_golden_digest(tmp_path, capsys, command)
 
 def test_catalog_rejects_unknown_name(capsys):
     assert run(["catalog", "bogus"]) == 2
-    assert capsys.readouterr().err != ""
+    assert "(known: genus2, genus3, orbifold-h)" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- verify
@@ -430,7 +430,7 @@ def test_search_writes_each_pair_before_the_next_is_found(orbifold_doc, tmp_path
         yield u, v, is_sunada_triple(group, u, v)
         raise ResourceError("subgroup enumeration exceeded max_subgroups")
 
-    monkeypatch.setattr("sunada.cli._sunada_pairs", first_pair_then_cap)
+    monkeypatch.setattr("sunada.search._sunada_pairs", first_pair_then_cap)
     target = tmp_path / "pairs.jsonl"
     assert run(["search", str(orbifold_doc), "--order", "4", "--out", str(target)]) == 2
     lines = target.read_text().splitlines()
@@ -613,3 +613,47 @@ def test_commands_on_small_graphs_leave_numpy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(verdict.read_text())["is_sunada_triple"] is True
     assert json.loads(spectrum.read_text())["dimension"] == 12
+
+
+# The sunada modules each command executes besides ``cli`` and the four that
+# reading a document takes (algebra, gassmann, covering, specfile).
+_COMMAND_MODULES = {
+    "verify": (), "report": (), "graph": ("schreier",), "spectrum": ("schreier", "spectra"),
+    "search": ("search",), "catalog": ("catalog",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))
+def test_command_executes_only_the_modules_it_uses(genus2_doc, tmp_path, command):
+    """In a fresh interpreter, a command leaves the sunada modules it does not
+    call in sys.modules but unexecuted: a lazily loaded module is of a
+    subclass of ModuleType until the first read of one of its attributes,
+    and ``type`` reads none.  numpy, fractions and decimal stay unloaded,
+    apart from the exact Euler characteristics of ``report``."""
+    doc = str(genus2_doc)
+    argv = {
+        "verify": ["verify", doc, "--U", "U", "--V", "V"],
+        "report": ["report", doc, "--U", "U"],
+        "graph": ["graph", doc, "--U", "U"],
+        "spectrum": ["spectrum", doc, "--U", "U"],
+        "search": ["search", doc, "--order", "8"],
+        "catalog": ["catalog", "genus2"],
+    }[command] + ["--out", str(tmp_path / "out.txt")]
+    script = (
+        "import json, sys, types\n"
+        "from sunada.cli import run\n"
+        f"code = run({argv!r})\n"
+        "ours = sorted(m.partition('.')[2] for m in sys.modules if m.startswith('sunada.'))\n"
+        "print(json.dumps({'code': code, 'registered': ours,\n"
+        "    'executed': [m for m in ours if type(sys.modules['sunada.' + m]) is types.ModuleType],\n"
+        "    'loaded': [m for m in ('numpy', 'fractions', 'decimal') if m in sys.modules]}))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    assert result["registered"] == ["algebra", "catalog", "cli", "covering", "gassmann",
+                                    "schreier", "search", "specfile", "spectra"]
+    assert result["executed"] == sorted(
+        {"cli", "algebra", "gassmann", "covering", "specfile", *_COMMAND_MODULES[command]})
+    assert result["loaded"] == (["fractions", "decimal"] if command == "report" else [])
