@@ -4,7 +4,7 @@ A polygon spec records a 2N-gon whose edges are identified in N pairs, with
 vertex cycles labeled by group elements.  For a subgroup U of G the quotient
 over U is analysed combinatorially: smoothness over each vertex cycle, exact
 orbifold Euler characteristic, cone points, and the genus when the underlying
-Euler characteristic is an even integer.
+Euler characteristic is an even integer of at most 2.
 
 Smoothness and cone points come from the orbits of each cycle element g, of
 order m, on the right cosets U\\G, read off the class intersection profile of
@@ -14,12 +14,16 @@ Ann. Math. 1985).  g has N_d = (fix(g^d) - sum of e N_e over e | d, e < d) / d
 orbits of size d, for each d | m in ascending order; an orbit of size d < m is
 a cone point of order m / d.
 
-All Euler characteristic arithmetic is exact (fractions.Fraction); this module
-must stay free of floating point.
+All Euler characteristic arithmetic is exact and in integers: with L the lcm
+of the cycle orders, L chi_orb and L chi_top are integers, since every cone
+order m / d divides its cycle's order m, which divides L.  Each is turned into
+one fractions.Fraction at the end.  This module must stay free of floating
+point.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import FiniteGroup, UsageError, _expect, _integers
@@ -171,25 +175,32 @@ def covering_report(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> Cov
     The exact orbifold Euler characteristic is
     chi_orb = [G:U] * (1 - N + sum over cycles of 1/ord), and
     chi_top = chi_orb + sum over cone points of (1 - 1/order) recovers the
-    Euler characteristic of the underlying surface; the genus (2 - chi_top)/2
-    is reported only when chi_top is an even integer.
+    Euler characteristic of the underlying surface.  Both are summed as
+    integer multiples of 1/L, for L the lcm of the cycle orders, which every
+    cone order divides.  The quotient is connected, so a closed orientable
+    one has chi_top <= 2: the genus (2 - chi_top)/2 is reported only when
+    chi_top is an even integer of at most 2, and otherwise the note says why
+    there is none.
     """
     from fractions import Fraction
     orbits = _cycle_orbits(group, class_intersection_profile(group, sub), spec)
     orders = tuple(order for order, _ in orbits)
     flags = tuple(not counts for _, counts in orbits)
     cones = _cone_points(spec, orbits)
-    chi_orb = sub.index * (1 - spec.edge_pairs + sum(Fraction(1, m) for m in orders))
-    chi_top = chi_orb
-    for cone in cones:
-        chi_top += cone.multiplicity * (1 - Fraction(1, cone.order))
+    lcm = math.lcm(*orders)
+    orb = sub.index * ((1 - spec.edge_pairs) * lcm + sum(lcm // m for m in orders))
+    top = orb + sum(cone.multiplicity * (lcm - lcm // cone.order) for cone in cones)
+    chi_top = Fraction(top, lcm)
     genus: int | None = None
     note: str | None = None
-    if chi_top.denominator == 1 and chi_top.numerator % 2 == 0:
-        genus = (2 - int(chi_top)) // 2
-    else:
+    if top % (2 * lcm):
         note = (f"underlying Euler characteristic {chi_top} is not an even "
                 "integer, so no closed orientable genus is defined")
+    elif top > 2 * lcm:
+        note = (f"underlying Euler characteristic {chi_top} is above 2, so the "
+                "polygon data describe no closed surface")
+    else:
+        genus = 1 - top // (2 * lcm)
     return CoveringReport(
         index=sub.index,
         cycle_labels=tuple(label for label, _ in spec.cycles),
@@ -197,7 +208,7 @@ def covering_report(group: FiniteGroup, sub: Subgroup, spec: PolygonSpec) -> Cov
         smooth_cycles=flags,
         smooth=all(flags),
         cone_points=cones,
-        chi_orb=chi_orb,
+        chi_orb=Fraction(orb, lcm),
         chi_top=chi_top,
         genus=genus,
         note=note,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from sunada import (
     smoothness,
     subgroup_generate,
 )
-from conftest import full_subgroup, order_of, trivial_subgroup
+from conftest import full_subgroup, order_of, subgroup_classes, trivial_subgroup
 
 
 def _raw_cosets(group, sub):
@@ -251,6 +252,67 @@ def test_covering_report_flags_odd_characteristic(s3):
     assert report.chi_top == Fraction(3)
     assert report.genus is None
     assert report.note is not None
+
+
+def test_covering_report_refuses_a_characteristic_above_two(genus2):
+    # One edge pair and three cycles: chi_top = 12 (1/3 + 1/3 + 1/6) = 10, and a
+    # connected closed surface has chi <= 2, so there is no genus (not -4).
+    spec = PolygonSpec(1, genus2.polygon.cycles)
+    report = covering_report(genus2.group, genus2.subgroup_u, spec)
+    assert report.chi_top == Fraction(10)
+    assert report.genus is None
+    assert "describe no closed surface" in report.note
+    assert report.to_json_dict()["genus"] is None
+
+
+def test_covering_report_sphere_at_characteristic_two(genus2):
+    # Index 1 over cycles of orders 3 and 3: chi_orb = 2/3, and the two
+    # order-3 cone points lift it by 2/3 each, to the sphere's chi = 2.
+    spec = PolygonSpec(1, genus2.polygon.cycles[:2])
+    report = covering_report(genus2.group, full_subgroup(genus2.group), spec)
+    assert report.chi_orb == Fraction(2, 3)
+    assert report.chi_top == Fraction(2)
+    assert report.genus == 0
+    assert report.note is None
+
+
+def _polygons(group, rng):
+    """Polygons of 1 to 4 edge pairs over 1 to 3 cycles: each cycle count
+    once with random elements, the identity among them, for each count."""
+    for edge_pairs in range(1, 5):
+        for k in range(1, 4):
+            for elements in (rng.sample(range(group.order), k),
+                             [group.identity] + rng.sample(range(group.order), k - 1)):
+                yield PolygonSpec(edge_pairs, [(f"x{i}", e) for i, e in enumerate(elements)])
+
+
+def test_integer_euler_characteristics_match_the_fraction_formula(genus2, genus3, orbifold_h):
+    """The lcm arithmetic of ``covering_report`` against the formula summed in
+    Fractions: chi_orb = [G:U] (1 - N + sum of 1/m), chi_top = chi_orb + sum
+    of (1 - 1/order) over the cone points, and the genus (2 - chi_top)/2 for an
+    even integer chi_top <= 2."""
+    rng = random.Random(7)
+    cases = 0
+    for entry in (genus2, genus3, orbifold_h):
+        group = entry.group
+        polygons = list(_polygons(group, rng))
+        for order in _divisors(group.order):
+            for sub in subgroup_classes(group, order):
+                for spec in polygons:
+                    report = covering_report(group, sub, spec)
+                    orders = [order_of(group, e) for _, e in spec.cycles]
+                    chi_orb = sub.index * (1 - spec.edge_pairs
+                                           + sum(Fraction(1, m) for m in orders))
+                    chi_top = chi_orb + sum(p.multiplicity * (1 - Fraction(1, p.order))
+                                            for p in report.cone_points)
+                    assert type(report.chi_orb) is Fraction is type(report.chi_top)
+                    assert (report.chi_orb, report.chi_top) == (chi_orb, chi_top)
+                    even = chi_top.denominator == 1 and chi_top.numerator % 2 == 0
+                    genus = (2 - chi_top.numerator) // 2 if even and chi_top <= 2 else None
+                    assert report.genus == genus
+                    assert (report.note is None) == (genus is not None)
+                    cases += 1
+    assert cases == 2808
 
 
 def test_covering_report_json_shape(orbifold_h):

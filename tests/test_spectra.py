@@ -29,6 +29,7 @@ from sunada import (
     subgroup_from_members,
     subgroup_generate,
 )
+from sunada import spectra
 from sunada.spectra import _PURE_DIMENSION, _graph_spectrum, _report
 from conftest import conjugate
 
@@ -69,7 +70,8 @@ def test_a_nan_residual_is_a_numeric_failure():
 
 
 def test_adjacency_refuses_a_graph_above_the_dense_bound(monkeypatch):
-    """One vertex past the bound is refused before numpy allocates."""
+    """One vertex past the bound is refused before its rows or a numpy array
+    are allocated."""
     n = MAX_DENSE_DIMENSION + 1
     graph = SchreierGraph(n, ("a",), [tuple(range(n))])
 
@@ -77,6 +79,7 @@ def test_adjacency_refuses_a_graph_above_the_dense_bound(monkeypatch):
         raise AssertionError("a matrix was allocated")
 
     monkeypatch.setattr(np, "zeros", no_allocation)
+    monkeypatch.setattr(spectra, "_adjacency_rows", no_allocation)
     with pytest.raises(ResourceError,
                        match=f"dimension {n} exceeds the bound of {MAX_DENSE_DIMENSION}"):
         adjacency_matrix(graph)
@@ -134,6 +137,43 @@ def test_adjacency_symmetrizes_and_counts_loops():
     graph = SchreierGraph(vertex_count=2, labels=("a", "b"), perms=((1, 0), (0, 1)))
     a = adjacency_matrix(graph).entries
     assert a.tolist() == [[2.0, 2.0], [2.0, 2.0]]
+
+
+def _random_graph(rng):
+    """1 to 3 labels on 1 to 40 vertices; each label fixes a random share of
+    the vertices, which become loop arcs, and permutes the rest."""
+    n = rng.randint(1, 40)
+    perms = []
+    for _ in range(rng.randint(1, 3)):
+        moved = rng.sample(range(n), rng.randint(0, n))
+        perm = list(range(n))
+        for i, j in zip(moved, rng.sample(moved, len(moved))):
+            perm[i] = j
+        perms.append(perm)
+    return SchreierGraph(n, [f"g{i}" for i in range(len(perms))], perms)
+
+
+def test_adjacency_matches_a_numpy_scatter():
+    rng = random.Random(5)
+    sizes, loops = set(), 0
+    for _ in range(150):
+        graph = _random_graph(rng)
+        n = graph.vertex_count
+        expected = np.zeros((n, n))
+        for perm in graph.perms:
+            np.add.at(expected, (np.arange(n), list(perm)), 1)
+            np.add.at(expected, (list(perm), np.arange(n)), 1)
+        matrix = adjacency_matrix(graph)
+        assert matrix.entries.dtype == np.float64 and not matrix.entries.flags.writeable
+        assert np.array_equal(matrix.entries, expected)
+        if n <= _PURE_DIMENSION:
+            pure = _graph_spectrum(graph).eigenvalues
+            dense = eigenvalues_symmetric(matrix).eigenvalues
+            assert max(abs(x - y) for x, y in zip(pure, dense)) <= 1e-12
+        sizes.add(n)
+        loops += any(i == j for perm in graph.perms for i, j in enumerate(perm))
+    assert min(sizes) <= _PURE_DIMENSION < max(sizes)
+    assert loops
 
 
 def test_adjacency_row_sums(genus2):
