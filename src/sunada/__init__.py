@@ -8,18 +8,19 @@ coset graphs with labeled digraph isomorphism in direct and arrow-reversed
 modes, compares symmetrized adjacency spectra, searches small groups for
 Sunada pairs, and ships three verified example constructions.
 
-``import sunada`` loads no submodule.  The first read of a public name
-imports the module that owns it (PEP 562) and binds that module's public
-names here, as ``from .module import *`` would have, so later reads are
-plain attribute lookups.
+``_EXPORTS`` below is the one declaration of the public names; no module
+has an ``__all__``.  ``import sunada`` loads no submodule.  The first read of
+a public name imports the module that owns it (PEP 562) and binds that
+module's public names here, so later reads are plain attribute lookups.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# The public names of each module, in the order of its ``__all__``;
-# tests/test_package.py holds the two equal.
+# The public names by owning module.  Each is defined in its module, not
+# imported into it, so its first read executes its owner;
+# tests/test_package.py checks this and that no module has an ``__all__``.
 _EXPORTS = {
     "algebra": ("UsageError", "CycleParseError", "ResourceError", "Perm", "Mat2", "SemiPair",
                 "Element", "parse_cycles", "cycle_string", "FiniteGroup", "generate_group",

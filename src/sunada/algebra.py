@@ -54,22 +54,6 @@ import operator
 import re
 from typing import Any, Callable, Iterable, NamedTuple, Sequence, Union
 
-__all__ = [
-    "UsageError",
-    "CycleParseError",
-    "ResourceError",
-    "Perm",
-    "Mat2",
-    "SemiPair",
-    "Element",
-    "parse_cycles",
-    "cycle_string",
-    "FiniteGroup",
-    "generate_group",
-    "conjugacy_classes",
-    "DEFAULT_ELEMENT_CAP",
-]
-
 DEFAULT_ELEMENT_CAP = 10**6
 
 

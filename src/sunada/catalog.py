@@ -26,8 +26,6 @@ from .covering import PolygonSpec, _cycle_orbits
 from .gassmann import Subgroup, is_sunada_triple
 from .specfile import SpecError, _evaluate_word, parse_document
 
-__all__ = ["CatalogError", "Expectations", "CatalogEntry", "catalog_names", "catalog_entry"]
-
 
 class CatalogError(RuntimeError):
     """Self-verification of a bundled construction failed."""

@@ -24,8 +24,6 @@ import importlib.util
 import json
 import sys
 
-__all__ = ["run", "main"]
-
 
 def _lazy(name: str):
     """The submodule ``name`` of this package, put into ``sys.modules`` now
@@ -202,17 +200,23 @@ def _cmd_search(args) -> int:
                        else args.max_subgroups),
         dedupe=not args.no_dedupe,
     )
-    # Lines are flushed as each pair is verified, so a kill keeps those written;
-    # a max_subgroups cap trips in the subgroup walk, before the first line.
+    # The walk sorts every pair before it yields one, so any error it raises
+    # (a max_subgroups cap) comes from taking the first pair, done before
+    # --out is opened: a failed search leaves that file as it was.  Lines are
+    # flushed as each pair is verified, so a kill keeps those written.
+    pairs = search._sunada_pairs(spec.group, config)
+    pair = next(pairs, None)
     with (open(args.out, "w", encoding="utf-8") if args.out is not None
           else contextlib.nullcontext(sys.stdout)) as out:
-        for u, v, report in search._sunada_pairs(spec.group, config):
+        while pair is not None:
+            u, v, report = pair
             out.write(json.dumps({
                 "u": [specfile.render_element(spec.group.element(i)) for i in u.members],
                 "v": [specfile.render_element(spec.group.element(i)) for i in v.members],
                 "report": report.to_json_dict(),
             }, separators=(",", ":")) + "\n")
             out.flush()
+            pair = next(pairs, None)
     return 0
 
 

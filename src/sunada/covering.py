@@ -32,15 +32,6 @@ from .gassmann import Subgroup, class_intersection_profile
 if TYPE_CHECKING:  # fractions, with decimal, loads only where a Fraction is built
     from fractions import Fraction
 
-__all__ = [
-    "PolygonSpec",
-    "ConePoint",
-    "CoveringReport",
-    "smoothness",
-    "cone_points",
-    "covering_report",
-]
-
 
 class PolygonSpec(NamedTuple("PolygonSpec", [("edge_pairs", int),
                                              ("cycles", tuple[tuple[str, int], ...])])):

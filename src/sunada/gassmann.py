@@ -11,16 +11,6 @@ from typing import Iterable, NamedTuple
 
 from .algebra import FiniteGroup, UsageError, _expect, _integers
 
-__all__ = [
-    "Subgroup",
-    "subgroup_generate",
-    "subgroup_from_members",
-    "class_intersection_profile",
-    "are_conjugate_subgroups",
-    "SunadaReport",
-    "is_sunada_triple",
-]
-
 
 class Subgroup:
     """Subgroup of a FiniteGroup, stored as a sorted tuple of element indices.

@@ -35,14 +35,6 @@ from typing import Literal, NamedTuple, Sequence
 from .algebra import FiniteGroup, UsageError, _expect, _integers, _perm_key_inverse
 from .gassmann import Subgroup, _check_indices, check_parent
 
-__all__ = [
-    "CosetTable",
-    "coset_table",
-    "SchreierGraph",
-    "schreier_graph",
-    "graph_isomorphic",
-]
-
 
 class CosetTable(NamedTuple):
     """Enumeration of right cosets of a subgroup.

@@ -74,13 +74,6 @@ from .covering import PolygonSpec, _cycle_orbits
 from .gassmann import (SunadaReport, Subgroup, _closure, _conjugate_members,
                        _normaliser, class_intersection_profile)
 
-__all__ = [
-    "SearchConfig",
-    "enumerate_subgroups",
-    "find_sunada_pairs",
-    "simultaneous_conjugator",
-]
-
 DEFAULT_SUBGROUP_CAP = 20000
 
 # A representative of least-prime index in the target is grown only inside

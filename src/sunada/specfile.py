@@ -34,17 +34,6 @@ from .algebra import (DEFAULT_ELEMENT_CAP, CycleParseError, Element, FiniteGroup
 from .covering import PolygonSpec
 from .gassmann import Subgroup, _check_indices, subgroup_from_members, subgroup_generate
 
-__all__ = [
-    "SpecError",
-    "LoadedSpec",
-    "parse_document",
-    "parse_polygon",
-    "decode_json",
-    "load_text",
-    "render_element",
-    "document_from_catalog",
-]
-
 KINDS = ("permutation", "matrix2", "semidirect")
 
 

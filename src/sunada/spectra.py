@@ -25,16 +25,6 @@ from typing import NamedTuple, Sequence, Union
 from .algebra import ResourceError, UsageError, _expect
 from .schreier import SchreierGraph
 
-__all__ = [
-    "NumericError",
-    "DenseSymMatrix",
-    "SpectrumReport",
-    "adjacency_matrix",
-    "eigenvalues_symmetric",
-    "spectra_equal",
-    "MAX_DENSE_DIMENSION",
-]
-
 DEFAULT_TOL = 1e-9
 MAX_DENSE_DIMENSION = 4096
 # The largest graph that ``_graph_spectrum`` solves without numpy.  Jacobi's

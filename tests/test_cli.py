@@ -439,6 +439,16 @@ def test_search_writes_each_pair_before_the_next_is_found(orbifold_doc, tmp_path
     assert "max_subgroups" in capsys.readouterr().err
 
 
+def test_search_cap_leaves_an_existing_out_file_as_it_was(orbifold_doc, tmp_path, capsys):
+    target = tmp_path / "pairs.jsonl"
+    target.write_text("earlier results\n")
+    argv = ["search", str(orbifold_doc), "--order", "4", "--max-subgroups", "1",
+            "--out", str(target)]
+    assert run(argv) == 2
+    assert "max_subgroups" in capsys.readouterr().err
+    assert target.read_text() == "earlier results\n"
+
+
 def test_search_out_file_matches_stdout(orbifold_doc, tmp_path, capsys):
     assert run(["search", str(orbifold_doc), "--order", "4"]) == 0
     printed = capsys.readouterr().out

@@ -1,9 +1,9 @@
-"""The package surface: ``sunada.__all__`` is the modules' ``__all__`` lists,
-resolved lazily, each of its names has a caller in the package or the
-benchmark, every name the benchmark in ``perfbench/`` reaches by name
-resolves, the modules it traces load with the CLI, one pass of each
-benchmark workload passes its own checks, and the README's examples print
-what they say."""
+"""The package surface: ``sunada.__all__`` is the package's lazy table, the
+one list of public names, which no module repeats; each of its names has a
+caller in the package or the benchmark; every name the benchmark in
+``perfbench/`` reaches by name resolves; the modules it traces load with the
+CLI; one pass of each benchmark workload passes its own checks; and the
+README's examples print what they say and its command lines exit 0."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import ast
 import functools
 import importlib
 import importlib.util
+import os
 import re
 import subprocess
 import sys
@@ -30,15 +31,30 @@ finally:
     sys.path.remove(str(PERFBENCH))
 
 
-def test_package_exports_every_module_all_once():
-    # The package's lazy table lists each module's ``__all__`` in its order,
-    # so a name added to or dropped from a module fails here.
+def test_package_table_is_the_one_declaration():
+    # No module assigns ``__all__``.  Each name the table gives a module is
+    # bound there by ``def``, ``class`` or a top-level assignment, not by an
+    # import, whose first read would execute the module it came from instead.
+    source = ROOT / "src" / "sunada"
     modules = list(sunada._EXPORTS)
-    assert sorted(modules) == sorted(path.stem for path in (ROOT / "src" / "sunada").glob("*.py")
+    assert sorted(modules) == sorted(path.stem for path in source.glob("*.py")
                                      if path.stem not in ("__init__", "__main__", "cli"))
-    for module in modules:
-        assert list(sunada._EXPORTS[module]) == importlib.import_module(
-            f"sunada.{module}").__all__, module
+    for path in sorted(source.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+                    and node.id == "__all__" and isinstance(node.ctx, ast.Store)], path.stem
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    defined.update(name.id for name in ast.walk(target)
+                                   if isinstance(name, ast.Name))
+        missing = set(sunada._EXPORTS.get(path.stem, ())) - defined
+        assert not missing, (path.stem, sorted(missing))
     declared = [name for module in modules for name in sunada._EXPORTS[module]]
     assert sunada.__all__ == declared
     assert len(set(declared)) == len(declared)
@@ -57,7 +73,7 @@ def test_every_public_name_has_a_caller():
     that only tests run.  A read is a load of the name, or of an attribute
     by that name, or in the benchmark, which looks names up by string
     (``tracing.TRACED``), a string naming it.  Its own ``def`` or ``class``
-    and its ``__all__`` string are not reads."""
+    and its string in the package's table are not reads."""
     read = set()
     for path in sorted((ROOT / "src" / "sunada").glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -140,3 +156,20 @@ def test_readme_example_prints_its_comments(block):
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == expected
+
+
+def test_readme_command_lines_exit_zero(tmp_path):
+    """Each line of the README's "Command line" block exits 0, run in order
+    in one directory with ``sunada`` as ``python -m sunada``: the console
+    script is not installed where the tests run from a checkout."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Command line\n")[1]
+    lines = re.search(r"^```sh\n(.*?)^```", section, re.MULTILINE | re.DOTALL)[1].splitlines()
+    assert lines
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    define = f'sunada() {{ "{sys.executable}" -m sunada "$@"; }}\n'
+    for line in lines:
+        run = subprocess.run(define + line, shell=True, cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, (line, run.stderr)
