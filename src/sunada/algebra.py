@@ -208,7 +208,6 @@ def _key(e: Element):
             return (e.u, v)
         w = pow(e.u, -1, m)
         return bytes([(t - v) * w % m for t in range(m)])
-    raise UsageError(f"unsupported element type {type(e).__name__}")
 
 
 def _from_key(like: Element, key) -> Element:
@@ -444,8 +443,8 @@ class FiniteGroup:
     breadth-first discovery order; every downstream ordering (conjugacy
     classes, cosets, graph vertices) derives from it.  It raises
     UsageError for a list that is empty, not iterable or not of one
-    family, and ResourceError past the cap ``_element_cap`` derives from
-    ``max_elements``.  The group keeps its family's ``_Arithmetic`` in
+    family, and ResourceError past the cap ``_element_cap`` gives for
+    its degree or modulus.  The group keeps its family's ``_Arithmetic`` in
     attributes, so ``mul`` and ``inv`` reach their key arithmetic in one
     lookup.  Its ``generators`` are indices 0 to k-1 and generate it, so
     orbits under them are whole.  ``mul`` multiplies two keys and looks the
@@ -475,19 +474,18 @@ class FiniteGroup:
     instance across threads is safe.
     """
 
-    def __init__(self, generators: Iterable[Element], max_elements: int = DEFAULT_ELEMENT_CAP):
+    def __init__(self, generators: Iterable[Element]):
         try:
             gens = list(generators)
         except TypeError:
             raise UsageError(f"generators must be iterable, got {generators!r}") from None
-        (max_elements,) = _integers((max_elements,), "the element cap")
         if not gens:
             raise UsageError("at least one generator is required")
         for g in gens[1:]:
             _require_same_family(gens[0], g)
         # Before the generators are hashed or sorted, so a non-element is a UsageError.
         parameter = _parameter(gens[0])
-        cap, where = _element_cap(isinstance(gens[0], Perm), parameter, max_elements)
+        cap, where = _element_cap(isinstance(gens[0], Perm), parameter)
         seeds = sorted(set(gens))
         like = seeds[0]
         self._like = like
@@ -662,34 +660,32 @@ def _list_getter(*indices: int) -> Callable[[Sequence[int]], list[int]]:
     return lambda row: [row[i] for i in indices]
 
 
-def _element_cap(permutation: bool, parameter: int,
-                 max_elements: int = DEFAULT_ELEMENT_CAP) -> tuple[int, str]:
+def _element_cap(permutation: bool, parameter: int) -> tuple[int, str]:
     """The closure cap at a degree (``permutation``) or modulus, and where it
-    applies, for messages.  A key of degree d holds d bytes or images, so
-    for d > 16 the cap is ``max_elements * 16 // d``, which keeps the memory
-    bound of degree 16; likewise ``max_elements * 64 // b`` for a modulus of
-    b > 64 bits, whose matrix or pair key holds four or two such ints.  A
-    matrix mod m <= 16 is keyed by m^2 bytes and a pair mod m <= 256 by m
-    bytes, and the cap stays unscaled there: such a group has at most
-    |GL(2, Z/13)| = 26,208 or 251 * 250 = 62,750 elements.  Besides its key
-    and its index entry, an element holds one row entry per generator and
-    one tree edge until the first conjugation
-    maps are built: with them PSL(3,5) on 31 points (372,000 elements, two
-    generators) peaks at 97 MB resident, against 86 MB when the closure kept
-    no rows (Python 3.11)."""
+    applies, for messages; C is ``DEFAULT_ELEMENT_CAP``, read at call time.
+    A key of degree d holds d bytes or images, so for d > 16 the cap is
+    C * 16 // d, which keeps the memory bound of degree 16; likewise
+    C * 64 // b for a modulus of b > 64 bits, whose matrix or pair key holds
+    four or two such ints.  A matrix mod m <= 16 is keyed by m^2 bytes and a
+    pair mod m <= 256 by m bytes, and the cap stays C there: such a group has
+    at most |GL(2, Z/13)| = 26,208 or 251 * 250 = 62,750 elements.  Besides
+    its key and its index entry, an element holds one row entry per
+    generator and one tree edge until the first conjugation maps are built:
+    with them PSL(3,5) on 31 points (372,000 elements, two generators)
+    peaks at 97 MB resident, against 86 MB when the closure kept no rows
+    (Python 3.11)."""
     if permutation and parameter > 16:
-        return max_elements * 16 // parameter, f" at degree {parameter}"
+        return DEFAULT_ELEMENT_CAP * 16 // parameter, f" at degree {parameter}"
     bits = parameter.bit_length()
     if not permutation and bits > 64:
-        return max_elements * 64 // bits, f" at a {bits}-bit modulus"
-    return max_elements, ""
+        return DEFAULT_ELEMENT_CAP * 64 // bits, f" at a {bits}-bit modulus"
+    return DEFAULT_ELEMENT_CAP, ""
 
 
-def generate_group(generators: Iterable[Element], max_elements: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
+def generate_group(generators: Iterable[Element]) -> FiniteGroup:
     """Close a generator list under the product into a FiniteGroup: the
-    documented name of ``FiniteGroup(generators, max_elements)``, which
-    runs the one closure."""
-    return FiniteGroup(generators, max_elements)
+    documented name of ``FiniteGroup(generators)``, the one closure."""
+    return FiniteGroup(generators)
 
 
 def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:

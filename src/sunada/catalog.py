@@ -27,7 +27,7 @@ from .gassmann import Subgroup, is_sunada_triple
 from .specfile import SpecError, _evaluate_word, parse_document
 
 
-class CatalogError(RuntimeError):
+class CatalogError(SpecError):
     """Self-verification of a bundled construction failed."""
 
 

@@ -226,8 +226,9 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def run(argv: list[str]) -> int:
-    """Parse arguments, dispatch, and map errors to exit codes."""
+def run(argv: list[str] | None = None) -> int:
+    """Parse ``argv`` (``sys.argv[1:]`` when None), dispatch, and map
+    errors to exit codes; the ``sunada`` command."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -241,17 +242,10 @@ def run(argv: list[str]) -> int:
             algebra.ResourceError, OSError) as exc:
         print(f"sunada: error: {exc}", file=sys.stderr)
         return 2
-    except catalog.CatalogError as exc:
-        print(f"sunada: error: {exc}", file=sys.stderr)
-        return 2
     except spectra.NumericError as exc:
         print(f"sunada: numeric failure: {exc}", file=sys.stderr)
         return 3
 
 
-def main(argv: list[str] | None = None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

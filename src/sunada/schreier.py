@@ -73,6 +73,8 @@ def coset_table(group: FiniteGroup, sub: Subgroup) -> CosetTable:
 
 
 def _check_labels(labels: tuple[str, ...]) -> None:
+    if not all(isinstance(label, str) for label in labels):
+        raise UsageError(f"arc labels must be strings, got {labels!r}")
     if len(set(labels)) != len(labels):
         raise UsageError("arc labels must be unique")
 
@@ -88,6 +90,8 @@ class SchreierGraph(NamedTuple("SchreierGraph", [("vertex_count", int),
     def __new__(cls, vertex_count: int, labels: Sequence[str],
                 perms: Sequence[Sequence[int]]):
         (vertex_count,) = _integers((vertex_count,), "the vertex count")
+        if vertex_count < 0:
+            raise UsageError(f"vertex count must be >= 0, got {vertex_count}")
         try:
             labels, perms = tuple(labels), tuple(_integers(p, "arc heads") for p in perms)
         except TypeError:

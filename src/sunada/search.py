@@ -205,14 +205,13 @@ def _classes_of_order(group: FiniteGroup, order: int, max_subgroups: int
             if len(orbit[0]) == order]
 
 
-def enumerate_subgroups(group: FiniteGroup, order: int,
-                        max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> list[Subgroup]:
+def enumerate_subgroups(group: FiniteGroup, order: int) -> list[Subgroup]:
     """All subgroups of the given order, sorted by member tuple.
 
     A non-divisor order yields an empty list.  Raises ResourceError when the
-    walk exceeds ``max_subgroups`` distinct subgroups.
+    walk exceeds ``DEFAULT_SUBGROUP_CAP`` distinct subgroups.
     """
-    found = sorted(members for cls, _ in _classes_of_order(group, order, max_subgroups)
+    found = sorted(members for cls, _ in _classes_of_order(group, order, DEFAULT_SUBGROUP_CAP)
                    for members in cls)
     return [Subgroup(group, members) for members in found]
 

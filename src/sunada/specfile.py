@@ -67,12 +67,10 @@ def _parse_element(kind: str, parameter: int, raw: Any, where: str) -> Element:
             if len(rows) != 2 or any(len(r) != 2 for r in rows):
                 raise SpecError("matrix elements are 2x2 integer arrays")
             return Mat2(parameter, ((rows[0][0], rows[0][1]), (rows[1][0], rows[1][1])))
-        if kind == "semidirect":
-            u, v = (_integer(x, "a pair entry") for x in raw)
-            return SemiPair(parameter, u, v)
+        u, v = (_integer(x, "a pair entry") for x in raw)  # "semidirect", the kind left
+        return SemiPair(parameter, u, v)
     except (CycleParseError, UsageError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
-    raise SpecError(f"unknown kind {kind!r}")
 
 
 def render_element(element: Element) -> Any:

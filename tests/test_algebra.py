@@ -33,6 +33,7 @@ from sunada import (
     schreier_graph,
     subgroup_generate,
 )
+from sunada import algebra
 from sunada.algebra import _arithmetic, _from_key, _key
 
 from conftest import (compose, conjugate, elements, invert, mat_oracle, order_of, pair_oracle,
@@ -474,19 +475,28 @@ def test_generate_group_is_deterministic():
     assert elements(g1) == elements(g2)
 
 
-def test_generate_group_respects_element_cap():
+def test_generate_group_respects_element_cap(monkeypatch):
+    # The closure reads DEFAULT_ELEMENT_CAP when it starts, so each call
+    # below runs under the cap set just before it.
+    def cap(value):
+        monkeypatch.setattr(algebra, "DEFAULT_ELEMENT_CAP", value)
+
     seven_cycle = Perm((1, 2, 3, 4, 5, 6, 0))
+    cap(5)
     with pytest.raises(ResourceError):
-        generate_group([seven_cycle], max_elements=5)
+        generate_group([seven_cycle])
     # degree 32 halves the cap: S_32 stops at 50 elements, not 100
     wide = [Perm((1, 0) + tuple(range(2, 32))), Perm(tuple(range(1, 32)) + (0,))]
+    cap(100)
     with pytest.raises(ResourceError, match="cap of 50 at degree 32"):
-        generate_group(wide, max_elements=100)
-    assert generate_group([Perm(tuple(range(1, 16)) + (0,))], max_elements=16).order == 16
+        generate_group(wide)
+    cap(16)
+    assert generate_group([Perm(tuple(range(1, 16)) + (0,))]).order == 16
     # a modulus above 64 bits scales the cap by 64 / bits; one of 64 bits does not
-    assert generate_group([SemiPair(2**64 - 1, 2**64 - 2, 0)], max_elements=2).order == 2
+    cap(2)
+    assert generate_group([SemiPair(2**64 - 1, 2**64 - 2, 0)]).order == 2
     with pytest.raises(ResourceError, match="cap of 1 at a 65-bit modulus"):
-        generate_group([SemiPair(2**64 + 1, 2**64, 0)], max_elements=2)
+        generate_group([SemiPair(2**64 + 1, 2**64, 0)])
 
 
 def test_generate_group_rejects_empty_generator_list():

@@ -407,6 +407,24 @@ def test_search_empty_result_is_success(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+_S3 = {"kind": "permutation", "degree": 3, "generators": {"t": "(0,1)", "r": "(0,1,2)"}}
+
+
+@pytest.mark.parametrize("doc, options, message", [
+    (_S3, ["--order", "2", "--smooth"], "sunada: error: --smooth needs a polygon in the document"),
+    (_S3, ["--order", "abc"], "argument --order: invalid int value: 'abc'"),
+    ({**_S3, "generators": {"a": 5}}, ["--order", "2"],
+     "generator 'a': permutation elements are cycle strings"),
+], ids=["smooth-without-polygon", "order-not-an-int", "generator-not-a-string"])
+def test_search_input_error_exits_two(tmp_path, capsys, doc, options, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(["search", str(path), *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_search_subgroup_cap_exits_two(orbifold_doc, capsys):
     assert run(["search", str(orbifold_doc), "--order", "4", "--max-subgroups", "1"]) == 2
     assert capsys.readouterr().err != ""

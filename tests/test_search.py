@@ -86,14 +86,18 @@ def test_enumerate_subgroups_results_are_verified_subgroups(s4):
         assert sub.order == 6
 
 
-def test_enumerate_subgroups_cap(s4):
+def test_enumerate_subgroups_cap(s4, monkeypatch):
     # The error says how far the walk got: (cap, classes, distinct subgroups).
     for cap, classes, subgroups in [(2, 0, 0), (10, 3, 10)]:
         with pytest.raises(ResourceError) as info:
-            enumerate_subgroups(s4, 4, max_subgroups=cap)
+            _subgroup_classes(s4, 4, cap)
         message = str(info.value)
         assert f"for order 4 exceeded max_subgroups = {cap}" in message
         assert f"{classes} subgroup classes, {subgroups} distinct subgroups" in message
+    # enumerate_subgroups walks within DEFAULT_SUBGROUP_CAP, read at call time.
+    monkeypatch.setattr(search, "DEFAULT_SUBGROUP_CAP", 2)
+    with pytest.raises(ResourceError, match="exceeded max_subgroups = 2 "):
+        enumerate_subgroups(s4, 4)
 
 
 # The least cap that passes is the number of subgroups whose order divides
@@ -103,9 +107,9 @@ def test_enumerate_subgroups_cap(s4):
     ("s4", 1, 1)])
 def test_least_passing_subgroup_cap(name, order, cap, request):
     group = request.getfixturevalue(name)
-    assert enumerate_subgroups(group, order, max_subgroups=cap)
+    assert any(len(orbit[0]) == order for orbit, _ in _subgroup_classes(group, order, cap))
     with pytest.raises(ResourceError):
-        enumerate_subgroups(group, order, max_subgroups=cap - 1)
+        _subgroup_classes(group, order, cap - 1)
 
 
 # (all subgroups, up to conjugacy) per divisor order up to 16

@@ -170,7 +170,14 @@ def _genus2():
     # Numbers that do not convert are refused before numpy or float sees them.
     lambda: DenseSymMatrix("x"),
     lambda: spectra_equal([1.0], ["a"]),
-    lambda: generate_group([Perm((1, 0))], max_elements="x"),
+    # Values of the right type that no call can use.
+    lambda: SemiPair(1, 0, 0),
+    lambda: eigenvalues_symmetric(DenseSymMatrix(np.zeros((0, 0)))),
+    lambda: SchreierGraph(-3, ["a"], [[]]),
+    # An arc label is a string: dot output escapes it and arcs sort by it.
+    lambda: SchreierGraph(2, [1], [[1, 0]]).to_dot(),
+    lambda: graph_isomorphic(*[SchreierGraph(2, [1, "a"], [[1, 0], [0, 1]])] * 2),
+    lambda: schreier_graph(_genus2().group, _genus2().subgroup_u, [(1, 0)]),
 ], ids=["perm", "mat2-modulus", "mat2-det", "pair", "polygon-pairs", "polygon-labels", "graph",
         "graph-out-of-range", "graph-too-few-perms", "graph-too-many-perms",
         "perm-floats", "perm-strings", "mat2-float", "pair-float-and-string",
@@ -183,7 +190,8 @@ def _genus2():
         "members-string-index", "graph-labels-not-pairs", "search-string-order",
         "spectrum-string-tol", "isomorphic-ints", "covering-int-polygon", "profile-int-subgroup",
         "adjacency-int", "matrix-string", "spectra-strings",
-        "generate-string-cap"])
+        "pair-modulus-one", "spectrum-empty-matrix", "graph-negative-vertex-count",
+        "graph-int-label", "graph-mixed-labels", "schreier-graph-int-label"])
 def test_invalid_input_raises_usage_error(build):
     with pytest.raises(UsageError):
         build()
@@ -274,6 +282,7 @@ def test_subgroup_equality_is_over_parent_and_members(genus2):
     twin = generate_group(map(u.parent.element, u.parent.generators))
     assert twin.order == u.parent.order and twin.identity == u.parent.identity
     assert Subgroup(twin, u.members) != u
+    assert u != u.members and u != 5
     assert repr(u) == f"Subgroup(members={u.members!r})"
 
 
