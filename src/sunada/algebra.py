@@ -528,6 +528,7 @@ class FiniteGroup:
     def element(self, i: int) -> Element:
         """The element of index i, built from its key.  UsageError unless
         ``0 <= i < order``: a tuple index would read -1 as the last key."""
+        (i,) = _integers((i,), "element index")
         keys = self._keys
         if not 0 <= i < len(keys):
             raise UsageError(f"element index {i} out of range for a group of order {len(keys)}")

@@ -7,13 +7,13 @@ Subcommands operate on JSON group documents (see specfile):
 * ``report FILE --U NAME [--polygon FILE]``: covering report for one subgroup
   using the document's polygon (or a standalone polygon file).
 * ``graph FILE --U NAME [--format dot|json]``: Schreier coset graph.
-* ``spectrum FILE --U NAME [--tol T]``: symmetrized adjacency spectrum.
+* ``spectrum FILE --U NAME``: symmetrized adjacency spectrum.
 * ``search FILE --order K [--smooth] ...``: stream Sunada pairs as JSON lines.
 * ``catalog NAME``: emit a bundled construction as a group document.
 
 ``FILE`` may be ``-`` for stdin.  Reports go to stdout (or ``--out FILE``);
 errors go to stderr.  Exit codes: 0 success, 1 verification failed, 2 input
-error, 3 numeric failure.
+error, 3 numeric failure (a spectrum residual above 1e-9).
 """
 
 from __future__ import annotations
@@ -90,8 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("graph", _cmd_graph, "Schreier coset graph")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
 
-    p = command("spectrum", _cmd_spectrum, "symmetrized adjacency spectrum")
-    p.add_argument("--tol", type=float, default=1e-9)
+    command("spectrum", _cmd_spectrum, "symmetrized adjacency spectrum")
 
     p = command("search", _cmd_search, "search Sunada pairs of a given subgroup order",
                 with_subgroup=False)
@@ -184,7 +183,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    report = spectra._graph_spectrum(_graph(args), tol=args.tol)
+    report = spectra._graph_spectrum(_graph(args))
     _emit(_json_text(report.to_json_dict()), args.out)
     return 0
 

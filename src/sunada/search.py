@@ -69,7 +69,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterator, NamedTuple
 
-from .algebra import FiniteGroup, ResourceError, _expect, _integers
+from .algebra import FiniteGroup, ResourceError, UsageError, _expect, _integers
 from .covering import PolygonSpec, _cycle_orbits
 from .gassmann import (SunadaReport, Subgroup, _closure, _conjugate_members,
                        _normaliser, class_intersection_profile)
@@ -86,8 +86,8 @@ _NORMALISER_ORBIT = 6
 
 class SearchConfig(NamedTuple):
     """Search parameters: target subgroup order, an optional polygon whose
-    quotients must be smooth, a cap on distinct subgroups explored, and
-    whether to deduplicate pairs up to simultaneous conjugacy."""
+    quotients must be smooth, a cap (at least 1) on distinct subgroups
+    explored, and whether to deduplicate pairs up to simultaneous conjugacy."""
 
     order: int
     require_smooth: PolygonSpec | None = None
@@ -250,9 +250,15 @@ def _sunada_pairs(group: FiniteGroup,
                   config: SearchConfig) -> Iterator[tuple[Subgroup, Subgroup, SunadaReport]]:
     """The pairs of ``find_sunada_pairs``, yielded as each one is verified."""
     _expect(config, SearchConfig)
+    (cap,) = _integers((config.max_subgroups,), "max_subgroups")
+    if cap < 1:
+        raise UsageError(f"max_subgroups must be at least 1, got {cap}")
+    _expect(config.dedupe, bool)
+    if config.require_smooth is not None:
+        _expect(config.require_smooth, PolygonSpec)
     # Profiles and smoothness are conjugation invariants: one test per class.
     buckets: dict[tuple[int, ...], list[tuple[list[tuple[int, ...]], list[int]]]] = {}
-    for cls in _classes_of_order(group, config.order, config.max_subgroups):
+    for cls in _classes_of_order(group, config.order, cap):
         profile = class_intersection_profile(group, Subgroup(group, cls[0][0]))
         if config.require_smooth is not None and any(
                 counts for _, counts in _cycle_orbits(group, profile, config.require_smooth)):

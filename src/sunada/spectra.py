@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence, Union
 from .algebra import ResourceError, UsageError, _expect
 from .schreier import SchreierGraph
 
+# The residual gate of every spectrum and the tolerance of ``spectra_equal``.
 DEFAULT_TOL = 1e-9
 MAX_DENSE_DIMENSION = 4096
 # The largest graph that ``_graph_spectrum`` solves without numpy.  Jacobi's
@@ -69,15 +70,6 @@ class DenseSymMatrix:
     @property
     def dimension(self) -> int:
         return self.entries.shape[0]
-
-
-def _check_tolerance(tol: float) -> None:
-    try:
-        if 0 < tol < math.inf:
-            return
-    except (TypeError, ValueError):  # not a number, or an array
-        pass
-    raise UsageError(f"tolerance must be positive and finite, got {tol!r}")
 
 
 def _round_sig(value: float) -> float:
@@ -129,7 +121,7 @@ def _adjacency_rows(graph: SchreierGraph) -> list[list[int]]:
     return rows
 
 
-def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> SpectrumReport:
+def eigenvalues_symmetric(matrix: DenseSymMatrix) -> SpectrumReport:
     """All eigenvalues with multiplicity, ascending, plus the worst residual
     max |A v - lambda v| over the computed eigenpairs.
 
@@ -140,12 +132,11 @@ def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> S
     distance double precision cannot tell them from 0.
 
     Raises NumericError if the solver fails to converge or the residual is
-    not within tol (a NaN residual included).
+    not within ``DEFAULT_TOL`` (a NaN residual included).
     """
     _expect(matrix, DenseSymMatrix)
     if matrix.dimension < 1:
         raise UsageError("spectrum of an empty matrix is undefined")
-    _check_tolerance(tol)
     import numpy as np
 
     try:
@@ -153,16 +144,16 @@ def eigenvalues_symmetric(matrix: DenseSymMatrix, tol: float = DEFAULT_TOL) -> S
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue iteration did not converge: {exc}") from exc
     residual = float(np.max(np.abs(matrix.entries @ vectors - vectors * values)))
-    return _report(values.tolist(), residual, tol)
+    return _report(values.tolist(), residual)
 
 
-def _report(ordered: list[float], residual: float, tol: float) -> SpectrumReport:
+def _report(ordered: list[float], residual: float) -> SpectrumReport:
     """The report of ascending eigenvalues whose eigenpairs left ``residual``,
-    with the values near 0 snapped to 0.0; NumericError unless residual <= tol
-    (a NaN residual included)."""
-    if not residual <= tol:
+    with the values near 0 snapped to 0.0; NumericError unless residual <=
+    ``DEFAULT_TOL`` (a NaN residual included)."""
+    if not residual <= DEFAULT_TOL:
         raise NumericError(
-            f"eigenpair residual {residual:.3e} exceeds tolerance {tol:.3e}",
+            f"eigenpair residual {residual:.3e} exceeds tolerance {DEFAULT_TOL:.3e}",
             residual=residual)
     bound = len(ordered) * sys.float_info.epsilon * max(-ordered[0], ordered[-1])
     ordered = tuple(0.0 if abs(v) <= bound else v for v in ordered)
@@ -214,15 +205,14 @@ def _jacobi(rows: list[list[int]]) -> tuple[list[float], float]:
     return sorted(values), residual
 
 
-def _graph_spectrum(graph: SchreierGraph, tol: float = DEFAULT_TOL) -> SpectrumReport:
-    """``eigenvalues_symmetric(adjacency_matrix(graph), tol)``, solved by
+def _graph_spectrum(graph: SchreierGraph) -> SpectrumReport:
+    """``eigenvalues_symmetric(adjacency_matrix(graph))``, solved by
     ``_jacobi`` without numpy for a graph of 1 to ``_PURE_DIMENSION`` vertices."""
     _expect(graph, SchreierGraph)
     n = graph.vertex_count
     if not 1 <= n <= _PURE_DIMENSION:
-        return eigenvalues_symmetric(adjacency_matrix(graph), tol)
-    _check_tolerance(tol)
-    return _report(*_jacobi(_adjacency_rows(graph)), tol)
+        return eigenvalues_symmetric(adjacency_matrix(graph))
+    return _report(*_jacobi(_adjacency_rows(graph)))
 
 
 Spectrum = Union[SpectrumReport, Sequence[float]]
@@ -237,11 +227,10 @@ def _eigenvalue_list(spectrum: Spectrum) -> list[float]:
         raise UsageError(f"a spectrum must be a sequence of numbers, got {spectrum!r}") from None
 
 
-def spectra_equal(s1: Spectrum, s2: Spectrum, tol: float = DEFAULT_TOL) -> bool:
-    """Entrywise comparison after ascending sort; different sizes are unequal."""
-    _check_tolerance(tol)
+def spectra_equal(s1: Spectrum, s2: Spectrum) -> bool:
+    """Entrywise comparison within ``DEFAULT_TOL`` after sorting; different sizes are unequal."""
     v1 = sorted(_eigenvalue_list(s1))
     v2 = sorted(_eigenvalue_list(s2))
     if len(v1) != len(v2):
         return False
-    return all(abs(a - b) <= tol for a, b in zip(v1, v2))
+    return all(abs(a - b) <= DEFAULT_TOL for a, b in zip(v1, v2))

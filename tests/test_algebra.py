@@ -661,6 +661,15 @@ def test_conjugacy_classes_partition_group(s4):
             assert conjugate(s4, members, g) == members
 
 
+def test_class_index_before_conjugacy_classes_computes_them():
+    s3 = generate_group([Perm((1, 0, 2)), Perm((1, 2, 0))])
+    assert s3._class_of is None
+    indices = [s3.class_index(i) for i in range(s3.order)]
+    classes = s3.conjugacy_classes()
+    assert sorted(map(len, classes)) == [1, 2, 3]
+    assert all(i in classes[cid] for i, cid in enumerate(indices))
+
+
 def test_conjugation_orbit_matches_conjugating_by_every_element(s4):
     """One index set's orbit, subgroup or not, against its conjugates by
     every element of S4, and its arcs against the generators' conjugates."""

@@ -55,7 +55,7 @@ def test_schreier_graphs_are_isospectral(pair, capsys):
     """Float within 1e-9, and only for the Schreier coset graphs of U and V,
     not for the surfaces."""
     path, u, v, _ = pair
-    eu, ev = (_output(capsys, ["spectrum", path, "--U", sub, "--tol", "1e-9"])["eigenvalues"]
+    eu, ev = (_output(capsys, ["spectrum", path, "--U", sub])["eigenvalues"]
               for sub in (u, v))
     assert len(eu) == len(ev)
     assert max(abs(a - b) for a, b in zip(eu, ev)) <= 1e-9

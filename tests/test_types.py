@@ -159,9 +159,13 @@ def _genus2():
     lambda: subgroup_from_members(_genus2().group, [0, "a"]),
     lambda: schreier_graph(_genus2().group, _genus2().subgroup_u, [1]),
     lambda: find_sunada_pairs(_genus2().group, SearchConfig(order="2")),
-    lambda: eigenvalues_symmetric(adjacency_matrix(
-        schreier_graph(_genus2().group, _genus2().subgroup_u, _genus2().polygon.cycles)),
-        tol="x"),
+    lambda: find_sunada_pairs(_genus2().group, SearchConfig(order=8, max_subgroups=0)),
+    lambda: find_sunada_pairs(_genus2().group, SearchConfig(order=8, max_subgroups=-5)),
+    lambda: find_sunada_pairs(_genus2().group, SearchConfig(order=8, dedupe="no")),
+    lambda: find_sunada_pairs(_genus2().group, SearchConfig(order=7, require_smooth=5)),
+    lambda: _genus2().group.element("x"),
+    lambda: _genus2().group.element(None),
+    lambda: _genus2().group.element(1.5),
     lambda: graph_isomorphic(5, 5),
     lambda: covering_report(_genus2().group, _genus2().subgroup_u, 5),
     lambda: class_intersection_profile(_genus2().group, 5),
@@ -188,7 +192,9 @@ def _genus2():
         "graph-float-vertex-count", "cycles-int-text", "cycles-bytes-text",
         "generate-int", "generate-tuple", "subgroup-float-index",
         "members-string-index", "graph-labels-not-pairs", "search-string-order",
-        "spectrum-string-tol", "isomorphic-ints", "covering-int-polygon", "profile-int-subgroup",
+        "search-zero-cap", "search-negative-cap", "search-string-dedupe", "search-int-smooth",
+        "element-string-index", "element-none-index", "element-float-index",
+        "isomorphic-ints", "covering-int-polygon", "profile-int-subgroup",
         "adjacency-int", "matrix-string", "spectra-strings",
         "pair-modulus-one", "spectrum-empty-matrix", "graph-negative-vertex-count",
         "graph-int-label", "graph-mixed-labels", "schreier-graph-int-label"])
