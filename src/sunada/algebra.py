@@ -35,6 +35,11 @@ integers through ``operator.index``; ``parse_cycles`` builds its
 permutation, valid by construction, without, and so does
 ``FiniteGroup.element`` from a key.
 
+Cycle notation has one grammar.  ``_read_keys`` reads a list of texts, a
+document's listed subgroup or the one text of ``parse_cycles``, straight to
+keys; what it refuses, every error included, ``_scan_cycles`` reads a point
+at a time, so that an error carries its text position.
+
 A group is its keys.  ``FiniteGroup`` closes its generators in key space
 and keeps the keys, indexed by a dict, and no element object: ``element(i)``
 builds one from its key on demand, so an element costs the memory of its
@@ -52,6 +57,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from itertools import accumulate, chain
 from typing import Any, Callable, Iterable, NamedTuple, Sequence, Union
 
 DEFAULT_ELEMENT_CAP = 10**6
@@ -317,27 +323,75 @@ def _arithmetic(like: Element) -> _Arithmetic:
     return _Arithmetic(product, inverse, right, identity)
 
 
-# Well-formed cycle notation.  A str pattern's \s and \d are the characters
-# of str.isspace and str.isdecimal, which int() reads, and a test pins this.
-# The error scanner reads with the same classes: the space between cycles,
-# and after a '(' or ',' one point's digits and the character after them.
-_CYCLES = re.compile(r"\s*(?:\(\s*\d+\s*(?:,\s*\d+\s*)+\)\s*)*")
-_SPACE = re.compile(r"\s*")
-_POINT = re.compile(r"\s*(\d*)\s*(.?)", re.DOTALL)
+# One well-formed cycle: text is cycles with space around them, and a list
+# joins texts with '|'.  A str pattern's \s and \d are the characters of
+# str.isspace and str.isdecimal, which int() reads, and a test pins this.
+# The error scanner reads with the same classes.  ``re`` compiles each
+# pattern on first use, so importing this module compiles none.
+_CYCLE = r"\(\s*\d+\s*(?:,\s*\d+\s*)+\)"
+_SPACE = r"\s*"
+_POINT = r"(?s)\s*(\d*)\s*(.?)"
 
 
-def _read_cycles(text: str, degree: int) -> list[list[int]] | None:
-    """The cycles of well-formed text, read in bulk, or None where a point is
-    out of range, repeated or past int()'s digit limit."""
+def _cycle_keys(lists: list[list[list[int]]], degree: int) -> list | None:
+    """The ``_key`` of each list of cycles, or None where a point is out of
+    range or repeated in its list.  The points, first and last points of all
+    lists are gathered once; each point maps to the next one gathered, then
+    each cycle's last point to its first, which overwrites the entry that ran
+    on into the next cycle or list."""
+    cycles = list(chain.from_iterable(lists))
+    points = list(chain.from_iterable(cycles))
+    if max(points, default=0) >= degree:
+        return None
+    seq = bytes if degree <= _MAX_BYTES_DEGREE else tuple
+    heads = seq(map(operator.itemgetter(0), cycles))
+    tails = seq(map(operator.itemgetter(-1), cycles))
+    points = seq(points) + seq([0])  # a pad, so each list's images are one slice
+    ends = list(accumulate(map(len, cycles), initial=0))
+    keys, c0 = [], 0
+    for c1 in accumulate(map(len, lists)):
+        p0, p1 = ends[c0], ends[c1]
+        sources = points[p0:p1]
+        if len(set(sources)) != p1 - p0:
+            return None
+        sources += tails[c0:c1]
+        images = points[p0 + 1:p1 + 1] + heads[c0:c1]
+        if seq is bytes:
+            keys.append(bytes.maketrans(sources, images)[:degree])
+        else:
+            key = list(range(degree))
+            for point, image in zip(sources, images):
+                key[point] = image
+            keys.append(tuple(key))
+        c0 = c1
+    return keys
+
+
+def _read_keys(texts: Sequence, degree: int) -> list | None:
+    """The ``_key`` of each text, or None unless all are well-formed strs
+    whose points JSON reads (no leading zero or other script's digits), in
+    range and not repeated.  The texts, joined by '|', are checked in one
+    scan and decoded by one ``json.loads``; a '|' in a text makes one list
+    too many."""
+    if not texts:
+        return []
     try:
-        cycles = [list(map(int, part.partition("(")[2].split(",")))
-                  for part in text.split(")")[:-1]]
-    except ValueError:
+        text = "|".join(texts)
+    except TypeError:  # an element that is not a str
         return None
-    points = [p for cycle in cycles for p in cycle]
-    if len(set(points)) != len(points) or max(points, default=0) >= degree:
+    # Well-formed when only space and '|' are left once every cycle is cut
+    # out: one scan, which, unlike a match of the whole text, keeps no
+    # backtracking state per cycle (about 0.7 kB each).
+    if re.sub(_CYCLE, "", text).replace("|", " ").strip():
         return None
-    return cycles
+    from json import loads  # only here, so importing this module imports no json
+
+    try:
+        lists = loads("[[" + "".join(text.split()).replace(")(", "],[").replace("(", "[")
+                      .replace(")", "]").replace("|", "],[") + "]]")
+    except ValueError:  # a leading zero, another script's digits, past the digit limit
+        return None
+    return _cycle_keys(lists, degree) if len(lists) == len(texts) else None
 
 
 def _scan_cycles(text: str, degree: int) -> list[list[int]]:
@@ -345,18 +399,19 @@ def _scan_cycles(text: str, degree: int) -> list[list[int]]:
     carries its position."""
     cycles: list[list[int]] = []
     seen: set[int] = set()
+    space, point_at = re.compile(_SPACE).match, re.compile(_POINT).match
     # A point has at most this many digits besides leading zeros, so a longer
     # run is out of range before int(), which refuses over 4300 digits, sees
     # it.  A run that looks out of range is read again without leading zeros.
     width = len(str(degree - 1))
-    pos = _SPACE.match(text).end()
+    pos = space(text).end()
     while pos < len(text):
         if text[pos] != "(":
             raise CycleParseError("expected '('", pos)
         cycle: list[int] = []
         sep = ","
         while sep == ",":
-            match = _POINT.match(text, pos + 1)
+            match = point_at(text, pos + 1)
             digits, sep = match.groups()
             pos = match.start(1)
             if not digits:
@@ -376,7 +431,7 @@ def _scan_cycles(text: str, degree: int) -> list[list[int]]:
         if len(cycle) < 2:
             raise CycleParseError("a cycle needs at least two points", pos)
         cycles.append(cycle)
-        pos = _SPACE.match(text, pos + 1).end()
+        pos = space(text, pos + 1).end()
     return cycles
 
 
@@ -388,28 +443,22 @@ def parse_cycles(text: str, degree: int) -> Perm:
     CycleParseError (carrying a text position) for malformed input, repeated
     points, or out-of-range points, and UsageError for a text that is not a
     str or a degree above ``DEFAULT_ELEMENT_CAP``, which bounds a document's
-    degree too.  Well-formed text is read in bulk, the rest, every error
-    included, a point at a time.
+    degree too.  The text is read by ``_read_keys``, the reader of a
+    document's listed elements, as a list of one; what that refuses, every
+    error included, is read a point at a time.
     """
     if not isinstance(text, str):
         raise UsageError(f"cycle text must be a string, got {text!r}")
-    try:  # not through _integers, whose tuples cost 0.5 us per document element
+    try:
         degree = operator.index(degree)
     except TypeError:
         raise UsageError(f"degree must be an integer, got {degree!r}") from None
     if not 1 <= degree <= DEFAULT_ELEMENT_CAP:  # before anything is allocated
         raise UsageError(f"degree must be between 1 and {DEFAULT_ELEMENT_CAP}, got {degree}")
-    cycles = _read_cycles(text, degree) if _CYCLES.fullmatch(text) else None
-    if cycles is None:
-        cycles = _scan_cycles(text, degree)
-    images = list(range(degree))
-    for cycle in cycles:
-        before = cycle[-1]  # each point is the image of the one before it
-        for point in cycle:
-            images[before] = point
-            before = point
+    keys = _read_keys([text], degree)
+    (key,) = keys or _cycle_keys([_scan_cycles(text, degree)], degree)
     # A permutation by construction, so Perm's validation is skipped.
-    return tuple.__new__(Perm, (tuple(images),))
+    return tuple.__new__(Perm, (tuple(key),))
 
 
 def cycle_string(perm: Perm) -> str:

@@ -21,6 +21,10 @@ The group is the closure of all named generators.  Subgroups are given either
 as explicit element lists (which must already be closed) or as generator
 words.  Words are whitespace separated generator names, each optionally
 followed by ``^-1``.  Polygon cycles are words too.
+
+Listed permutations are read as one list straight to the group's keys; a
+list that reader refuses, and listed matrices and pairs, are parsed an
+element at a time, so an error names the first element at fault.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import json
 from typing import Any, NamedTuple
 
 from .algebra import (DEFAULT_ELEMENT_CAP, CycleParseError, Element, FiniteGroup,
-                      Mat2, Perm, SemiPair, UsageError, _element_cap, _expect,
-                      cycle_string, generate_group, parse_cycles)
+                      Mat2, Perm, SemiPair, UsageError, _element_cap, _expect, _key,
+                      _read_keys, cycle_string, generate_group, parse_cycles)
 from .covering import PolygonSpec
 from .gassmann import Subgroup, _check_indices, subgroup_from_members, subgroup_generate
 
@@ -179,13 +183,16 @@ def parse_document(doc: Any) -> LoadedSpec:
         if not isinstance(body[source], list):
             raise SpecError(f"{where}: {source!r} must be a list")
         if source == "elements":
+            raws, index = body["elements"], group._key_space()[1]
+            keys = _read_keys(raws, parameter) if kind == "permutation" else None
+            if keys is None:  # parsed one at a time, so the first bad element is named
+                keys = (_key(_parse_element(kind, parameter, raw, where)) for raw in raws)
             indices = []
-            for raw in body["elements"]:
-                e = _parse_element(kind, parameter, raw, where)
-                try:
-                    indices.append(group.index_of(e))
-                except UsageError:
-                    raise SpecError(f"{where}: element {raw!r} is not in the generated group") from None
+            for raw, key in zip(raws, keys):
+                i = index.get(key)
+                if i is None:
+                    raise SpecError(f"{where}: element {raw!r} is not in the generated group")
+                indices.append(i)
             try:
                 subgroups[str(name)] = subgroup_from_members(group, indices)
             except UsageError as exc:

@@ -3,7 +3,8 @@ the whole and trivial subgroup helpers, the element list of a group, the
 order of one element, conjugation of an index set, one subgroup per
 conjugacy class, the least conjugator by a scan of the sorted group, and an
 element product and inverse that share nothing with the library's key
-arithmetic, to check it against."""
+arithmetic, to check it against, and malformed cycle texts with their
+errors."""
 
 from __future__ import annotations
 
@@ -90,6 +91,25 @@ def pair_oracle(m: int, p1, p2):
     """The pair product (u, v)(u', v') = (u u', v + u v') mod m, written out."""
     (u1, v1), (u2, v2) = p1, p2
     return (u1 * u2) % m, (v1 + u1 * v2) % m
+
+
+OVERLONG_POINT = "(0," + "9" * 5000 + ")"
+MALFORMED_CYCLES = [  # (text, message, position) at degree 12
+    ("(0,1", "expected ',' or ')'", 4),
+    ("(0,0)", "point 0 repeated", 3),
+    ("(0,99)", "point 99 out of range for degree 12", 3),
+    ("(5)", "a cycle needs at least two points", 2),
+    ("0,1", "expected '('", 0),
+    ("(a,b)", "expected a point number", 1),
+    ("(0,1)x", "expected '('", 5),
+    ("(0,1)(1,2)", "point 1 repeated", 6),
+    (OVERLONG_POINT, f"point {'9' * 5000} out of range for degree 12", 3),
+    ("(0,)", "expected a point number", 3),
+    ("(0,1))", "expected '('", 5),
+    ("(0,\u0661\u0662)", "point 12 out of range for degree 12", 3),  # Arabic-Indic 12
+    ("(0\u30001)", "expected ',' or ')'", 3),  # an ideographic space is no separator
+    ("(0,1)\u3000(2", "expected ',' or ')'", 8),
+]
 
 
 @functools.lru_cache(maxsize=4096)

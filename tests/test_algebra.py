@@ -36,8 +36,9 @@ from sunada import (
 from sunada import algebra
 from sunada.algebra import _arithmetic, _from_key, _key
 
-from conftest import (compose, conjugate, elements, invert, mat_oracle, order_of, pair_oracle,
-                      projective_plane_action, subgroup_classes, sympy_perm)
+from conftest import (MALFORMED_CYCLES, OVERLONG_POINT, compose, conjugate, elements, invert,
+                      mat_oracle, order_of, pair_oracle, projective_plane_action,
+                      subgroup_classes, sympy_perm)
 
 A12_A = "(0,7,11)(1,5,6)(2,9,10)(3,4,8)"
 A12_B = "(0,4,2)(1,5,9)(3,7,11)(6,10,8)"
@@ -60,25 +61,6 @@ def test_parse_cycles_empty_is_identity():
 
 def test_parse_cycles_ignores_whitespace():
     assert parse_cycles(" ( 0 , 1 ) ( 2 , 3 ) ", 4) == parse_cycles("(0,1)(2,3)", 4)
-
-
-OVERLONG_POINT = "(0," + "9" * 5000 + ")"
-MALFORMED_CYCLES = [  # (text, message, position) at degree 12
-    ("(0,1", "expected ',' or ')'", 4),
-    ("(0,0)", "point 0 repeated", 3),
-    ("(0,99)", "point 99 out of range for degree 12", 3),
-    ("(5)", "a cycle needs at least two points", 2),
-    ("0,1", "expected '('", 0),
-    ("(a,b)", "expected a point number", 1),
-    ("(0,1)x", "expected '('", 5),
-    ("(0,1)(1,2)", "point 1 repeated", 6),
-    (OVERLONG_POINT, f"point {'9' * 5000} out of range for degree 12", 3),
-    ("(0,)", "expected a point number", 3),
-    ("(0,1))", "expected '('", 5),
-    ("(0,\u0661\u0662)", "point 12 out of range for degree 12", 3),  # Arabic-Indic 12
-    ("(0\u30001)", "expected ',' or ')'", 3),  # an ideographic space is no separator
-    ("(0,1)\u3000(2", "expected ',' or ')'", 8),
-]
 
 
 @pytest.mark.parametrize("text, message, position", MALFORMED_CYCLES,
@@ -119,6 +101,65 @@ def test_parse_cycles_inverts_cycle_string(images):
     q = parse_cycles(cycle_string(p), p.degree)
     assert type(q) is Perm and type(q.images) is tuple
     assert q == p and hash(q) == hash(p)
+
+
+# ASCII and other \s characters, which separate tokens of cycle notation.
+_SPACES = " \t\n\x1c\u00a0\u2003\u3000"
+
+
+@st.composite
+def _spelled_lists(draw):
+    """(degree, texts, images, refused): up to 20 random permutations of one
+    degree from 1 to 300, each in cycle notation with random space, some
+    points spelled with leading zeros or Arabic-Indic digits, the image
+    tuples they spell, and whether any point is so spelled."""
+    rnd = draw(st.randoms(use_true_random=True))
+    # Both sides of the 256-point split of bytes and tuple keys, and its edges.
+    degree = draw(st.one_of(st.sampled_from([1, 256, 257, 300]), st.integers(1, 256),
+                            st.integers(257, 300)))
+    odd = draw(st.sampled_from([0.0, 0.0, 0.02]))  # share of oddly spelled points
+    texts, images, refused = [], [], False
+    for _ in range(rnd.randint(0, 20)):
+        perm = list(range(degree))
+        if rnd.random() < 0.8:  # else the identity, whose text is ""
+            rnd.shuffle(perm)
+        p = Perm(perm)
+        parts = []
+        for cycle in re.findall(r"\(([^)]*)\)", cycle_string(p)):
+            points = []
+            for point in cycle.split(","):
+                if rnd.random() < odd:
+                    refused = True
+                    point = "0" + point if rnd.random() < 0.5 else point.translate(
+                        str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                      "\u0665\u0666\u0667\u0668\u0669"))
+                points.append(rnd.choice(["", rnd.choice(_SPACES)]) + point)
+            parts.append("(" + ",".join(points) + rnd.choice(["", " ", "\u3000"]) + ")")
+        texts.append(rnd.choice(["", " "]) + rnd.choice(["", "\t"]).join(parts)
+                     + rnd.choice(["", "\n"]))
+        images.append(p.images)
+    return degree, texts, images, refused
+
+
+@settings(max_examples=80, deadline=None)
+@given(_spelled_lists())
+def test_list_reader_agrees_with_the_scanner(case):
+    """The bulk reader of listed elements gives the images the point-at-a-time
+    scanner reads, as bytes keys up to 256 points and image tuples above, and
+    refuses exactly the lists with a point that JSON does not read."""
+    degree, texts, images, refused = case
+    oracle = [algebra._scan_cycles(text, degree) for text in texts]
+    for cycles, want in zip(oracle, images):
+        got = list(range(degree))
+        for cycle in cycles:
+            for point, image in zip(cycle, cycle[1:] + cycle[:1]):
+                got[point] = image
+        assert tuple(got) == want
+    keys = algebra._read_keys(texts, degree)
+    if refused:
+        assert keys is None
+    else:
+        assert keys == [bytes(p) if degree <= 256 else p for p in images]
 
 
 def test_parse_cycles_rejects_nonpositive_degree():

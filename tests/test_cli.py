@@ -643,6 +643,35 @@ def test_module_read_first_loads_only_that_module():
     assert proc.stdout == "['sunada.algebra']\n"
 
 
+def test_cycle_patterns_compile_on_first_use(tmp_path):
+    """Importing ``sunada.algebra`` compiles no pattern, and ``verify`` on the
+    matrix and pair documents none of cycle notation's; on genus2, whose
+    subgroups list permutations, it compiles the cycle pattern."""
+    paths = {}
+    for name in ("genus2", "genus3", "orbifold-h"):
+        paths[name] = tmp_path / f"{name}.json"
+        assert run(["catalog", name, "--out", str(paths[name])]) == 0
+    # Every compile, and every cache lookup before it, passes re._compile
+    # (Python 3.10 to 3.13), so the patterns it sees are all that were used.
+    script = f"""
+import re
+seen = []
+compile_ = re._compile
+re._compile = lambda pattern, flags: seen.append(pattern) or compile_(pattern, flags)
+from sunada import algebra
+assert seen == [], seen
+from sunada import cli
+cycles = {{algebra._CYCLE, algebra._SPACE, algebra._POINT}}
+for path, u, v in [({str(paths['genus3'])!r}, "U1", "U2"), ({str(paths['orbifold-h'])!r}, "U1", "U2")]:
+    assert cli.run(["verify", path, "--U", u, "--V", v]) == 0
+assert not cycles & set(seen), seen
+assert cli.run(["verify", {str(paths['genus2'])!r}, "--U", "U", "--V", "V"]) == 0
+assert algebra._CYCLE in seen
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 # The sunada modules each command executes besides ``cli`` and the four that
 # reading a document takes (algebra, gassmann, covering, specfile).
 _COMMAND_MODULES = {

@@ -2,10 +2,26 @@
 
 from __future__ import annotations
 
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
-from sunada import Mat2, Perm, SemiPair, UsageError, document_from_catalog
-from sunada.specfile import SpecError, load_text, parse_document, parse_polygon, render_element
+from sunada import (Mat2, Perm, SemiPair, UsageError, catalog_entry, document_from_catalog,
+                    generate_group, parse_cycles)
+from sunada import specfile
+from sunada.specfile import (SpecError, _parse_element, load_text, parse_document, parse_polygon,
+                             render_element)
+
+from conftest import MALFORMED_CYCLES, OVERLONG_POINT
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+try:
+    from groups import psl_document
+finally:
+    sys.path.remove(str(PERFBENCH))
 
 S3_DOC = {
     "kind": "permutation",
@@ -179,3 +195,74 @@ def test_render_element_inverts_parsing():
         assert rendered == S3_DOC["generators"][name]
     assert render_element(Mat2(4, ((1, 2), (0, 1)))) == [[1, 2], [0, 1]]
     assert render_element(SemiPair(8, 3, 7)) == [3, 7]
+
+
+# ------------------------------------------------------------ listed elements
+
+@pytest.mark.parametrize("name, seed", [(name, None) for name in ("genus2", "genus3", "orbifold-h")]
+                         + [(name, seed) for name in ("PSL(3,2)", "PSL(2,11)") for seed in (1, 7)])
+def test_listed_subgroups_read_as_one_element_at_a_time(name, seed):
+    """Read as one list, a listed subgroup has the members its elements have
+    one at a time, and the group the same element order."""
+    doc = document_from_catalog(catalog_entry(name)) if seed is None else psl_document(name, seed)
+    kind, parameter = doc["kind"], doc.get("degree", doc.get("modulus"))
+    spec = load_text(json.dumps(doc))
+    gens = [_parse_element(kind, parameter, raw, name) for raw in doc["generators"].values()]
+    assert spec.group._keys == generate_group(gens)._keys
+    for sub_name, body in doc["subgroups"].items():
+        if "elements" in body:
+            want = {spec.group.index_of(parse_cycles(raw, parameter) if kind == "permutation"
+                                        else _parse_element(kind, parameter, raw, name))
+                    for raw in body["elements"]}
+            assert spec.subgroups[sub_name].members == tuple(sorted(want))
+
+
+def test_listed_permutations_parse_no_element_on_their_own(monkeypatch):
+    """PSL(2,11) lists 120 elements; only its two generators are parsed
+    one at a time, so the listed ones took the bulk reader."""
+    calls = []
+
+    def counted(text, degree):
+        calls.append(text)
+        return parse_cycles(text, degree)
+
+    monkeypatch.setattr(specfile, "parse_cycles", counted)
+    doc = psl_document("PSL(2,11)", 1)
+    spec = load_text(json.dumps(doc))
+    assert [len(sub.members) for sub in spec.subgroups.values()] == [60, 60]
+    assert calls == list(doc["generators"].values())
+
+
+_S12_PAIR = {"kind": "permutation", "degree": 12, "generators": {"a": "(0,1)", "b": "(2,3)"}}
+_LISTED_ERRORS = MALFORMED_CYCLES + [
+    ("(0,1)|(2,3)", "expected '('", 5),
+    ("(-0,1)", "expected a point number", 1),
+    ("(0,1),(1,2)", "expected '('", 5),
+    ("(1.0,2)", "expected ',' or ')'", 2),
+    ("(true,1)", "expected a point number", 1),
+]
+
+
+@pytest.mark.parametrize("text, message, position", _LISTED_ERRORS,
+                         ids=["overlong-point" if text == OVERLONG_POINT else text
+                              for text, _, _ in _LISTED_ERRORS])
+def test_a_malformed_listed_element_names_its_position(text, message, position):
+    doc = dict(_S12_PAIR, subgroups={"U": {"elements": ["", "(0,1)", text]}})
+    with pytest.raises(SpecError) as excinfo:
+        parse_document(doc)
+    assert str(excinfo.value) == f"subgroup 'U': {message} (at position {position})"
+
+
+@pytest.mark.parametrize("elements, message", [
+    (["", "(4,5)", "(6,7)"], "element '(4,5)' is not in the generated group"),
+    # the first element at fault is named, also before a malformed one
+    (["", "(4,5)", "(0,0)"], "element '(4,5)' is not in the generated group"),
+    (["", "(0,1)", "(2,3)", "(0,1)(2,3)", "(0,2)"],
+     "element '(0,2)' is not in the generated group"),
+    (["", 5], "permutation elements are cycle strings"),
+])
+def test_a_listed_element_at_fault_is_named(elements, message):
+    doc = dict(_S12_PAIR, subgroups={"U": {"elements": elements}})
+    with pytest.raises(SpecError) as excinfo:
+        parse_document(doc)
+    assert str(excinfo.value) == f"subgroup 'U': {message}"
